@@ -54,6 +54,8 @@ _NUMERICAL_ERRORS = (NumericalError, InsufficientSamplesError, TrainingDivergedE
 
 def _parse_spec(text: str, dim: int) -> GaussianSpec:
     """Parse 'name=mean,var' or 'mean,var' into an isotropic spec."""
+    if dim < 1:
+        raise InvalidConfigError(f"dim must be >= 1, got {dim}")
     body = text.split("=", 1)[1] if "=" in text else text
     try:
         mean_s, var_s = body.split(",")
@@ -69,9 +71,9 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="INI config file; flags override its values")
         p.add_argument("--out-dir", help="output directory")
-        p.add_argument("--plot", action="store_true", default=None, help="also write SVG plots")
 
     def edit_flags(p):
+        p.add_argument("--plot", action="store_true", default=None, help="also write SVG plots")
         p.add_argument("--analytic", nargs=2, metavar=("SRC", "TAR"),
                        help="Gaussian pair, e.g. src=0,1 tar=2,1")
         p.add_argument("--dim", type=int, help="state dimension for analytic specs")
@@ -144,21 +146,24 @@ _DEFAULTS: dict[str, dict] = {
     },
     "generate": {
         "analytic": "spec=2,1", "dim": 2, "T": 200, "n": 10000, "seed": 0,
-        "out_dir": "runs/generate", "plot": False,
+        "out_dir": "runs/generate",
     },
     "train": {
         "out": None, "n": 2048, "epochs": 160, "batch": 96, "lr": 3e-3, "widths": "48,48",
-        "seed": 0, "out_dir": "runs/train", "plot": False,
+        "seed": 0, "out_dir": "runs/train",
     },
     "avedit": {
         "model": None, "T": 40, "skip": 12, "n_max": None, "seeds": 50,
-        "src_class": 0, "tar_class": 1, "out_dir": "runs/avedit", "plot": False,
+        "src_class": 0, "tar_class": 1, "out_dir": "runs/avedit",
     },
-    "oracle-check": {"n": 200000, "seed": 0, "out_dir": "runs/oracle-check", "plot": False},
-    "report": {"from_csv": None, "out_dir": "runs/report", "plot": False},
+    "oracle-check": {"n": 200000, "seed": 0, "out_dir": "runs/oracle-check"},
+    "report": {"from_csv": None, "out_dir": "runs/report"},
 }
 
 _BOOL_KEYS = ("plot",)
+# Keys whose default is unset but whose value is a number; the other keys
+# take the type of their default, and unset ones stay text.
+_NUMERIC_UNSET_KEYS = {"n_max": int}
 
 
 def _coerce(key: str, raw: str, default):
@@ -169,11 +174,13 @@ def _coerce(key: str, raw: str, default):
         if len(parts) != 2:
             raise InvalidConfigError(f"analytic expects two specs, got {raw!r}")
         return tuple(parts)
-    if isinstance(default, int) and not isinstance(default, bool):
-        return int(raw)
-    if isinstance(default, float):
-        return float(raw)
-    return raw
+    kind = _NUMERIC_UNSET_KEYS.get(key, type(default))
+    if kind not in (int, float):
+        return raw
+    try:
+        return kind(raw)
+    except ValueError:
+        raise InvalidConfigError(f"{key} = {raw!r} is not {kind.__name__}") from None
 
 
 def _resolve_options(args: argparse.Namespace) -> dict:

@@ -104,6 +104,32 @@ def marginal_velocity(spec: GaussianSpec, x: np.ndarray, t: float) -> np.ndarray
     return y @ m.T - spec.mean
 
 
+def _velocity_affine(spec: GaussianSpec, t) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of the marginal velocity, which is affine in x, at a
+    vector of n times: ``V(x, t[k]) = A[k] @ x + o[k]``.
+
+    A_t = (t I - (1-t) Sigma) S_t^{-1} and o_t = -(1-t) A_t mu - mu. Both
+    factors of A_t are functions of Sigma, so A_t is built in Sigma's
+    eigenbasis, one path for diagonal and full covariances. At t = 1, A is
+    exactly I and o exactly -mu. Returns arrays of shapes (n, dim, dim) and
+    (n, dim).
+    """
+    t = np.asarray(t, dtype=np.float64).ravel()
+    if np.any((t < 0.0) | (t > 1.0)):
+        raise InvalidConfigError("times must lie in [0, 1]")
+    lam, q = np.linalg.eigh(spec.cov_matrix())
+    # gain[m, k]: A's eigenvalue m at time k; (dim, n) keeps the elementwise
+    # work running along the times
+    lam = lam[:, None]
+    gain = (t - (1.0 - t) * lam) / ((1.0 - t) ** 2 * lam + t * t)
+    # A_t = sum_m gain[m] q_m q_m^T: one matmul against the flattened outer products
+    outer = (q.T[:, :, None] * q.T[:, None, :]).reshape(spec.dim, -1)
+    a = (gain.T @ outer).reshape(-1, spec.dim, spec.dim)
+    a[t == 1.0] = np.eye(spec.dim)
+    o = -(1.0 - t) * (q @ (gain * (spec.mean @ q)[:, None])) - spec.mean[:, None]
+    return a, o.T
+
+
 def gaussian_marginal_velocity(spec: GaussianSpec, x: TensorState, t: float) -> TensorState:
     return x.with_array(marginal_velocity(spec, x.array, t))
 

@@ -44,6 +44,12 @@ SUMMARY_COLUMNS = (
     "experiment", "seq_mode", "noise_mode", "T", "n_max", "seed_count", "metric", "mean", "stderr",
 )
 
+# The edits.csv columns summarize_per_seed_csv reads.
+PER_SEED_COLUMNS = (
+    "experiment", "seq_mode", "noise_mode", "T", "n_max",
+    "structure_distance", "residual_norm", "smoothness_source",
+)
+
 ABLATION_CELLS = (
     ("edit", "random"),
     ("edit", "estimated"),
@@ -78,7 +84,8 @@ class ExperimentConfig:
     params: dict
 
     def __post_init__(self):
-        if not self.params.get("seeds", 1):
+        seeds = self.params.get("seeds", 1)
+        if seeds is None or seeds < 1:
             raise InvalidConfigError("seed list must be non-empty")
 
     def canonical(self) -> str:
@@ -200,17 +207,17 @@ def sweep_reports(
 
     ``bias_norm`` and the per-seed metrics are seed averages with standard
     errors; ``fitted_w2`` fits Gaussian moments to the pooled outputs and is
-    reported without a standard error."""
-    outputs = np.stack([r.output for r in runs])
+    reported without a standard error. A one-seed sweep has no covariance
+    to fit, so it reports no ``fitted_w2``."""
     config_echo = {
         "experiment": experiment, "seq_mode": cfg.sequence_mode, "noise_mode": cfg.noise_mode,
         "T": cfg.T, "n_max": cfg.n_max, "seed_count": len(runs),
     }
-    mean, cov = empirical_moments(outputs)
-    fitted = GaussianSpec(mean=mean, cov=cov + 1e-12 * np.eye(mean.size))
-    reports = [
-        MetricReport("fitted_w2", w2_gaussian(fitted, tar_spec), config=config_echo)
-    ]
+    reports = []
+    if len(runs) >= 2:
+        mean, cov = empirical_moments(np.stack([r.output for r in runs]))
+        fitted = GaussianSpec(mean=mean, cov=cov + 1e-12 * np.eye(mean.size))
+        reports.append(MetricReport("fitted_w2", w2_gaussian(fitted, tar_spec), config=config_echo))
     for name, values in (
         ("bias_norm", [float(np.linalg.norm(r.residual)) for r in runs]),
         ("smoothness", [r.smoothness_source for r in runs]),
@@ -350,7 +357,11 @@ def write_per_seed_csv(runs: list[EditRun], cfg: EditConfig, out_dir, experiment
 def summarize_per_seed_csv(path) -> list[MetricReport]:
     """Rebuild summary metrics from a previously written edits.csv."""
     with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+        reader = csv.DictReader(fh, restval="")
+        rows = list(reader)
+    missing = [c for c in PER_SEED_COLUMNS if c not in (reader.fieldnames or ())]
+    if missing:
+        raise InvalidConfigError(f"{path} is not an edits.csv: no column {', '.join(missing)}")
     if not rows:
         raise InvalidConfigError(f"no rows in {path}")
     groups: dict[tuple, list[dict]] = {}
@@ -368,7 +379,11 @@ def summarize_per_seed_csv(path) -> list[MetricReport]:
             ("smoothness", "smoothness_source"),
             ("structure_distance", "structure_distance"),
         ):
-            m, se = _mean_stderr(np.array([float(r[column]) for r in grp]))
+            try:
+                values = np.array([float(r[column]) for r in grp])
+            except ValueError:
+                raise InvalidConfigError(f"{path}: non-numeric {column} value") from None
+            m, se = _mean_stderr(values)
             reports.append(MetricReport(metric, m, aux={"stderr": se}, config=config_echo))
     return reports
 

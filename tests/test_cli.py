@@ -33,6 +33,21 @@ class TestArgumentHandling:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_zero_dim_exits_2(self, tmp_path, capsys):
+        code = run_cli("edit", "--dim", "0", "--seeds", "2", "--out-dir", str(tmp_path))
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seeds", ["0", "-3"])
+    def test_no_seeds_exits_2(self, tmp_path, seeds, capsys):
+        assert run_cli("edit", "--seeds", seeds, "--out-dir", str(tmp_path)) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["generate", "train", "avedit", "oracle-check", "report"])
+    def test_plot_only_where_it_writes_a_plot(self, command, capsys):
+        assert run_cli(command, "--plot") == 2
+        assert "usage" in capsys.readouterr().err
+
 
 class TestEditCommand:
     def test_identity_edit_structure_distance_column(self, tmp_path):
@@ -60,6 +75,17 @@ class TestEditCommand:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert "edits.csv" in manifest["outputs"]
         assert manifest["rng_algorithm"]
+
+    def test_one_seed_skips_only_fitted_w2(self, tmp_path):
+        code = run_cli(
+            "edit", "--analytic", "src=0,1", "tar=2,1", "--T", "12", "--skip", "4",
+            "--seeds", "1", "--out-dir", str(tmp_path),
+        )
+        assert code == 0
+        assert len(read_csv(tmp_path / "edits.csv")) == 1
+        assert [r["metric"] for r in read_csv(tmp_path / "summary.csv")] == [
+            "bias_norm", "smoothness", "structure_distance",
+        ]
 
     def test_out_dir_collision_is_config_error(self, tmp_path, capsys):
         blocker = tmp_path / "blocked"
@@ -135,6 +161,34 @@ class TestConfigFile:
     def test_missing_config_file(self, tmp_path):
         assert run_cli("edit", "--config", str(tmp_path / "nope.cfg")) == 2
 
+    def test_n_max_from_file_is_an_integer(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[edit]\nseeds = 3\nT = 20\nn_max = 14\n")
+        assert run_cli("edit", "--config", str(cfg), "--out-dir", str(tmp_path / "file")) == 0
+        assert run_cli(
+            "edit", "--seeds", "3", "--T", "20", "--n-max", "14",
+            "--out-dir", str(tmp_path / "flag"),
+        ) == 0
+        assert (tmp_path / "file" / "edits.csv").read_bytes() == (
+            tmp_path / "flag" / "edits.csv"
+        ).read_bytes()
+        hashes = [
+            json.loads((tmp_path / name / "manifest.json").read_text())["config_hash"]
+            for name in ("file", "flag")
+        ]
+        assert hashes[0] == hashes[1]
+
+    def test_non_numeric_value_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("[edit]\nn_max = fourteen\n")
+        assert run_cli("edit", "--config", str(cfg), "--out-dir", str(tmp_path / "o")) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_plot_key_only_for_plotting_commands(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[generate]\nplot = 1\n")
+        assert run_cli("generate", "--config", str(cfg), "--out-dir", str(tmp_path / "o")) == 2
+
 
 class TestGenerateCommand:
     def test_samples_and_summary(self, tmp_path):
@@ -194,6 +248,13 @@ class TestTrainAveditReport:
         assert {r["metric"] for r in rebuilt} == {
             "bias_norm", "smoothness", "structure_distance",
         }
+
+    def test_report_on_csv_without_experiment_column(self, tmp_path, capsys):
+        bad = tmp_path / "not_edits.csv"
+        bad.write_text("seq_mode,noise_mode,T,n_max,residual_norm\ntarget,estimated,10,7,0.5\n")
+        code = run_cli("report", "--from", str(bad), "--out-dir", str(tmp_path / "o"))
+        assert code == 2
+        assert "experiment" in capsys.readouterr().err
 
     def test_avedit_without_model_is_config_error(self, tmp_path):
         assert run_cli("avedit", "--out-dir", str(tmp_path)) == 2

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flowlab.core import Condition, TensorState, make_schedule
 from flowlab.errors import (
@@ -9,6 +10,7 @@ from flowlab.errors import (
 )
 from flowlab.gaussian import (
     GaussianConditionalField,
+    _velocity_affine,
     GaussianSpec,
     gaussian_marginal_velocity,
     marginal_velocity,
@@ -75,6 +77,51 @@ class TestMarginalVelocity:
         out = gaussian_marginal_velocity(spec, s, 1.0)
         assert out.shape == s.shape
         assert np.allclose(out.array, s.array)
+
+
+_coords = st.floats(-3.0, 3.0)
+_times = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+
+
+@st.composite
+def gaussian_specs(draw):
+    """Diagonal or full-covariance specs of dimension 1 to 3."""
+    dim = draw(st.integers(1, 3))
+    mean = np.array(draw(st.lists(_coords, min_size=dim, max_size=dim)))
+    if draw(st.booleans()):
+        cov = np.array(draw(st.lists(st.floats(0.1, 4.0), min_size=dim, max_size=dim)))
+    else:
+        entries = draw(st.lists(st.floats(-1.5, 1.5), min_size=dim * dim, max_size=dim * dim))
+        low = np.array(entries).reshape(dim, dim)
+        cov = low @ low.T + 0.1 * np.eye(dim)
+    return GaussianSpec(mean=mean, cov=cov)
+
+
+class TestVelocityAffine:
+    @settings(max_examples=200, deadline=None)
+    @given(spec=gaussian_specs(), times=st.lists(_times, min_size=1, max_size=4), data=st.data())
+    def test_affine_form_matches_marginal_velocity(self, spec, times, data):
+        x = np.array(data.draw(st.lists(_coords, min_size=spec.dim, max_size=spec.dim)))
+        a, o = _velocity_affine(spec, times)
+        assert a.shape == (len(times), spec.dim, spec.dim) and o.shape == (len(times), spec.dim)
+        # relative to the size of the terms, since V itself can vanish
+        scale = 1.0 + np.max(np.abs(x)) + np.max(np.abs(spec.mean))
+        for k, t in enumerate(times):
+            np.testing.assert_allclose(
+                a[k] @ x + o[k], marginal_velocity(spec, x, t), rtol=1e-12, atol=1e-12 * scale
+            )
+
+    def test_exact_limit_at_t_one(self):
+        cov = np.array([[1.0, 0.6], [0.6, 2.0]])
+        for spec in (GaussianSpec(mean=np.array([0.3, -1.2]), cov=cov),
+                     GaussianSpec(mean=np.array([0.3, -1.2]), cov=np.array([0.7, 1.4]))):
+            a, o = _velocity_affine(spec, np.array([0.5, 1.0]))
+            assert np.array_equal(a[1], np.eye(2))
+            assert np.array_equal(o[1], -spec.mean)
+
+    def test_times_outside_unit_interval_rejected(self):
+        with pytest.raises(InvalidConfigError):
+            _velocity_affine(GaussianSpec.isotropic(0.0, 1.0), np.array([0.5, 1.01]))
 
 
 class TestMcConditionalVelocity:

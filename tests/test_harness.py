@@ -154,6 +154,27 @@ class TestPerSeedCsv:
                 assert by_name[rep.name] == pytest.approx(rep.value, rel=1e-9)
 
 
+    def test_one_seed_sweep_has_no_fitted_w2(self):
+        cfg = EditConfig(T=10, n_max=7, sequence_mode="target", noise_mode="estimated")
+        runs = run_edit_sweep(SRC, TAR, [0], cfg)
+        names = [r.name for r in sweep_reports(runs, TAR, cfg, "edit")]
+        assert names == ["bias_norm", "smoothness", "structure_distance"]
+
+    def test_wrong_header_rejected(self, tmp_path):
+        path = tmp_path / "edits.csv"
+        path.write_text("seed,out_0\n0,1.5\n")
+        with pytest.raises(InvalidConfigError, match="experiment"):
+            summarize_per_seed_csv(path)
+
+    def test_non_numeric_value_rejected(self, tmp_path):
+        cfg = EditConfig(T=10, n_max=7, sequence_mode="target", noise_mode="estimated")
+        write_per_seed_csv(run_edit_sweep(SRC, TAR, [0, 1], cfg), cfg, tmp_path, "edit")
+        path = tmp_path / "edits.csv"
+        path.write_text(path.read_text() + "edit,target,estimated,10,7,2,0.1,0.2,x,y\n")
+        with pytest.raises(InvalidConfigError):
+            summarize_per_seed_csv(path)
+
+
 class TestOracleCheckRunner:
     def test_quick_grid_agrees(self):
         # smoke-scale run; the full n=1e6 contract lives in the acceptance suite

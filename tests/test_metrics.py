@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from flowlab.core import Condition, TensorState
 from flowlab.errors import InvalidConfigError, ShapeMismatchError
-from flowlab.gaussian import GaussianSpec, sample_array
+from flowlab.gaussian import GaussianSpec, marginal_velocity, sample_array
 from flowlab.metrics import (
     MetricReport,
+    _scan_chunk,
     empirical_moments,
     smoothness,
     structure_distance,
@@ -99,6 +102,74 @@ class TestTruncationBias:
         spec = GaussianSpec.isotropic(0.0, 1.0)
         with pytest.raises(ShapeMismatchError):
             truncation_bias(spec, spec, state([0.0]), 0.5, state([0.0, 1.0]))
+
+
+def euler_bias(src_spec, tar_spec, x_src, t_max, eps, grid_steps):
+    """Step-by-step Euler reference for truncation_bias on plain arrays."""
+
+    def offset_run(horizon):
+        steps = max(int(round(grid_steps * horizon)), 1)
+        times = np.linspace(0.0, horizon, steps + 1)
+        d = np.zeros_like(x_src)
+        for i in range(steps, 0, -1):
+            t_i = times[i]
+            x_t = (1.0 - t_i) * x_src + t_i * eps
+            dv = marginal_velocity(tar_spec, x_t + d, t_i) - marginal_velocity(src_spec, x_t, t_i)
+            d = d + (times[i - 1] - t_i) * dv
+        return d
+
+    return offset_run(t_max) - offset_run(1.0)
+
+
+_PAIRS = {
+    "1d": (GaussianSpec.isotropic(0.0, 1.0), GaussianSpec.isotropic(2.0, 0.25)),
+    "2d-isotropic": (
+        GaussianSpec.isotropic(0.0, 1.0, dim=2), GaussianSpec.isotropic(2.0, 0.25, dim=2)
+    ),
+    "2d-full": (
+        GaussianSpec(mean=np.array([0.0, 0.5]), cov=np.array([[1.0, 0.3], [0.3, 0.5]])),
+        GaussianSpec(mean=np.array([2.0, -1.0]), cov=np.array([[0.4, -0.1], [-0.1, 0.9]])),
+    ),
+}
+
+
+class TestTruncationBiasScan:
+    @pytest.mark.parametrize("pair", sorted(_PAIRS))
+    @pytest.mark.parametrize("grid", ["one", "chunk-1", "chunk+1", "3000"])
+    def test_matches_step_by_step_euler(self, pair, grid):
+        src, tar = _PAIRS[pair]
+        chunk = _scan_chunk(src.dim, 1)
+        grid_steps = {"one": 1, "chunk-1": chunk - 1, "chunk+1": chunk + 1, "3000": 3000}[grid]
+        x = np.linspace(0.3, -0.4, src.dim)
+        e = np.linspace(-0.8, 0.6, src.dim)
+        got = truncation_bias(src, tar, state(x), 0.6, state(e), grid_steps=grid_steps).data
+        ref = euler_bias(src, tar, x, 0.6, e, grid_steps)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_batched_states_match_step_by_step_euler(self):
+        src, tar = _PAIRS["2d-full"]
+        x = CounterRng(3).normal_array((3, 2))
+        e = CounterRng(4).normal_array((3, 2))
+        got = truncation_bias(src, tar, state(x), 0.45, state(e), grid_steps=3000)
+        assert got.shape == (3, 2)
+        ref = euler_bias(src, tar, x, 0.45, e, 3000)
+        assert np.linalg.norm(got.array - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_spec_dimension_mismatch(self):
+        src, tar = _PAIRS["2d-full"]
+        with pytest.raises(ShapeMismatchError):
+            truncation_bias(src, tar, state([0.0]), 0.5, state([0.0]))
+
+    def test_peak_memory_does_not_grow_with_grid(self):
+        src, tar = _PAIRS["2d-isotropic"]
+        x, e = state([0.3, -0.2]), state([-0.8, 0.1])
+        peaks = {}
+        for grid in (20_000, 100_000):
+            tracemalloc.start()
+            truncation_bias(src, tar, x, 0.5, e, grid_steps=grid)
+            peaks[grid] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert peaks[100_000] - peaks[20_000] < 2 * 2**20
 
 
 class TestStructureDistance:
