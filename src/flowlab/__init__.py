@@ -9,13 +9,7 @@ from .core import (
     TensorState,
     TimeSchedule,
     VelocityField,
-    cfg_combine,
-    conditional_velocity,
-    eval_field,
-    fm_loss,
-    interpolate,
     make_schedule,
-    noisy_source,
 )
 from .errors import (
     FlowLabError,
@@ -47,8 +41,6 @@ from .mlp import (
     TrainReport,
     grad_check,
     load_model,
-    mlp_backward,
-    mlp_forward,
     mlp_init,
     save_model,
     train,
@@ -63,12 +55,10 @@ from .samplers import (
     Trajectory,
     default_av_config,
     default_sync_config,
-    estimate_noise,
     flowedit,
     generate,
     omniedit_av,
     omniedit_sync,
-    step_target,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

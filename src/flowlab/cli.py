@@ -72,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="INI config file; flags override its values")
         p.add_argument("--out-dir", help="output directory")
 
-    def edit_flags(p):
+    def sweep_flags(p):
         p.add_argument("--plot", action="store_true", default=None, help="also write SVG plots")
         p.add_argument("--analytic", nargs=2, metavar=("SRC", "TAR"),
                        help="Gaussian pair, e.g. src=0,1 tar=2,1")
@@ -80,18 +80,18 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--T", type=int, help="denoising step count")
         p.add_argument("--skip", type=int, help="steps skipped from pure noise (n_max = T - skip)")
         p.add_argument("--n-max", type=int, help="editing start index (overrides --skip)")
-        p.add_argument("--mode", choices=("edit", "target"), help="sequence mode")
-        p.add_argument("--noise", choices=("random", "estimated"), help="noise mode")
         p.add_argument("--cfg-scale", type=float, help="guidance scale (1 = off)")
         p.add_argument("--seeds", type=int, help="number of sweep seeds (0..N-1)")
 
     p = sub.add_parser("edit", help="single-modality editing sweep")
     common(p)
-    edit_flags(p)
+    sweep_flags(p)
+    p.add_argument("--mode", choices=("edit", "target"), help="sequence mode")
+    p.add_argument("--noise", choices=("random", "estimated"), help="noise mode")
 
-    p = sub.add_parser("ablation", help="2x2 sequence/noise ablation")
+    p = sub.add_parser("ablation", help="2x2 sequence/noise ablation (runs all four cells)")
     common(p)
-    edit_flags(p)
+    sweep_flags(p)
 
     p = sub.add_parser("generate", help="transport noise draws through a field")
     common(p)
@@ -141,8 +141,7 @@ _DEFAULTS: dict[str, dict] = {
     },
     "ablation": {
         "analytic": ("src=0,1", "tar=2,1"), "dim": 2, "T": 20, "skip": 6, "n_max": None,
-        "mode": None, "noise": None, "cfg_scale": 1.0, "seeds": 100,
-        "out_dir": "runs/ablation", "plot": False,
+        "cfg_scale": 1.0, "seeds": 100, "out_dir": "runs/ablation", "plot": False,
     },
     "generate": {
         "analytic": "spec=2,1", "dim": 2, "T": 200, "n": 10000, "seed": 0,

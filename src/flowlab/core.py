@@ -5,17 +5,24 @@ Convention throughout the package: t=0 is data, t=1 is standard normal
 noise, and the straight path between endpoints is
 ``x_t = (1-t) * x0 + t * x1`` with constant pair velocity ``x1 - x0``.
 Generation therefore integrates from t=1 down to t=0.
+
+The arithmetic is five array kernels, each formula written once:
+``interp`` (the straight-path point), ``estimate_noise`` (the noise
+endpoint implied by a velocity), ``euler`` (one step), ``step_target``
+(one target-sequence step) and ``guided`` (classifier-free guidance).
+They broadcast like numpy and do no validation: the samplers take their
+times from a ``TimeSchedule`` and their guidance scale from an
+``EditConfig``, which check them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 import numpy as np
 
 from .errors import InvalidConfigError, ShapeMismatchError
-from .rng import CounterRng
 
 MODALITIES = ("video", "audio", "generic")
 
@@ -132,10 +139,8 @@ class TimeSchedule:
         return float(self.times[self.n_max])
 
 
-def make_schedule(T: int, kind: str = "linear", n_max: int | None = None) -> TimeSchedule:
+def make_schedule(T: int, n_max: int | None = None) -> TimeSchedule:
     """Uniform grid times[i] = i/T. ``n_max`` defaults to T (full horizon)."""
-    if kind != "linear":
-        raise InvalidConfigError(f"unknown schedule kind {kind!r}")
     if int(T) < 2:
         raise InvalidConfigError(f"T must be >= 2, got {T}")
     T = int(T)
@@ -169,76 +174,28 @@ class DualVelocityField(Protocol):
         ...
 
 
-def eval_field(field: VelocityField, state: TensorState, condition: Condition, t: float) -> TensorState:
-    """TensorState-level field evaluation with the shape contract enforced."""
-    if state.shape[-1] != field.state_dim:
-        raise ShapeMismatchError(
-            f"state last axis {state.shape[-1]} != field state_dim {field.state_dim}"
-        )
-    if condition.dim != field.condition_dim:
-        raise ShapeMismatchError(
-            f"condition dim {condition.dim} != field condition_dim {field.condition_dim}"
-        )
-    v = field.velocity(state.array, condition, float(t))
-    if v.shape != state.array.shape:
-        raise ShapeMismatchError(f"field returned shape {v.shape}, expected {state.array.shape}")
-    return state.with_array(v)
+def interp(x0, x1, t):
+    """Straight-path point (1-t)*x0 + t*x1; ``t`` may be an array that
+    broadcasts against the states (per-row times as ``t[:, None]``)."""
+    return (1.0 - t) * x0 + t * x1
 
 
-def _check_same_shape(a: TensorState, b: TensorState, what: str) -> None:
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"{what}: shapes {a.shape} and {b.shape} differ")
+def estimate_noise(x_t, v, t):
+    """Model-implied noise endpoint x_t + (1-t)*v of the straight path."""
+    return x_t + (1.0 - t) * v
 
 
-def interpolate(x0: TensorState, x1: TensorState, t: float) -> TensorState:
-    """Straight-path point (1-t)*x0 + t*x1, for t in [0, 1]."""
-    _check_same_shape(x0, x1, "interpolate")
-    t = float(t)
-    if not 0.0 <= t <= 1.0:
-        raise InvalidConfigError(f"t={t} outside [0, 1]")
-    return x0.with_array((1.0 - t) * x0.data + t * x1.data)
+def euler(x, v, t_i, t_prev):
+    """One explicit Euler step from t_i to t_prev."""
+    return x + (t_prev - t_i) * v
 
 
-def conditional_velocity(x0: TensorState, x1: TensorState) -> TensorState:
-    """Constant pair velocity x1 - x0."""
-    _check_same_shape(x0, x1, "conditional_velocity")
-    return x0.with_array(x1.data - x0.data)
+def step_target(x_tar, x_src_i, x_src_prev, v_tar, v_src, t_i, t_prev):
+    """One target-sequence step: the velocity difference plus the source
+    increment, x_tar + (t_prev-t_i)(v_tar-v_src) + x_src_prev - x_src_i."""
+    return euler(x_tar, v_tar - v_src, t_i, t_prev) + x_src_prev - x_src_i
 
 
-def noisy_source(x_src: TensorState, eps: TensorState, t: float) -> TensorState:
-    """Noised source state (1-t)*x_src + t*eps; identical to interpolate."""
-    return interpolate(x_src, eps, t)
-
-
-def cfg_combine(v_cond: TensorState, v_uncond: TensorState, scale: float) -> TensorState:
-    """Classifier-free guidance: v_uncond + scale * (v_cond - v_uncond)."""
-    _check_same_shape(v_cond, v_uncond, "cfg_combine")
-    scale = float(scale)
-    if scale < 0.0:
-        raise InvalidConfigError(f"guidance scale must be >= 0, got {scale}")
-    return v_cond.with_array(v_uncond.data + scale * (v_cond.data - v_uncond.data))
-
-
-def fm_loss(
-    field: VelocityField,
-    batch: Sequence[tuple[TensorState, Condition]],
-    rng: CounterRng,
-) -> float:
-    """Flow-matching regression loss on a batch of (data point, condition).
-
-    For each batch element, draws the noise endpoint x1 ~ N(0, I) (dim
-    normals) and then t (one uniform), forms x_t on the straight path and
-    accumulates ||field(x_t, c, t) - (x1 - x0)||^2; returns the batch mean.
-    Deterministic given the rng seed; draw order is per-sample, x1 first.
-    """
-    if len(batch) == 0:
-        raise InvalidConfigError("fm_loss requires a non-empty batch")
-    total = 0.0
-    for x0, cond in batch:
-        x1 = x0.with_array(rng.standard_normal(x0.dim))
-        t = rng.uniform()
-        x_t = interpolate(x0, x1, t)
-        target = x1.data - x0.data
-        pred = eval_field(field, x_t, cond, t)
-        total += float(np.sum((pred.data - target) ** 2))
-    return total / len(batch)
+def guided(v_cond, v_uncond, scale):
+    """Classifier-free guidance: v_uncond + scale*(v_cond - v_uncond)."""
+    return v_uncond + scale * (v_cond - v_uncond)

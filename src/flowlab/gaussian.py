@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Condition, TensorState
+from .core import Condition, TensorState, interp
 from .errors import (
     InsufficientSamplesError,
     InvalidConfigError,
@@ -170,7 +170,7 @@ def mc_conditional_velocity(
 
     x0 = sample_array(spec, n, rng)
     x1 = rng.normal_array((n, spec.dim))
-    xt = (1.0 - t) * x0 + t * x1
+    xt = interp(x0, x1, t)
     sq = np.sum((xt - x) ** 2, axis=1)
     w = np.exp(-0.5 * sq / bandwidth**2)
     wsum = float(np.sum(w))

@@ -14,7 +14,7 @@ import hashlib
 import io
 import json
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from pathlib import Path
 from typing import ClassVar
 
@@ -169,11 +169,7 @@ def run_edit_sweep(
     for seed in seeds:
         data_rng = CounterRng(derive_seed(seed, 1))
         x_src = TensorState.from_array(sample_array(src_spec, 1, data_rng)[0])
-        cfg = EditConfig(
-            T=edit_cfg.T, n_max=edit_cfg.n_max, sequence_mode=edit_cfg.sequence_mode,
-            noise_mode=edit_cfg.noise_mode, cfg_scale=edit_cfg.cfg_scale,
-            seed=derive_seed(seed, 2),
-        )
+        cfg = replace(edit_cfg, seed=derive_seed(seed, 2))
         if cfg.sequence_mode == "edit":
             out, traj = flowedit(field, x_src, c_src, c_tar, cfg, record=True)
         else:
@@ -486,11 +482,7 @@ def run_avedit_sweep(
             + params.audio_offsets[src_class]
             + params.noise_scale * data_rng.normal_array(params.audio_dim)
         )
-        cfg = EditConfig(
-            T=edit_cfg.T, n_max=edit_cfg.n_max, sequence_mode=edit_cfg.sequence_mode,
-            noise_mode=edit_cfg.noise_mode, cfg_scale=edit_cfg.cfg_scale,
-            seed=derive_seed(seed, 2),
-        )
+        cfg = replace(edit_cfg, seed=derive_seed(seed, 2))
         out = omniedit_av(
             field2,
             TensorState.from_array(v, modality="video"),

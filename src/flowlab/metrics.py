@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import TensorState
+from .core import TensorState, interp
 from .errors import InvalidConfigError, ShapeMismatchError
 from .gaussian import GaussianSpec, _velocity_affine
 from .samplers import Trajectory
@@ -115,7 +115,7 @@ def truncation_bias(
             i = np.arange(top, max(top - chunk, 0), -1)  # this chunk's steps, in order
             t_i = times[i][:, None, None]
             h = times[i - 1][:, None, None] - t_i
-            x_src_t = (1.0 - t_i) * src + t_i * noise
+            x_src_t = interp(src, noise, t_i)
             a_tar, o_tar = _velocity_affine(tar_spec, times[i])
             a_src, o_src = _velocity_affine(src_spec, times[i])
             dv = x_src_t @ (a_tar - a_src).swapaxes(-1, -2) + (o_tar - o_src)[:, None]

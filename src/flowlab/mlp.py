@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Condition, TensorState
+from .core import Condition, TensorState, interp
 from .errors import (
     InvalidConfigError,
     ModelFormatError,
@@ -162,11 +162,6 @@ def _cond_vector(cond, model: MlpModel) -> np.ndarray:
     return np.asarray(cond, dtype=np.float64)
 
 
-def mlp_forward(model: MlpModel, x: TensorState, c: Condition, t: float) -> TensorState:
-    flat = x.array.reshape(-1, x.shape[-1])
-    return x.with_array(forward_array(model, flat, c, float(t)))
-
-
 def batch_loss_and_grads(model: MlpModel, x, cond, t, target):
     """Mean squared-error loss over the batch and gradients for every
     parameter, in the same (W, b) per-layer order as ``parameters()``."""
@@ -189,18 +184,6 @@ def batch_loss_and_grads(model: MlpModel, x, cond, t, target):
         if l > 0:
             g = (g @ model.weights[l]) * _act_grad(zs[l - 1], hs[l], model.activation)
     return loss, grads
-
-
-def mlp_backward(model: MlpModel, batch) -> list[np.ndarray]:
-    """Gradients of the mean squared error over ``batch``, a non-empty
-    sequence of (state, condition, t, target velocity) tuples."""
-    if len(batch) == 0:
-        raise InvalidConfigError("empty batch")
-    x = np.stack([np.asarray(b[0].data if isinstance(b[0], TensorState) else b[0]) for b in batch])
-    cond = np.stack([_cond_vector(b[1], model) for b in batch])
-    t = np.array([float(b[2]) for b in batch])
-    tgt = np.stack([np.asarray(b[3].data if isinstance(b[3], TensorState) else b[3]) for b in batch])
-    return batch_loss_and_grads(model, x, cond, t, tgt)[1]
 
 
 def grad_check(model: MlpModel, sample, fd_step: float = 1e-5) -> float:
@@ -287,7 +270,7 @@ def train(model: MlpModel, dataset, config: TrainConfig) -> TrainReport:
     eval_x0, eval_cond = x0[eval_idx], cond[eval_idx]
     eval_x1 = eval_rng.normal_array((n_eval, d))
     eval_t = eval_rng.uniform(n_eval)
-    eval_xt = (1.0 - eval_t)[:, None] * eval_x0 + eval_t[:, None] * eval_x1
+    eval_xt = interp(eval_x0, eval_x1, eval_t[:, None])
     eval_tgt = eval_x1 - eval_x0
 
     def eval_loss() -> float:
@@ -309,7 +292,7 @@ def train(model: MlpModel, dataset, config: TrainConfig) -> TrainReport:
             bx0, bcond = x0[idx], cond[idx]
             bx1 = rng.normal_array((idx.size, d))
             bt = rng.uniform(idx.size)
-            xt = (1.0 - bt)[:, None] * bx0 + bt[:, None] * bx1
+            xt = interp(bx0, bx1, bt[:, None])
             loss, grads = batch_loss_and_grads(model, xt, bcond, bt, bx1 - bx0)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(f"non-finite training loss at step {step}")

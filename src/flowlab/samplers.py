@@ -14,6 +14,11 @@ Four entry points:
   target-sequence rule while paired audio streams are denoised alongside,
   with a pre-denoising phase when no source audio exists.
 
+All four are written in the array kernels of ``core``: ``interp`` for
+every noised state, ``estimate_noise`` for the noise re-estimate,
+``euler`` for plain steps, ``step_target`` for target-sequence steps and
+``guided`` for classifier-free guidance.
+
 All samplers are single-threaded, own their RNG, and are bit-reproducible
 from ``EditConfig.seed``. Distinct invocations may run concurrently.
 """
@@ -30,7 +35,12 @@ from .core import (
     TensorState,
     TimeSchedule,
     VelocityField,
+    estimate_noise,
+    euler,
+    guided,
+    interp,
     make_schedule,
+    step_target,
 )
 from .errors import InvalidConfigError, NumericalError, ShapeMismatchError
 from .rng import CounterRng
@@ -67,15 +77,11 @@ class EditConfig:
             raise InvalidConfigError(f"cfg_scale must be >= 0, got {self.cfg_scale}")
 
     @classmethod
-    def from_skip(cls, T: int, skip: int, skip_is_index: bool = False, **kw) -> "EditConfig":
-        """Build a config from a step budget and an initial-step count.
-
-        By default ``skip`` steps are skipped from pure noise, so the edit
-        starts at index T - skip (t_max below 1). Setting ``skip_is_index``
-        selects the alternative reading n_max = skip.
-        """
-        n_max = int(skip) if skip_is_index else int(T) - int(skip)
-        return cls(T=int(T), n_max=n_max, **kw)
+    def from_skip(cls, T: int, skip: int, **kw) -> "EditConfig":
+        """Build a config from a step budget and an initial-step count:
+        ``skip`` steps are skipped from pure noise, so the edit starts at
+        index T - skip (t_max below 1)."""
+        return cls(T=int(T), n_max=int(T) - int(skip), **kw)
 
     def schedule(self) -> TimeSchedule:
         return make_schedule(self.T, n_max=self.n_max)
@@ -151,69 +157,31 @@ class DualTrajectory:
         steps = [s for s in self.steps if phase is None or s.phase == phase]
         return np.stack([s.a_src for s in steps]), np.stack([s.a_tar for s in steps])
 
-    def video_trajectory(self) -> Trajectory:
-        return Trajectory(
-            steps=[
-                StepRecord(t=s.t, x_src=s.x_src, x_main=s.x_tar, eps=None,
-                           v_src=s.vv_src, v_tar=s.vv_tar)
-                for s in self.steps
-                if s.phase == "main"
-            ]
-        )
+
+def _checked(step: int, evaluate, *args):
+    """``evaluate(*args)`` -- a field's ``velocity`` or ``velocities``, whose
+    last argument is t -- with non-finite output rejected, naming the step."""
+    out = evaluate(*args)
+    if isinstance(out, tuple):
+        finite = np.isfinite(out[0]).all() and np.isfinite(out[1]).all()
+    else:
+        finite = np.isfinite(out).all()
+    if not finite:
+        raise NumericalError(f"non-finite velocity at step {step} (t={args[-1]:.6g})")
+    return out
 
 
-def estimate_noise(x_src_t: TensorState, v_src: TensorState, t: float) -> TensorState:
-    """Model-implied noise endpoint x + (1-t) * v of the straight path."""
-    if x_src_t.shape != v_src.shape:
-        raise ShapeMismatchError(f"shapes {x_src_t.shape} and {v_src.shape} differ")
-    t = float(t)
-    if not 0.0 <= t < 1.0:
-        raise InvalidConfigError(f"t={t} outside [0, 1)")
-    return x_src_t.with_array(x_src_t.data + (1.0 - t) * v_src.data)
-
-
-def step_target(
-    x_tar_i: TensorState,
-    x_src_i: TensorState,
-    x_src_prev: TensorState,
-    v_tar: TensorState,
-    v_src: TensorState,
-    t_i: float,
-    t_prev: float,
-) -> TensorState:
-    """One target-sequence step: advance by the velocity difference and the
-    source increment, x_tar + (t_prev - t_i)(v_tar - v_src) + x_src_prev -
-    x_src_i with t_prev < t_i."""
-    states = (x_src_i, x_src_prev, v_tar, v_src)
-    if any(s.shape != x_tar_i.shape for s in states):
-        raise ShapeMismatchError("all step_target operands must share one shape")
-    if not t_prev < t_i:
-        raise InvalidConfigError(f"t_prev={t_prev} must be below t_i={t_i}")
-    out = _step_target_arrays(
-        x_tar_i.data, x_src_i.data, x_src_prev.data, v_tar.data, v_src.data, t_i, t_prev
-    )
-    return x_tar_i.with_array(out)
-
-
-def _step_target_arrays(x_tar_i, x_src_i, x_src_prev, v_tar, v_src, t_i, t_prev):
-    return x_tar_i + (t_prev - t_i) * (v_tar - v_src) + x_src_prev - x_src_i
-
-
-def _checked_velocity(field: VelocityField, x: np.ndarray, c: Condition, t: float, step: int):
-    v = field.velocity(x, c, t)
-    if not np.all(np.isfinite(v)):
-        raise NumericalError(f"non-finite velocity at step {step} (t={t:.6g})")
-    return v
-
-
-def _guided_velocity(field, x, c, t, cfg: EditConfig, step: int):
-    """Target velocity with the guidance hook; scale 1.0 is a single
-    conditional evaluation, matching the ungained reference path."""
-    v_cond = _checked_velocity(field, x, c, t, step)
+def _guided(cfg: EditConfig, step: int, evaluate, *states, c: Condition, t: float):
+    """Target velocity (or dual velocity pair) with the guidance hook; scale
+    1.0 is a single conditional evaluation, matching the ungained path."""
+    v_cond = _checked(step, evaluate, *states, c, t)
     if cfg.cfg_scale == 1.0:
         return v_cond
-    v_uncond = _checked_velocity(field, x, Condition.null(c.dim), t, step)
-    return v_uncond + cfg.cfg_scale * (v_cond - v_uncond)
+    v_uncond = _checked(step, evaluate, *states, Condition.null(c.dim), t)
+    s = cfg.cfg_scale
+    if isinstance(v_cond, tuple):
+        return guided(v_cond[0], v_uncond[0], s), guided(v_cond[1], v_uncond[1], s)
+    return guided(v_cond, v_uncond, s)
 
 
 def _resolve_rng(cfg: EditConfig, rng: CounterRng | None) -> CounterRng:
@@ -238,12 +206,12 @@ def generate(
     traj = Trajectory()
     for i in range(schedule.T, 0, -1):
         t_i, t_prev = float(times[i]), float(times[i - 1])
-        v = _checked_velocity(field, x, c, t_i, i)
+        v = _checked(i, field.velocity, x, c, t_i)
         if record:
             traj.steps.append(
                 StepRecord(t=t_i, x_src=None, x_main=x.copy(), eps=None, v_src=None, v_tar=v.copy())
             )
-        x = x + (t_prev - t_i) * v
+        x = euler(x, v, t_i, t_prev)
     out = x1.with_array(x)
     return (out, traj) if record else out
 
@@ -276,18 +244,18 @@ def flowedit(
         t_i, t_prev = float(times[i]), float(times[i - 1])
         if eps is None or cfg.noise_mode == "random":
             eps = rng.normal_array(src.shape)
-        x_src_t = (1.0 - t_i) * src + t_i * eps
+        x_src_t = interp(src, eps, t_i)
         x_tar_t = x_edit + x_src_t - src
-        v_src = _checked_velocity(field, x_src_t, c_src, t_i, i)
-        v_tar = _guided_velocity(field, x_tar_t, c_tar, t_i, cfg, i)
+        v_src = _checked(i, field.velocity, x_src_t, c_src, t_i)
+        v_tar = _guided(cfg, i, field.velocity, x_tar_t, c=c_tar, t=t_i)
         if cfg.noise_mode == "estimated":
-            eps = x_src_t + (1.0 - t_i) * v_src
+            eps = estimate_noise(x_src_t, v_src, t_i)
         if record:
             traj.steps.append(
                 StepRecord(t=t_i, x_src=x_src_t.copy(), x_main=x_tar_t.copy(),
                            eps=eps.copy(), v_src=v_src.copy(), v_tar=v_tar.copy())
             )
-        x_edit = x_edit + (t_prev - t_i) * (v_tar - v_src)
+        x_edit = euler(x_edit, v_tar - v_src, t_i, t_prev)
     out = x_src.with_array(x_edit)
     return (out, traj) if record else out
 
@@ -328,45 +296,28 @@ def omniedit_sync(
     if c_src is None:
         eps = rng.normal_array(src.shape)
     else:
-        eps = _checked_velocity(field, src, src_cond, 0.0, cfg.n_max) + src
-    t_max = float(times[cfg.n_max])
-    x_tar = (1.0 - t_max) * src + t_max * eps
+        eps = estimate_noise(src, _checked(cfg.n_max, field.velocity, src, src_cond, 0.0), 0.0)
+    x_tar = interp(src, eps, float(times[cfg.n_max]))
 
     traj = Trajectory()
     for i in range(cfg.n_max, 0, -1):
         t_i, t_prev = float(times[i]), float(times[i - 1])
         if cfg.noise_mode == "random":
             eps = rng.normal_array(src.shape)
-        x_src_t = (1.0 - t_i) * src + t_i * eps
-        v_src = _checked_velocity(field, x_src_t, src_cond, t_i, i)
-        v_tar = _guided_velocity(field, x_tar, tar_cond, t_i, cfg, i)
+        x_src_t = interp(src, eps, t_i)
+        v_src = _checked(i, field.velocity, x_src_t, src_cond, t_i)
+        v_tar = _guided(cfg, i, field.velocity, x_tar, c=tar_cond, t=t_i)
         if cfg.noise_mode == "estimated":
-            eps = x_src_t + (1.0 - t_i) * v_src
-        x_src_prev = (1.0 - t_prev) * src + t_prev * eps
+            eps = estimate_noise(x_src_t, v_src, t_i)
+        x_src_prev = interp(src, eps, t_prev)
         if record:
             traj.steps.append(
                 StepRecord(t=t_i, x_src=x_src_t.copy(), x_main=x_tar.copy(),
                            eps=eps.copy(), v_src=v_src.copy(), v_tar=v_tar.copy())
             )
-        x_tar = _step_target_arrays(x_tar, x_src_t, x_src_prev, v_tar, v_src, t_i, t_prev)
+        x_tar = step_target(x_tar, x_src_t, x_src_prev, v_tar, v_src, t_i, t_prev)
     out = x_src.with_array(x_tar)
     return (out, traj) if record else out
-
-
-def _checked_dual(field2: DualVelocityField, video, audio, c: Condition, t: float, step: int):
-    vv, av = field2.velocities(video, audio, c, t)
-    if not (np.all(np.isfinite(vv)) and np.all(np.isfinite(av))):
-        raise NumericalError(f"non-finite dual velocity at step {step} (t={t:.6g})")
-    return vv, av
-
-
-def _guided_dual(field2, video, audio, c, t, cfg: EditConfig, step: int):
-    vv_c, av_c = _checked_dual(field2, video, audio, c, t, step)
-    if cfg.cfg_scale == 1.0:
-        return vv_c, av_c
-    vv_u, av_u = _checked_dual(field2, video, audio, Condition.null(c.dim), t, step)
-    s = cfg.cfg_scale
-    return vv_u + s * (vv_c - vv_u), av_u + s * (av_c - av_u)
 
 
 def omniedit_av(
@@ -404,63 +355,55 @@ def omniedit_av(
     src = x_src.array
     traj = DualTrajectory()
 
-    if a_src is None:
-        # Both audio streams start from the same realization and are
-        # denoised down to t_max before the editing loop begins.
-        eps_audio = rng.normal_array((*src.shape[:-1], field2.audio_dim))
-        a_src_t = eps_audio.copy()
-        a_tar_t = eps_audio.copy()
-        eps_video = None
-        for i in range(cfg.T, cfg.n_max, -1):
-            t_i, t_prev = float(times[i]), float(times[i - 1])
-            eps_video = rng.normal_array(src.shape)
-            x_src_t = (1.0 - t_i) * src + t_i * eps_video
-            x_tar_t = (1.0 - t_i) * src + t_i * eps_video
-            vv_src, av_src = _checked_dual(field2, x_src_t, a_src_t, c_src, t_i, i)
-            vv_tar, av_tar = _guided_dual(field2, x_tar_t, a_tar_t, c_tar, t_i, cfg, i)
-            if record:
-                traj.steps.append(AvStepRecord(
-                    t=t_i, phase="pre", x_src=x_src_t.copy(), x_tar=x_tar_t.copy(),
-                    a_src=a_src_t.copy(), a_tar=a_tar_t.copy(),
-                    vv_src=vv_src.copy(), vv_tar=vv_tar.copy(),
-                    av_src=av_src.copy(), av_tar=av_tar.copy(),
-                ))
-            a_src_t = a_src_t + (t_prev - t_i) * av_src
-            a_tar_t = a_tar_t + (t_prev - t_i) * av_tar
-        if eps_video is None:  # n_max == T: no pre-steps ran
-            eps_video = rng.normal_array(src.shape)
-        x_tar = (1.0 - t_max) * src + t_max * eps_video
-    else:
-        aud = a_src.array
-        vv0, av0 = _checked_dual(field2, src, aud, c_src, 0.0, cfg.n_max)
-        eps_video = vv0 + src
-        eps_audio = av0 + aud
-        a_src_t = (1.0 - t_max) * aud + t_max * eps_audio
-        a_tar_t = (1.0 - t_max) * aud + t_max * eps_audio
-        x_tar = (1.0 - t_max) * src + t_max * eps_video
-
-    for i in range(cfg.n_max, 0, -1):
-        t_i, t_prev = float(times[i]), float(times[i - 1])
-        x_src_t = (1.0 - t_i) * src + t_i * eps_video
-        vv_src, av_src = _checked_dual(field2, x_src_t, a_src_t, c_src, t_i, i)
-        vv_tar, av_tar = _guided_dual(field2, x_tar, a_tar_t, c_tar, t_i, cfg, i)
+    def evaluate(phase: str, i: int, x_src_t, x_tar_t, a_src_t, a_tar_t):
+        """Source and guided target velocities of one step, recorded."""
+        t_i = float(times[i])
+        vv_src, av_src = _checked(i, field2.velocities, x_src_t, a_src_t, c_src, t_i)
+        vv_tar, av_tar = _guided(cfg, i, field2.velocities, x_tar_t, a_tar_t, c=c_tar, t=t_i)
         if record:
             traj.steps.append(AvStepRecord(
-                t=t_i, phase="main", x_src=x_src_t.copy(), x_tar=x_tar.copy(),
+                t=t_i, phase=phase, x_src=x_src_t.copy(), x_tar=x_tar_t.copy(),
                 a_src=a_src_t.copy(), a_tar=a_tar_t.copy(),
                 vv_src=vv_src.copy(), vv_tar=vv_tar.copy(),
                 av_src=av_src.copy(), av_tar=av_tar.copy(),
             ))
-        eps_audio = a_src_t + (1.0 - t_i) * av_src
-        eps_video = x_src_t + (1.0 - t_i) * vv_src
-        x_src_prev = (1.0 - t_prev) * src + t_prev * eps_video
-        x_tar = _step_target_arrays(x_tar, x_src_t, x_src_prev, vv_tar, vv_src, t_i, t_prev)
+        return vv_src, av_src, vv_tar, av_tar
+
+    if a_src is None:
+        # Both audio streams start from the same realization and are
+        # denoised down to t_max before the editing loop begins; the video
+        # is the same noised source in both streams.
+        a_src_t = a_tar_t = rng.normal_array((*src.shape[:-1], field2.audio_dim))
+        eps_video = None
+        for i in range(cfg.T, cfg.n_max, -1):
+            t_i, t_prev = float(times[i]), float(times[i - 1])
+            eps_video = rng.normal_array(src.shape)
+            x_t = interp(src, eps_video, t_i)
+            _, av_src, _, av_tar = evaluate("pre", i, x_t, x_t, a_src_t, a_tar_t)
+            a_src_t = euler(a_src_t, av_src, t_i, t_prev)
+            a_tar_t = euler(a_tar_t, av_tar, t_i, t_prev)
+        if eps_video is None:  # n_max == T: no pre-steps ran
+            eps_video = rng.normal_array(src.shape)
+    else:
+        aud = a_src.array
+        vv0, av0 = _checked(cfg.n_max, field2.velocities, src, aud, c_src, 0.0)
+        eps_video = estimate_noise(src, vv0, 0.0)
+        a_src_t = a_tar_t = interp(aud, estimate_noise(aud, av0, 0.0), t_max)
+    x_tar = interp(src, eps_video, t_max)
+
+    for i in range(cfg.n_max, 0, -1):
+        t_i, t_prev = float(times[i]), float(times[i - 1])
+        x_src_t = interp(src, eps_video, t_i)
+        vv_src, av_src, vv_tar, av_tar = evaluate("main", i, x_src_t, x_tar, a_src_t, a_tar_t)
+        eps_video = estimate_noise(x_src_t, vv_src, t_i)
+        x_src_prev = interp(src, eps_video, t_prev)
+        x_tar = step_target(x_tar, x_src_t, x_src_prev, vv_tar, vv_src, t_i, t_prev)
         if a_src is None:
-            a_src_t = a_src_t + (t_prev - t_i) * av_src
-            a_tar_t = a_tar_t + (t_prev - t_i) * av_tar
+            a_src_t = euler(a_src_t, av_src, t_i, t_prev)
+            a_tar_t = euler(a_tar_t, av_tar, t_i, t_prev)
         else:
-            a_src_prev = (1.0 - t_prev) * a_src.array + t_prev * eps_audio
-            a_tar_t = _step_target_arrays(a_tar_t, a_src_t, a_src_prev, av_tar, av_src, t_i, t_prev)
+            a_src_prev = interp(aud, estimate_noise(a_src_t, av_src, t_i), t_prev)
+            a_tar_t = step_target(a_tar_t, a_src_t, a_src_prev, av_tar, av_src, t_i, t_prev)
             a_src_t = a_src_prev
 
     out = DualState(

@@ -48,6 +48,17 @@ class TestArgumentHandling:
         assert run_cli(command, "--plot") == 2
         assert "usage" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("--mode", "edit"), ("--noise", "random")])
+    def test_ablation_runs_all_cells_without_mode_flags(self, flag, value, capsys):
+        assert run_cli("ablation", flag, value) == 2
+        assert "usage" in capsys.readouterr().err
+
+    def test_ablation_mode_key_is_unknown(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[ablation]\nmode = edit\n")
+        assert run_cli("ablation", "--config", str(cfg), "--out-dir", str(tmp_path / "o")) == 2
+        assert "unknown config key 'mode'" in capsys.readouterr().err
+
 
 class TestEditCommand:
     def test_identity_edit_structure_distance_column(self, tmp_path):

@@ -4,15 +4,18 @@ import pytest
 from flowlab.core import (
     Condition,
     TensorState,
-    cfg_combine,
-    conditional_velocity,
-    fm_loss,
-    interpolate,
+    TimeSchedule,
+    estimate_noise,
+    euler,
+    guided,
+    interp,
     make_schedule,
-    noisy_source,
 )
 from flowlab.errors import InvalidConfigError, ShapeMismatchError
+from flowlab.gaussian import GaussianSpec
+from flowlab.harness import pair_field
 from flowlab.rng import CounterRng
+from flowlab.samplers import EditConfig, flowedit
 
 
 def state(values, modality="generic"):
@@ -63,10 +66,6 @@ class TestMakeSchedule:
         with pytest.raises(InvalidConfigError):
             make_schedule(1)
 
-    def test_unknown_kind(self):
-        with pytest.raises(InvalidConfigError):
-            make_schedule(4, kind="cosine")
-
     def test_n_max_bounds(self):
         assert make_schedule(10).n_max == 10
         assert make_schedule(10, n_max=3).t_max == 0.3
@@ -78,152 +77,101 @@ class TestMakeSchedule:
 
 class TestInterpolate:
     def test_scalar_case(self):
-        assert interpolate(state([0.0]), state([1.0]), 0.3).data[0] == pytest.approx(0.3)
+        assert interp(np.array([0.0]), np.array([1.0]), 0.3)[0] == pytest.approx(0.3)
 
     def test_endpoints_exact(self):
         rng = CounterRng(2)
-        x0, x1 = state(rng.standard_normal(5)), state(rng.standard_normal(5))
-        assert np.array_equal(interpolate(x0, x1, 0.0).data, x0.data)
-        assert np.array_equal(interpolate(x0, x1, 1.0).data, x1.data)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatchError):
-            interpolate(state([0.0]), state([0.0, 1.0]), 0.5)
+        x0, x1 = rng.standard_normal(5), rng.standard_normal(5)
+        assert np.array_equal(interp(x0, x1, 0.0), x0)
+        assert np.array_equal(interp(x0, x1, 1.0), x1)
 
     def test_t_out_of_range(self):
+        # interp does not check t; the schedule that supplies every sampler
+        # time rejects grids that leave [0, 1]
         with pytest.raises(InvalidConfigError):
-            interpolate(state([0.0]), state([1.0]), 1.5)
+            TimeSchedule(times=np.array([0.0, 0.5, 1.5]), n_max=1)
+        with pytest.raises(InvalidConfigError):
+            TimeSchedule(times=np.array([-0.5, 0.5, 1.0]), n_max=1)
 
     def test_affine_in_t(self):
         rng = CounterRng(3)
-        x0, x1 = state(rng.standard_normal(4)), state(rng.standard_normal(4))
+        x0, x1 = rng.standard_normal(4), rng.standard_normal(4)
         for a, b in [(0.0, 1.0), (0.2, 0.9), (0.5, 0.5), (0.1, 0.3)]:
-            mid = interpolate(x0, x1, (a + b) / 2).data
-            avg = (interpolate(x0, x1, a).data + interpolate(x0, x1, b).data) / 2
+            mid = interp(x0, x1, (a + b) / 2)
+            avg = (interp(x0, x1, a) + interp(x0, x1, b)) / 2
             assert np.max(np.abs(mid - avg)) < 1e-12
 
     def test_inputs_unchanged(self):
-        x0, x1 = state([1.0, 2.0]), state([3.0, 4.0])
-        interpolate(x0, x1, 0.7)
-        assert x0.data.tolist() == [1.0, 2.0] and x1.data.tolist() == [3.0, 4.0]
+        x0, x1 = np.array([1.0, 2.0]), np.array([3.0, 4.0])
+        interp(x0, x1, 0.7)
+        assert x0.tolist() == [1.0, 2.0] and x1.tolist() == [3.0, 4.0]
+
+    def test_per_row_times_match_scalar_calls(self):
+        # the training batch form: one time per row, passed as t[:, None]
+        rng = CounterRng(9)
+        x0, x1 = rng.normal_array((64, 3)), rng.normal_array((64, 3))
+        t = rng.uniform(64)
+        rows = np.stack([interp(x0[k], x1[k], float(t[k])) for k in range(64)])
+        assert np.array_equal(interp(x0, x1, t[:, None]), rows)
 
 
 class TestConditionalVelocity:
+    """The pair velocity x1 - x0 against the step and noise kernels."""
+
     def test_identity_pair(self):
-        assert conditional_velocity(state([1.0]), state([1.0])).data[0] == 0.0
+        x = np.array([0.4, -1.2])
+        v = x - x
+        assert np.array_equal(euler(x, v, 0.6, 0.5), x)
+        assert np.array_equal(estimate_noise(x, v, 0.6), x)
 
     def test_scalar(self):
-        assert conditional_velocity(state([0.0]), state([2.0])).data[0] == 2.0
+        # one Euler step over the whole path along x1 - x0 lands on x0
+        x0, x1 = np.array([0.0]), np.array([2.0])
+        assert euler(x1, x1 - x0, 1.0, 0.0)[0] == 0.0
 
     def test_path_identity(self):
         # x_t - t*v recovers x0 and x_t + (1-t)*v recovers x1 along the path
         rng = CounterRng(4)
-        x0, x1 = state(rng.standard_normal(6)), state(rng.standard_normal(6))
-        v = conditional_velocity(x0, x1).data
+        x0, x1 = rng.standard_normal(6), rng.standard_normal(6)
+        v = x1 - x0
         for t in (0.0, 0.25, 0.6, 1.0):
-            x_t = interpolate(x0, x1, t).data
-            assert np.max(np.abs(x_t - t * v - x0.data)) < 1e-12
-            assert np.max(np.abs(x_t + (1.0 - t) * v - x1.data)) < 1e-12
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatchError):
-            conditional_velocity(state([0.0]), state([0.0, 1.0]))
+            x_t = interp(x0, x1, t)
+            assert np.max(np.abs(euler(x_t, v, t, 0.0) - x0)) < 1e-12
+            assert np.max(np.abs(estimate_noise(x_t, v, t) - x1)) < 1e-12
 
 
 class TestNoisySource:
     def test_arithmetic(self):
-        assert noisy_source(state([2.0]), state([0.0]), 0.25).data[0] == pytest.approx(1.5)
+        assert interp(np.array([2.0]), np.array([0.0]), 0.25)[0] == pytest.approx(1.5)
 
     def test_endpoints(self):
-        x, e = state([0.3, -0.4]), state([1.1, 0.2])
-        assert np.array_equal(noisy_source(x, e, 0.0).data, x.data)
-        assert np.array_equal(noisy_source(x, e, 1.0).data, e.data)
+        x, e = np.array([0.3, -0.4]), np.array([1.1, 0.2])
+        assert np.array_equal(interp(x, e, 0.0), x)
+        assert np.array_equal(interp(x, e, 1.0), e)
 
     def test_equals_interpolate_bitwise(self):
-        rng = CounterRng(5)
-        x, e = state(rng.standard_normal(8)), state(rng.standard_normal(8))
-        for t in (0.0, 0.31, 0.77, 1.0):
-            assert np.array_equal(noisy_source(x, e, t).data, interpolate(x, e, t).data)
+        # every noised source a sampler records is interp(source, noise, t)
+        src, tar = GaussianSpec.isotropic(0.0, 1.0, dim=2), GaussianSpec.isotropic(2.0, 0.25, dim=2)
+        field, c_src, c_tar = pair_field(src, tar)
+        x = TensorState.from_array([0.3, -0.8])
+        cfg = EditConfig(T=10, n_max=8, sequence_mode="edit", noise_mode="random", seed=5)
+        _, traj = flowedit(field, x, c_src, c_tar, cfg, record=True)
+        for step in traj.steps:
+            assert np.array_equal(step.x_src, interp(x.array, step.eps, step.t))
 
 
 class TestCfgCombine:
     def test_scale_identities(self):
-        vc, vu = state([2.0, -1.0]), state([0.5, 0.5])
-        assert np.array_equal(cfg_combine(vc, vu, 1.0).data, vc.data)
-        assert np.array_equal(cfg_combine(vc, vu, 0.0).data, vu.data)
+        vc, vu = np.array([2.0, -1.0]), np.array([0.5, 0.5])
+        assert np.array_equal(guided(vc, vu, 1.0), vc)
+        assert np.array_equal(guided(vc, vu, 0.0), vu)
 
     def test_degenerate_pair(self):
-        v = state([0.7, 0.7])
+        v = np.array([0.7, 0.7])
         for scale in (0.0, 1.0, 3.5):
-            assert np.array_equal(cfg_combine(v, v, scale).data, v.data)
+            assert np.array_equal(guided(v, v, scale), v)
 
     def test_negative_scale(self):
+        # guided does not check its scale; EditConfig, which supplies it, does
         with pytest.raises(InvalidConfigError):
-            cfg_combine(state([0.0]), state([0.0]), -0.1)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatchError):
-            cfg_combine(state([0.0]), state([0.0, 1.0]), 1.0)
-
-
-class _ReplayTargetField:
-    """Returns the exact regression target by replaying the loss's draws."""
-
-    def __init__(self, batch, seed):
-        rng = CounterRng(seed)
-        self.targets = []
-        for x0, _ in batch:
-            x1 = rng.standard_normal(x0.dim)
-            rng.uniform()
-            self.targets.append(x1 - x0.data)
-        self.state_dim = batch[0][0].dim
-        self.condition_dim = batch[0][1].dim
-        self.k = 0
-
-    def velocity(self, x, condition, t):
-        out = self.targets[self.k]
-        self.k += 1
-        return out
-
-
-class _ZeroField:
-    def __init__(self, state_dim, condition_dim=0):
-        self.state_dim = state_dim
-        self.condition_dim = condition_dim
-
-    def velocity(self, x, condition, t):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-
-class TestFmLoss:
-    def test_exact_regressor_gives_zero(self):
-        rng = CounterRng(6)
-        batch = [(state(rng.standard_normal(3)), Condition.null(0)) for _ in range(20)]
-        field = _ReplayTargetField(batch, seed=99)
-        assert fm_loss(field, batch, CounterRng(99)) < 1e-12
-
-    def test_zero_field_on_zero_data_matches_replayed_noise_norm(self):
-        dim, n = 4, 4000
-        batch = [(state(np.zeros(dim)), Condition.null(0)) for _ in range(n)]
-        loss = fm_loss(_ZeroField(dim), batch, CounterRng(31))
-        # independent replay of the documented draw order: x1 then t, per sample
-        replay = CounterRng(31)
-        expected = 0.0
-        for _ in range(n):
-            x1 = replay.standard_normal(dim)
-            replay.uniform()
-            expected += float(np.sum(x1**2))
-        expected /= n
-        assert loss == pytest.approx(expected, abs=1e-12)
-        assert abs(loss - dim) < 0.2  # mean ||x1||^2 concentrates at the dimension
-
-    def test_deterministic_given_seed(self):
-        rng = CounterRng(8)
-        batch = [(state(rng.standard_normal(2)), Condition.null(0)) for _ in range(5)]
-        a = fm_loss(_ZeroField(2), batch, CounterRng(17))
-        b = fm_loss(_ZeroField(2), batch, CounterRng(17))
-        assert a == b
-
-    def test_empty_batch(self):
-        with pytest.raises(InvalidConfigError):
-            fm_loss(_ZeroField(1), [], CounterRng(0))
+            EditConfig(cfg_scale=-0.1)

@@ -13,10 +13,10 @@ from flowlab.mlp import (
     MlpModel,
     MlpVelocityField,
     TrainConfig,
+    batch_loss_and_grads,
+    forward_array,
     grad_check,
     load_model,
-    mlp_backward,
-    mlp_forward,
     mlp_init,
     save_model,
     train,
@@ -41,10 +41,8 @@ class TestInit:
 
     def test_output_dim_follows_state_not_condition(self):
         model = tiny_model([4, 16, 2], 3)
-        out = mlp_forward(
-            model, TensorState.from_array([0.1, -0.2]), Condition.one_hot(1, 3), 0.5
-        )
-        assert out.dim == 2
+        out = forward_array(model, np.array([0.1, -0.2]), Condition.one_hot(1, 3), 0.5)
+        assert out.shape == (2,)
         assert model.layer_chain == [2 + 3 + 2, 4, 16, 2]
 
     def test_inconsistent_widths(self):
@@ -57,27 +55,25 @@ class TestForward:
         model = tiny_model([4, 3], 2)
         for w in model.weights:
             w[:] = 0.0
-        out = mlp_forward(
-            model, TensorState.from_array([1.0, -2.0, 0.5]), Condition.one_hot(0, 2), 0.3
-        )
-        assert np.array_equal(out.data, np.zeros(3))
+        out = forward_array(model, np.array([1.0, -2.0, 0.5]), Condition.one_hot(0, 2), 0.3)
+        assert np.array_equal(out, np.zeros(3))
 
     def test_output_shape_contract(self):
         model = tiny_model([6, 2], 0)
-        x = TensorState.from_array(CounterRng(3).normal_array((7, 2)))
-        out = mlp_forward(model, x, Condition.null(0), 0.4)
+        x = CounterRng(3).normal_array((7, 2))
+        out = forward_array(model, x, Condition.null(0), 0.4)
         assert out.shape == x.shape
 
     def test_repeated_calls_bit_identical(self):
         model = tiny_model([5, 2], 1, seed=2)
-        x = TensorState.from_array([0.3, 0.9])
+        x = np.array([0.3, 0.9])
         c = Condition.one_hot(0, 1)
-        assert np.array_equal(mlp_forward(model, x, c, 0.7).data, mlp_forward(model, x, c, 0.7).data)
+        assert np.array_equal(forward_array(model, x, c, 0.7), forward_array(model, x, c, 0.7))
 
     def test_dimension_mismatch(self):
         model = tiny_model([5, 2], 1)
         with pytest.raises(ShapeMismatchError):
-            mlp_forward(model, TensorState.from_array([1.0, 2.0, 3.0]), Condition.one_hot(0, 1), 0.5)
+            forward_array(model, np.array([1.0, 2.0, 3.0]), Condition.one_hot(0, 1), 0.5)
 
 
 class TestBackward:
@@ -87,7 +83,7 @@ class TestBackward:
         w = rng.normal_array((2, 4))
         model = MlpModel(weights=[w.copy()], biases=[np.zeros(2)], condition_dim=0)
         x, t, y = np.array([0.5, -1.0]), 0.3, np.array([1.0, 2.0])
-        grads = mlp_backward(model, [(x, Condition.null(0), t, y)])
+        grads = batch_loss_and_grads(model, x, np.zeros(0), t, y)[1]
         h = np.array([0.5, -1.0, 0.3, 0.7])
         r = w @ h - y
         assert np.allclose(grads[0], 2.0 * np.outer(r, h), atol=1e-12)
@@ -95,15 +91,16 @@ class TestBackward:
 
     def test_duplicated_batch_matches_single(self):
         model = tiny_model([6, 2], 1, seed=3)
-        sample = (np.array([0.2, -0.3]), Condition.one_hot(0, 1), 0.6, np.array([0.1, 0.4]))
-        g1 = mlp_backward(model, [sample])
-        g3 = mlp_backward(model, [sample, sample, sample])
+        x, c, t, y = np.array([0.2, -0.3]), np.array([1.0]), 0.6, np.array([0.1, 0.4])
+        g1 = batch_loss_and_grads(model, x, c, t, y)[1]
+        g3 = batch_loss_and_grads(model, np.tile(x, (3, 1)), c, t, np.tile(y, (3, 1)))[1]
         for a, b in zip(g1, g3):
             assert np.allclose(a, b, atol=1e-14)
 
     def test_empty_batch(self):
         with pytest.raises(InvalidConfigError):
-            mlp_backward(tiny_model([4, 2], 0), [])
+            batch_loss_and_grads(tiny_model([4, 2], 0), np.zeros((0, 2)), np.zeros(0), 0.5,
+                                 np.zeros((0, 2)))
 
 
 class TestGradCheck:
@@ -157,6 +154,17 @@ class TestTrain:
         r2 = train(mlp_init([8, 1], 0, seed=3), pairs, cfg)
         assert r1.losses == r2.losses
 
+    def test_frozen_losses(self):
+        # frozen values; the per-row times of the training batches move them
+        data = CounterRng(4).normal_array((64, 2)) + 1.0
+        pairs = [(TensorState.from_array(row), Condition.null(0)) for row in data]
+        cfg = TrainConfig(epochs=3, batch_size=16, learning_rate=1e-2, seed=5)
+        report = train(mlp_init([8, 2], condition_dim=0, seed=2), pairs, cfg)
+        np.testing.assert_allclose(
+            [report.initial_loss, report.final_loss], [6.034849158495668, 4.214528676818819],
+            rtol=1e-9,
+        )
+
     def test_long_run_improvement(self):
         pairs = _gaussian_pairs(1.5, 0.5, 256, seed=6)
         model = mlp_init([16, 1], condition_dim=0, seed=4)
@@ -197,12 +205,10 @@ class TestSerialization:
         loaded = load_model(path)
         rng = CounterRng(17)
         for _ in range(100):
-            x = TensorState.from_array(rng.standard_normal(3))
+            x = rng.standard_normal(3)
             c = Condition(vector=rng.standard_normal(2))
             t = rng.uniform()
-            assert np.array_equal(
-                mlp_forward(model, x, c, t).data, mlp_forward(loaded, x, c, t).data
-            )
+            assert np.array_equal(forward_array(model, x, c, t), forward_array(loaded, x, c, t))
 
     def test_truncated_file(self, tmp_path):
         model = tiny_model([4, 2], 0)

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from flowlab.core import Condition, TensorState, make_schedule
+from flowlab.core import (
+    Condition,
+    TensorState,
+    TimeSchedule,
+    estimate_noise,
+    make_schedule,
+    step_target,
+)
 from flowlab.errors import InvalidConfigError, NumericalError, ShapeMismatchError
 from flowlab.gaussian import (
     AnalyticDualField,
@@ -9,6 +17,7 @@ from flowlab.gaussian import (
     GaussianSpec,
     sample_array,
 )
+from flowlab.harness import pair_field
 from flowlab.metrics import truncation_bias
 from flowlab.rng import CounterRng, derive_seed
 from flowlab.samplers import (
@@ -16,12 +25,10 @@ from flowlab.samplers import (
     EditConfig,
     default_av_config,
     default_sync_config,
-    estimate_noise,
     flowedit,
     generate,
     omniedit_av,
     omniedit_sync,
-    step_target,
 )
 
 
@@ -29,14 +36,17 @@ def state(values):
     return TensorState.from_array(values)
 
 
-def dual_field(video_dim=2, audio_dim=1):
+def dual_field(video_dim=2, audio_dim=1, tar_var=1.0):
     c0, c1 = Condition.one_hot(0, 2), Condition.one_hot(1, 2)
     vf = GaussianConditionalField(condition_dim=2, state_dim=video_dim)
     vf.register(c0, GaussianSpec.isotropic(0.0, 1.0, dim=video_dim))
-    vf.register(c1, GaussianSpec.isotropic(2.0, 1.0, dim=video_dim))
+    vf.register(c1, GaussianSpec.isotropic(2.0, tar_var, dim=video_dim))
     af = GaussianConditionalField(condition_dim=2, state_dim=audio_dim)
     af.register(c0, GaussianSpec.isotropic(-1.0, 0.5, dim=audio_dim))
     af.register(c1, GaussianSpec.isotropic(1.0, 0.5, dim=audio_dim))
+    # the source specs stand in for the unconditional (null) distribution
+    vf.register(Condition.null(2), GaussianSpec.isotropic(0.0, 1.0, dim=video_dim))
+    af.register(Condition.null(2), GaussianSpec.isotropic(-1.0, 0.5, dim=audio_dim))
     return AnalyticDualField(vf, af), c0, c1
 
 
@@ -55,7 +65,6 @@ class TestEditConfig:
 
     def test_skip_interpretations(self):
         assert EditConfig.from_skip(20, 6).n_max == 14
-        assert EditConfig.from_skip(20, 6, skip_is_index=True).n_max == 6
 
     def test_paper_defaults(self):
         sync = default_sync_config()
@@ -108,11 +117,11 @@ class TestGenerate:
 
 class TestEstimateNoise:
     def test_arithmetic(self):
-        assert estimate_noise(state([0.5]), state([1.0]), 0.5).data[0] == pytest.approx(1.0)
+        assert estimate_noise(np.array([0.5]), np.array([1.0]), 0.5)[0] == pytest.approx(1.0)
 
     def test_t_zero_endpoint(self):
-        out = estimate_noise(state([0.3, 0.1]), state([1.0, -1.0]), 0.0)
-        assert np.allclose(out.data, [1.3, -0.9])
+        out = estimate_noise(np.array([0.3, 0.1]), np.array([1.0, -1.0]), 0.0)
+        assert np.allclose(out, [1.3, -0.9])
 
     def test_recovers_endpoint_on_exact_path(self):
         rng = CounterRng(3)
@@ -120,34 +129,35 @@ class TestEstimateNoise:
         for t in (0.0, 0.4, 0.9):
             x_t = (1 - t) * x0 + t * x1
             v = x1 - x0
-            out = estimate_noise(state(x_t), state(v), t)
-            assert np.max(np.abs(out.data - x1)) < 1e-12
+            out = estimate_noise(x_t, v, t)
+            assert np.max(np.abs(out - x1)) < 1e-12
 
-    def test_t_one_rejected(self):
-        with pytest.raises(InvalidConfigError):
-            estimate_noise(state([0.0]), state([0.0]), 1.0)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatchError):
-            estimate_noise(state([0.0]), state([0.0, 1.0]), 0.5)
+    def test_t_zero_is_the_plain_sum_bitwise(self):
+        # the editors' t=0 noise estimates: (1 - 0) * v is v exactly, and + commutes
+        rng = CounterRng(21)
+        x, v = rng.normal_array((500, 3)), rng.normal_array((500, 3))
+        assert np.array_equal(estimate_noise(x, v, 0.0), v + x)
 
 
 class TestStepTarget:
     def test_stationary_case(self):
-        x = state([0.4, -0.2])
-        v = state([0.7, 0.7])
+        x = np.array([0.4, -0.2])
+        v = np.array([0.7, 0.7])
         out = step_target(x, x, x, v, v, t_i=0.5, t_prev=0.45)
-        assert np.array_equal(out.data, x.data)
+        assert np.array_equal(out, x)
 
     def test_pure_source_coupling(self):
-        x_tar = state([1.0])
-        out = step_target(x_tar, state([0.2]), state([0.5]), state([2.0]), state([2.0]), 0.5, 0.4)
-        assert out.data[0] == pytest.approx(1.3)
+        x_tar, v = np.array([1.0]), np.array([2.0])
+        out = step_target(x_tar, np.array([0.2]), np.array([0.5]), v, v, 0.5, 0.4)
+        assert out[0] == pytest.approx(1.3)
 
     def test_time_ordering_enforced(self):
-        x = state([0.0])
+        # step_target does not check t_prev < t_i; the schedule it steps
+        # along rejects grids that are not strictly increasing
         with pytest.raises(InvalidConfigError):
-            step_target(x, x, x, x, x, t_i=0.4, t_prev=0.5)
+            TimeSchedule(times=np.array([0.0, 0.6, 0.5, 1.0]), n_max=2)
+        with pytest.raises(InvalidConfigError):
+            TimeSchedule(times=np.array([0.0, 0.5, 0.5, 1.0]), n_max=2)
 
     def test_groupings_agree_on_random_instances(self):
         # paper form vs the regrouped source-increment form, 1e4 instances
@@ -155,13 +165,18 @@ class TestStepTarget:
         n = 10_000
         x_tar, x_src, x_prev, v_tar, v_src = (rng.normal_array((n, 2)) for _ in range(5))
         t_i, t_prev = 0.55, 0.5
-        a = step_target(
-            TensorState.from_array(x_tar), TensorState.from_array(x_src),
-            TensorState.from_array(x_prev), TensorState.from_array(v_tar),
-            TensorState.from_array(v_src), t_i, t_prev,
-        ).array
+        a = step_target(x_tar, x_src, x_prev, v_tar, v_src, t_i, t_prev)
         b = x_tar + (t_prev - t_i) * v_tar + x_prev - (x_src + (t_prev - t_i) * v_src)
         assert np.max(np.abs(a - b)) < 1e-12
+
+    def test_operation_order_is_fixed(self):
+        # output bytes depend on the order: velocity difference first, then
+        # the source increment added and the current source subtracted
+        rng = CounterRng(13)
+        x_tar, x_src, x_prev, v_tar, v_src = (rng.normal_array((500, 3)) for _ in range(5))
+        a = step_target(x_tar, x_src, x_prev, v_tar, v_src, 0.35, 0.3)
+        b = x_tar + (0.3 - 0.35) * (v_tar - v_src) + x_prev - x_src
+        assert np.array_equal(a, b)
 
 
 class TestFlowEdit:
@@ -387,3 +402,128 @@ class TestOmniEditAv:
         # full horizon on equal-covariance pairs is the exact mean shift
         assert np.allclose(out.video.data - xv.data, [2.0, 2.0], atol=1e-9)
         assert np.allclose(out.audio.data - xa.data, [2.0], atol=1e-9)
+
+
+# Frozen editor outputs. The pairs change the variance, so the velocity
+# difference depends on the noise and every editor's noise handling and
+# guidance moves these numbers; a change of the arithmetic must not.
+_FROZEN = {
+    "sync-estimated": [2.152370603905937, 1.8479114639536733],
+    "flowedit-estimated": [2.1993972143444136, 1.7828071574130822],
+    "sync-random": [2.2710388071817924, 1.6861108481059686],
+    "flowedit-random": [2.1401156008346645, 1.639241600401852],
+    "sync-no-source": [1.7853262737533555, 1.1931491353456745],
+    "av-audio": [2.100799858565071, 1.9446085442226506, 1.2553209098077251],
+    "av-no-audio": [2.068807216097939, 1.92865964320008, 1.980679308025448],
+}
+
+
+def _frozen_case(name):
+    if name.startswith("av"):
+        field2, c0, c1 = dual_field(tar_var=0.25)
+        xv = TensorState.from_array([0.2, -0.4], modality="video")
+        xa = TensorState.from_array([-0.9], modality="audio") if name == "av-audio" else None
+        out = omniedit_av(field2, xv, xa, c0, c1, EditConfig(T=40, n_max=28, cfg_scale=1.5, seed=1))
+        return np.concatenate([out.video.data, out.audio.data])
+    src, tar = GaussianSpec.isotropic(0.0, 1.0, dim=2), GaussianSpec.isotropic(2.0, 0.25, dim=2)
+    field, c_src, c_tar = pair_field(src, tar)
+    x = state([0.3, -0.8])
+    if name == "sync-no-source":
+        return omniedit_sync(field, x, None, c_tar, EditConfig(T=20, n_max=14, seed=3)).data
+    editor, noise = name.split("-")
+    if editor == "sync":
+        cfg = EditConfig(T=20, n_max=14, noise_mode=noise, cfg_scale=1.5, seed=3)
+        return omniedit_sync(field, x, c_src, c_tar, cfg).data
+    cfg = EditConfig(T=20, n_max=14, sequence_mode="edit", noise_mode=noise, cfg_scale=1.5, seed=3)
+    return flowedit(field, x, c_src, c_tar, cfg).data
+
+
+@pytest.mark.parametrize("name", sorted(_FROZEN))
+def test_frozen_editor_outputs(name):
+    np.testing.assert_allclose(_frozen_case(name), _FROZEN[name], rtol=1e-12, atol=0.0)
+
+
+class _NanAt:
+    """Zero velocities except NaN at one time, in the video (or the single)
+    output or in the audio output."""
+
+    state_dim = video_dim = audio_dim = 1
+    condition_dim = 1
+
+    def __init__(self, t_nan, where="video"):
+        self.t_nan, self.where = t_nan, where
+
+    def velocity(self, x, condition, t):
+        return np.full_like(x, np.nan if t == self.t_nan else 0.0)
+
+    def velocities(self, video, audio, condition, t):
+        vv, av = np.zeros_like(video), np.zeros_like(audio)
+        if t == self.t_nan:
+            vv, av = (vv + np.nan, av) if self.where == "video" else (vv, av + np.nan)
+        return vv, av
+
+
+def _run_flowedit(field, c):
+    cfg = EditConfig(T=10, n_max=8, sequence_mode="edit", noise_mode="estimated")
+    flowedit(field, state([0.0]), c, c, cfg)
+
+
+def _run_sync(field, c):
+    omniedit_sync(field, state([0.0]), c, c, EditConfig(T=10, n_max=8))
+
+
+def _run_av(field, c):
+    video = TensorState.from_array([0.0], modality="video")
+    audio = TensorState.from_array([0.0], modality="audio")
+    omniedit_av(field, video, audio, c, c, EditConfig(T=10, n_max=8))
+
+
+class TestNonFiniteVelocity:
+    @pytest.mark.parametrize(
+        "run, where",
+        [(_run_flowedit, "video"), (_run_sync, "video"), (_run_av, "video"), (_run_av, "audio")],
+        ids=["flowedit", "omniedit_sync", "omniedit_av-video", "omniedit_av-audio"],
+    )
+    def test_nan_velocity_names_step(self, run, where):
+        with pytest.raises(NumericalError) as err:
+            run(_NanAt(0.5, where), Condition.one_hot(0, 1))
+        assert "step 5" in str(err.value)
+
+
+_coords = st.floats(-3.0, 3.0)
+
+
+@st.composite
+def _identity_cases(draw):
+    """A diagonal or full-covariance spec of dimension 1 to 3, a source point
+    and a schedule."""
+    dim = draw(st.integers(1, 3))
+    mean = np.array(draw(st.lists(_coords, min_size=dim, max_size=dim)))
+    if draw(st.booleans()):
+        cov = np.array(draw(st.lists(st.floats(0.1, 4.0), min_size=dim, max_size=dim)))
+    else:
+        entries = draw(st.lists(st.floats(-1.5, 1.5), min_size=dim * dim, max_size=dim * dim))
+        low = np.array(entries).reshape(dim, dim)
+        cov = low @ low.T + 0.1 * np.eye(dim)
+    x = np.array(draw(st.lists(_coords, min_size=dim, max_size=dim)))
+    T = draw(st.integers(2, 30))
+    return GaussianSpec(mean=mean, cov=cov), x, T, draw(st.integers(1, T))
+
+
+class TestIdentityEditProperty:
+    """With c_tar = c_src the editors return the source: the target-sequence
+    editor with estimated noise, and the edit-sequence baseline with either
+    noise mode. (The target sequence with random noise is not an identity.)"""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=_identity_cases(), scale=st.floats(0.0, 3.0), seed=st.integers(0, 2**32 - 1),
+           editor=st.sampled_from(["sync-estimated", "edit-estimated", "edit-random"]))
+    def test_identity_edit_returns_source(self, case, scale, seed, editor):
+        spec, x, T, n_max = case
+        field, c_src, _ = pair_field(spec, spec)
+        seq, noise = editor.split("-")
+        cfg = EditConfig(T=T, n_max=n_max, sequence_mode="target" if seq == "sync" else "edit",
+                         noise_mode=noise, cfg_scale=scale, seed=seed)
+        run = omniedit_sync if seq == "sync" else flowedit
+        out = run(field, TensorState.from_array(x), c_src, c_src, cfg)
+        assert np.max(np.abs(out.data - x)) <= 1e-12 * max(1.0, np.max(np.abs(x)))
