@@ -24,12 +24,10 @@ from .gaussian import (
     AnalyticDualField,
     GaussianConditionalField,
     GaussianSpec,
-    gaussian_marginal_velocity,
     marginal_velocity,
     mc_conditional_velocity,
     ot_map,
     sample_array,
-    sample_gaussian,
     w2_gaussian,
 )
 from .metrics import MetricReport, empirical_moments, smoothness, structure_distance, truncation_bias

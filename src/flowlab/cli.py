@@ -27,11 +27,11 @@ from .gaussian import GaussianSpec
 from .harness import (
     ExperimentConfig,
     RunManifest,
-    _mean_stderr,
-    _num,
     bias_curve_plot,
     default_av_params,
     emit_report,
+    format_num,
+    mean_stderr,
     run_ablation,
     run_avedit_sweep,
     run_edit_sweep,
@@ -261,7 +261,7 @@ def _cmd_generate(options: dict, config: ExperimentConfig) -> int:
     out_dir = Path(options["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = [",".join(f"x_{j}" for j in range(samples.shape[1]))]
-    lines += [",".join(_num(v) for v in row) for row in samples]
+    lines += [",".join(format_num(v) for v in row) for row in samples]
     (out_dir / "samples.csv").write_text("\n".join(lines) + "\n")
     files = ["samples.csv"] + emit_report(reports, out_dir, False, None)
     _finish(out_dir, config, files)
@@ -281,13 +281,13 @@ def _cmd_train(options: dict, config: ExperimentConfig) -> int:
     save_model(field2.model, model_path)
     dataset.to_csv(out_dir / "dataset.csv")
     curve = ["step,eval_loss"] + [
-        f"{i},{_num(v)}" for i, v in enumerate(report.losses)
+        f"{i},{format_num(v)}" for i, v in enumerate(report.losses)
     ]
     (out_dir / "loss_curve.csv").write_text("\n".join(curve) + "\n")
     files = [str(model_path.name), "dataset.csv", "loss_curve.csv"]
     print(
-        f"trained model -> {model_path} (eval loss {_num(report.initial_loss)} -> "
-        f"{_num(report.final_loss)})"
+        f"trained model -> {model_path} (eval loss {format_num(report.initial_loss)} -> "
+        f"{format_num(report.final_loss)})"
     )
     _finish(out_dir, config, files)
     return 0
@@ -309,7 +309,7 @@ def _cmd_avedit(options: dict, config: ExperimentConfig) -> int:
     echo = {"experiment": "avedit", "seq_mode": cfg.sequence_mode, "noise_mode": cfg.noise_mode,
             "T": cfg.T, "n_max": cfg.n_max, "seed_count": len(runs)}
     sig = np.array([r.target_sigmas for r in runs])
-    m, se = _mean_stderr(sig)
+    m, se = mean_stderr(sig)
     reports = [
         MetricReport("class_swap_success_rate", float(np.mean(sig <= 3.0)), config=echo),
         MetricReport("target_sigmas", m, aux={"stderr": se}, config=echo),

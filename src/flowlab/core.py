@@ -1,5 +1,10 @@
-"""Rectified-flow building blocks: states, schedules, conditions and the
+"""Rectified-flow building blocks: schedules, conditions and the
 interpolation/velocity arithmetic every sampler is made of.
+
+States are plain float64 arrays whose last axis is the state dimension;
+leading axes act as batch axes. ``TensorState`` wraps one such array with
+its shape and is the argument and return type of
+``metrics.truncation_bias`` only.
 
 Convention throughout the package: t=0 is data, t=1 is standard normal
 noise, and the straight path between endpoints is
@@ -24,8 +29,6 @@ import numpy as np
 
 from .errors import InvalidConfigError, ShapeMismatchError
 
-MODALITIES = ("video", "audio", "generic")
-
 
 def _frozen(arr) -> np.ndarray:
     out = np.array(arr, dtype=np.float64, copy=True)
@@ -35,15 +38,13 @@ def _frozen(arr) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TensorState:
-    """A flat real vector plus its logical shape and modality tag.
-
-    The leading axes of ``shape`` may act as batch axes; all field and
-    sampler arithmetic broadcasts over everything but the last axis.
+    """A frozen, finite flat vector plus its logical shape; the leading axes
+    of ``shape`` may act as batch axes. ``truncation_bias`` takes and
+    returns it; everything else works on plain arrays.
     """
 
     data: np.ndarray
     shape: tuple[int, ...]
-    modality: str = "generic"
 
     def __post_init__(self):
         object.__setattr__(self, "data", _frozen(np.ravel(self.data)))
@@ -54,24 +55,18 @@ class TensorState:
             )
         if not np.all(np.isfinite(self.data)):
             raise InvalidConfigError("state entries must be finite")
-        if self.modality not in MODALITIES:
-            raise InvalidConfigError(f"unknown modality {self.modality!r}")
 
     @classmethod
-    def from_array(cls, arr, modality: str = "generic") -> "TensorState":
+    def from_array(cls, arr) -> "TensorState":
         arr = np.asarray(arr, dtype=np.float64)
-        return cls(data=arr.ravel(), shape=arr.shape if arr.shape else (1,), modality=modality)
+        return cls(data=arr.ravel(), shape=arr.shape if arr.shape else (1,))
 
     @property
     def array(self) -> np.ndarray:
         return self.data.reshape(self.shape)
 
-    @property
-    def dim(self) -> int:
-        return self.data.size
-
     def with_array(self, arr) -> "TensorState":
-        return TensorState(data=np.ravel(arr), shape=self.shape, modality=self.modality)
+        return TensorState(data=np.ravel(arr), shape=self.shape)
 
 
 @dataclass(frozen=True)

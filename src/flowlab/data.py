@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Condition, TensorState
+from .core import Condition
 from .errors import InvalidConfigError, ShapeMismatchError
 from .rng import CounterRng
 
@@ -55,21 +55,24 @@ class AvSynthParams:
 
 @dataclass
 class CoupledAvDataset:
+    """Paired (n, video_dim) and (n, audio_dim) rows with class labels; the
+    rows must be finite and the labels lie in 0..num_classes-1."""
+
     video: np.ndarray
     audio: np.ndarray
     labels: np.ndarray
     num_classes: int
     params: AvSynthParams | None = None
 
+    def __post_init__(self):
+        if not (np.all(np.isfinite(self.video)) and np.all(np.isfinite(self.audio))):
+            raise InvalidConfigError("dataset entries must be finite")
+        labels = np.asarray(self.labels)
+        if np.any(labels < 0) or np.any(labels >= self.num_classes):
+            raise InvalidConfigError(f"class labels must lie in 0..{self.num_classes - 1}")
+
     def __len__(self) -> int:
         return self.video.shape[0]
-
-    def __getitem__(self, i: int) -> tuple[TensorState, TensorState, Condition]:
-        return (
-            TensorState.from_array(self.video[i], modality="video"),
-            TensorState.from_array(self.audio[i], modality="audio"),
-            Condition.one_hot(int(self.labels[i]), self.num_classes),
-        )
 
     @property
     def video_dim(self) -> int:
@@ -83,9 +86,10 @@ class CoupledAvDataset:
         """Video and audio concatenated, the state a joint model trains on."""
         return np.concatenate([self.video, self.audio], axis=1)
 
-    def joint_pairs(self) -> list[tuple[TensorState, Condition]]:
+    def joint_pairs(self) -> list[tuple[np.ndarray, Condition]]:
+        """(joint row, one-hot class condition) pairs, the input of ``train``."""
         return [
-            (TensorState.from_array(row), Condition.one_hot(int(k), self.num_classes))
+            (row, Condition.one_hot(int(k), self.num_classes))
             for row, k in zip(self.joint_states(), self.labels)
         ]
 
@@ -110,14 +114,22 @@ class CoupledAvDataset:
             rows = list(csv.reader(fh))
         if not rows:
             raise InvalidConfigError(f"empty dataset file {path}")
-        header = rows[0]
+        header, body = rows[0], rows[1:]
         dv = sum(1 for h in header if h.startswith("video_"))
         da = sum(1 for h in header if h.startswith("audio_"))
-        if dv == 0 or da == 0 or header[-1] != "class":
+        expected = [f"video_{j}" for j in range(dv)] + [f"audio_{j}" for j in range(da)] + ["class"]
+        if dv == 0 or da == 0 or header != expected:
             raise InvalidConfigError(f"unrecognized dataset header {header}")
-        video = np.array([[float(x) for x in r[:dv]] for r in rows[1:]])
-        audio = np.array([[float(x) for x in r[dv : dv + da]] for r in rows[1:]])
-        labels = np.array([int(r[-1]) for r in rows[1:]])
+        if not body:
+            raise InvalidConfigError(f"no rows in dataset file {path}")
+        if any(len(r) != len(header) for r in body):
+            raise InvalidConfigError(f"{path}: every row needs {len(header)} cells")
+        try:
+            video = np.array([[float(x) for x in r[:dv]] for r in body])
+            audio = np.array([[float(x) for x in r[dv : dv + da]] for r in body])
+            labels = np.array([int(r[-1]) for r in body])
+        except ValueError:
+            raise InvalidConfigError(f"{path}: non-numeric cell") from None
         return cls(video=video, audio=audio, labels=labels, num_classes=int(labels.max()) + 1)
 
 

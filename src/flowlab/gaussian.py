@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Condition, TensorState, interp
+from .core import Condition, interp
 from .errors import (
     InsufficientSamplesError,
     InvalidConfigError,
@@ -130,10 +130,6 @@ def _velocity_affine(spec: GaussianSpec, t) -> tuple[np.ndarray, np.ndarray]:
     return a, o.T
 
 
-def gaussian_marginal_velocity(spec: GaussianSpec, x: TensorState, t: float) -> TensorState:
-    return x.with_array(marginal_velocity(spec, x.array, t))
-
-
 @dataclass(frozen=True)
 class McVelocityEstimate:
     value: np.ndarray
@@ -159,12 +155,13 @@ def mc_conditional_velocity(
     """
     if n < 10_000:
         raise InvalidConfigError(f"need n >= 1e4 Monte Carlo samples, got {n}")
+    if not 0.0 <= t <= 1.0:
+        raise InvalidConfigError(f"t={t} outside [0, 1]")
     if bandwidth is None:
         bandwidth = 0.05 * float(np.sqrt(t))
     if not bandwidth > 0.0:
         raise InvalidConfigError(f"bandwidth must be positive, got {bandwidth}")
-    x = x.array if isinstance(x, TensorState) else np.asarray(x, dtype=np.float64)
-    x = x.ravel()
+    x = np.asarray(x, dtype=np.float64).ravel()
     if x.size != spec.dim:
         raise ShapeMismatchError(f"query dim {x.size} != spec dim {spec.dim}")
 
@@ -195,10 +192,6 @@ def sample_array(spec: GaussianSpec, n: int, rng: CounterRng) -> np.ndarray:
     if spec.is_diagonal:
         return spec.mean + z * np.sqrt(spec.cov)
     return spec.mean + z @ spec.scale_tril().T
-
-
-def sample_gaussian(spec: GaussianSpec, n: int, rng: CounterRng) -> list[TensorState]:
-    return [TensorState.from_array(row) for row in sample_array(spec, n, rng)]
 
 
 def _sqrtm_spd(a: np.ndarray) -> np.ndarray:

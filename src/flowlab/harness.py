@@ -24,7 +24,6 @@ from . import __version__
 from .core import Condition, TensorState, make_schedule
 from .errors import InvalidConfigError, NumericalError
 from .gaussian import (
-    AnalyticDualField,
     GaussianConditionalField,
     GaussianSpec,
     marginal_velocity,
@@ -58,7 +57,8 @@ ABLATION_CELLS = (
 )
 
 
-def _num(x: float) -> str:
+def format_num(x: float) -> str:
+    """A number as every CSV and log line writes it: 12 significant digits."""
     return format(float(x), ".12g")
 
 
@@ -168,20 +168,20 @@ def run_edit_sweep(
     runs = []
     for seed in seeds:
         data_rng = CounterRng(derive_seed(seed, 1))
-        x_src = TensorState.from_array(sample_array(src_spec, 1, data_rng)[0])
+        x_src = sample_array(src_spec, 1, data_rng)[0]
         cfg = replace(edit_cfg, seed=derive_seed(seed, 2))
         if cfg.sequence_mode == "edit":
             out, traj = flowedit(field, x_src, c_src, c_tar, cfg, record=True)
         else:
             out, traj = omniedit_sync(field, x_src, c_src, c_tar, cfg, record=True)
-        ideal = x_src.array @ a_map.T + b_map if not identity else x_src.array
+        ideal = x_src @ a_map.T + b_map if not identity else x_src
         runs.append(
             EditRun(
                 seed=seed,
-                output=out.array.copy(),
-                x_src=x_src.array.copy(),
+                output=out,
+                x_src=x_src,
                 structure=structure_distance(x_src, out),
-                residual=out.array - ideal,
+                residual=out - ideal,
                 smoothness_source=smoothness(traj, "source") if len(traj.steps) >= 3 else 0.0,
                 trajectory=traj,
             )
@@ -189,7 +189,8 @@ def run_edit_sweep(
     return runs
 
 
-def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
+def mean_stderr(values: np.ndarray) -> tuple[float, float]:
+    """Mean and standard error of the mean; one value has a zero error."""
     values = np.asarray(values, dtype=float)
     if values.size < 2:
         return float(values.mean()), 0.0
@@ -219,7 +220,7 @@ def sweep_reports(
         ("smoothness", [r.smoothness_source for r in runs]),
         ("structure_distance", [r.structure for r in runs]),
     ):
-        m, se = _mean_stderr(np.array(values))
+        m, se = mean_stderr(np.array(values))
         reports.append(MetricReport(name, m, aux={"stderr": se}, config=config_echo))
     return reports
 
@@ -285,12 +286,12 @@ def run_oracle_check(
             rows.append(
                 {
                     "dim": dim, "t": t,
-                    "x": " ".join(_num(v) for v in np.atleast_1d(x)),
-                    "closed": " ".join(_num(v) for v in np.atleast_1d(closed)),
-                    "mc": " ".join(_num(v) for v in est.value),
-                    "stderr": " ".join(_num(v) for v in est.stderr),
-                    "max_z": _num(float(np.max(z))),
-                    "ess": _num(est.effective_samples),
+                    "x": " ".join(format_num(v) for v in np.atleast_1d(x)),
+                    "closed": " ".join(format_num(v) for v in np.atleast_1d(closed)),
+                    "mc": " ".join(format_num(v) for v in est.value),
+                    "stderr": " ".join(format_num(v) for v in est.stderr),
+                    "max_z": format_num(float(np.max(z))),
+                    "ess": format_num(est.effective_samples),
                     "agree": int(agree),
                 }
             )
@@ -317,7 +318,7 @@ def emit_report(
             [
                 cfg.get("experiment", ""), cfg.get("seq_mode", ""), cfg.get("noise_mode", ""),
                 cfg.get("T", ""), cfg.get("n_max", ""), cfg.get("seed_count", ""),
-                rep.name, _num(rep.value), _num(rep.aux.get("stderr", 0.0)),
+                rep.name, format_num(rep.value), format_num(rep.aux.get("stderr", 0.0)),
             ]
         )
     (out_dir / "summary.csv").write_text(buf.getvalue())
@@ -343,8 +344,9 @@ def write_per_seed_csv(runs: list[EditRun], cfg: EditConfig, out_dir, experiment
     for r in runs:
         writer.writerow(
             [experiment, cfg.sequence_mode, cfg.noise_mode, cfg.T, cfg.n_max, r.seed]
-            + [_num(v) for v in r.output]
-            + [_num(r.structure), _num(float(np.linalg.norm(r.residual))), _num(r.smoothness_source)]
+            + [format_num(v) for v in r.output]
+            + [format_num(r.structure), format_num(float(np.linalg.norm(r.residual))),
+               format_num(r.smoothness_source)]
         )
     (out_dir / "edits.csv").write_text(buf.getvalue())
     return "edits.csv"
@@ -379,7 +381,7 @@ def summarize_per_seed_csv(path) -> list[MetricReport]:
                 values = np.array([float(r[column]) for r in grp])
             except ValueError:
                 raise InvalidConfigError(f"{path}: non-numeric {column} value") from None
-            m, se = _mean_stderr(values)
+            m, se = mean_stderr(values)
             reports.append(MetricReport(metric, m, aux={"stderr": se}, config=config_echo))
     return reports
 
@@ -484,18 +486,16 @@ def run_avedit_sweep(
         )
         cfg = replace(edit_cfg, seed=derive_seed(seed, 2))
         out = omniedit_av(
-            field2,
-            TensorState.from_array(v, modality="video"),
-            TensorState.from_array(a, modality="audio"),
+            field2, v, a,
             Condition.one_hot(src_class, params.num_classes),
             Condition.one_hot(tar_class, params.num_classes),
             cfg,
         )
-        dist = float(np.linalg.norm(out.video.data - tar_mean)) / params.video_scale
+        dist = float(np.linalg.norm(out.video - tar_mean)) / params.video_scale
         runs.append(
             AvEditRun(
-                seed=seed, video_out=out.video.data.copy(), audio_out=out.audio.data.copy(),
-                video_src=v.copy(), audio_src=a.copy(), target_sigmas=dist,
+                seed=seed, video_out=out.video, audio_out=out.audio,
+                video_src=v, audio_src=a, target_sigmas=dist,
             )
         )
     return runs
@@ -516,9 +516,9 @@ def write_avedit_csv(runs: list[AvEditRun], cfg: EditConfig, out_dir) -> str:
     for r in runs:
         writer.writerow(
             [cfg.T, cfg.n_max, r.seed]
-            + [_num(v) for v in r.video_out]
-            + [_num(v) for v in r.audio_out]
-            + [_num(r.target_sigmas)]
+            + [format_num(v) for v in r.video_out]
+            + [format_num(v) for v in r.audio_out]
+            + [format_num(r.target_sigmas)]
         )
     (out_dir / "avedits.csv").write_text(buf.getvalue())
     return "avedits.csv"
@@ -530,9 +530,7 @@ def run_generate_sweep(
     """Transport n standard-normal draws through the analytic field."""
     field, c_src, _ = pair_field(spec, spec)
     rng = CounterRng(derive_seed(seed, 3))
-    noise = TensorState.from_array(rng.normal_array((n, spec.dim)))
-    out = generate(field, noise, c_src, make_schedule(T))
-    samples = out.array
+    samples = generate(field, rng.normal_array((n, spec.dim)), c_src, make_schedule(T))
     mean, cov = empirical_moments(samples)
     fitted = GaussianSpec(mean=mean, cov=cov + 1e-12 * np.eye(spec.dim))
     config_echo = {"experiment": "generate", "T": T, "seed_count": 1}

@@ -128,19 +128,16 @@ def truncation_bias(
     return x_src.with_array(truncated - reference)
 
 
-def structure_distance(x_src: TensorState, x_out: TensorState) -> float:
+def structure_distance(x_src: np.ndarray, x_out: np.ndarray) -> float:
     """RMS per-coordinate deviation of the edit output from its source."""
     if x_src.shape != x_out.shape:
         raise ShapeMismatchError(f"shapes {x_src.shape} and {x_out.shape} differ")
-    return float(np.sqrt(np.mean((x_out.data - x_src.data) ** 2)))
+    return float(np.sqrt(np.mean((x_out - x_src) ** 2)))
 
 
-def empirical_moments(samples) -> tuple[np.ndarray, np.ndarray]:
-    """Sample mean and unbiased covariance of a collection of states."""
-    if isinstance(samples, np.ndarray):
-        x = np.atleast_2d(np.asarray(samples, dtype=np.float64))
-    else:
-        x = np.stack([s.data if isinstance(s, TensorState) else np.ravel(s) for s in samples])
+def empirical_moments(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sample mean and unbiased covariance of an (n, dim) array of rows."""
+    x = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     if x.shape[0] < 2:
         raise InvalidConfigError(f"need >= 2 samples, got {x.shape[0]}")
     mean = x.mean(axis=0)

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Condition, TensorState, interp
+from .core import Condition, interp
 from .errors import (
     InvalidConfigError,
     ModelFormatError,
@@ -194,10 +194,10 @@ def grad_check(model: MlpModel, sample, fd_step: float = 1e-5) -> float:
     """
     if not 0.0 < fd_step <= 1e-2:
         raise InvalidConfigError(f"fd_step must lie in (0, 1e-2], got {fd_step}")
-    x = np.atleast_2d(np.asarray(sample[0].data if isinstance(sample[0], TensorState) else sample[0]))
+    x = np.atleast_2d(np.asarray(sample[0], dtype=np.float64))
     cond = _cond_vector(sample[1], model)
     t = float(sample[2])
-    tgt = np.atleast_2d(np.asarray(sample[3].data if isinstance(sample[3], TensorState) else sample[3]))
+    tgt = np.atleast_2d(np.asarray(sample[3], dtype=np.float64))
 
     _, grads = batch_loss_and_grads(model, x, cond, t, tgt)
     worst = 0.0
@@ -244,9 +244,7 @@ class TrainReport:
 
 
 def _as_training_arrays(dataset, model: MlpModel):
-    x0 = np.stack(
-        [np.asarray(p[0].data if isinstance(p[0], TensorState) else p[0]) for p in dataset]
-    )
+    x0 = np.stack([np.asarray(p[0], dtype=np.float64) for p in dataset])
     cond = np.stack([_cond_vector(p[1], model) for p in dataset])
     return x0, cond
 

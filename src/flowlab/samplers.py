@@ -14,6 +14,11 @@ Four entry points:
   target-sequence rule while paired audio streams are denoised alongside,
   with a pre-denoising phase when no source audio exists.
 
+States go in and come out as plain float64 arrays of shape
+(..., state_dim), leading axes acting as batch axes; ``omniedit_av``
+returns its (video, audio) pair as a ``DualState`` of two arrays. No
+editor writes into its inputs, and every returned array is fresh.
+
 All four are written in the array kernels of ``core``: ``interp`` for
 every noised state, ``estimate_noise`` for the noise re-estimate,
 ``euler`` for plain steps, ``step_target`` for target-sequence steps and
@@ -32,7 +37,6 @@ import numpy as np
 from .core import (
     Condition,
     DualVelocityField,
-    TensorState,
     TimeSchedule,
     VelocityField,
     estimate_noise,
@@ -127,12 +131,10 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class DualState:
-    video: TensorState
-    audio: TensorState
+    """The (video, audio) arrays ``omniedit_av`` returns."""
 
-    def __post_init__(self):
-        if self.video.modality != "video" or self.audio.modality != "audio":
-            raise InvalidConfigError("dual state requires correctly tagged modalities")
+    video: np.ndarray
+    audio: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -171,17 +173,23 @@ def _checked(step: int, evaluate, *args):
     return out
 
 
-def _guided(cfg: EditConfig, step: int, evaluate, *states, c: Condition, t: float):
-    """Target velocity (or dual velocity pair) with the guidance hook; scale
-    1.0 is a single conditional evaluation, matching the ungained path."""
-    v_cond = _checked(step, evaluate, *states, c, t)
+def _guided(cfg: EditConfig, evaluate, c: Condition):
+    """The target velocity (or dual velocity pair) under ``c`` with the
+    guidance hook, as a function of (step, *states, t). Scale 1.0 is a single
+    conditional evaluation, matching the ungained path; otherwise the null
+    condition is built once, here, for every step of the editor call."""
     if cfg.cfg_scale == 1.0:
-        return v_cond
-    v_uncond = _checked(step, evaluate, *states, Condition.null(c.dim), t)
-    s = cfg.cfg_scale
-    if isinstance(v_cond, tuple):
-        return guided(v_cond[0], v_uncond[0], s), guided(v_cond[1], v_uncond[1], s)
-    return guided(v_cond, v_uncond, s)
+        return lambda step, *states, t: _checked(step, evaluate, *states, c, t)
+    null, s = Condition.null(c.dim), cfg.cfg_scale
+
+    def target(step, *states, t):
+        v_cond = _checked(step, evaluate, *states, c, t)
+        v_uncond = _checked(step, evaluate, *states, null, t)
+        if isinstance(v_cond, tuple):
+            return guided(v_cond[0], v_uncond[0], s), guided(v_cond[1], v_uncond[1], s)
+        return guided(v_cond, v_uncond, s)
+
+    return target
 
 
 def _resolve_rng(cfg: EditConfig, rng: CounterRng | None) -> CounterRng:
@@ -190,7 +198,7 @@ def _resolve_rng(cfg: EditConfig, rng: CounterRng | None) -> CounterRng:
 
 def generate(
     field: VelocityField,
-    x1: TensorState,
+    x1: np.ndarray,
     c: Condition,
     schedule: TimeSchedule,
     record: bool = False,
@@ -199,10 +207,10 @@ def generate(
 
     Returns the t=0 state, or (state, Trajectory) when ``record`` is set.
     """
-    if x1.shape[-1] != field.state_dim:
-        raise ShapeMismatchError(f"state dim {x1.shape[-1]} != field dim {field.state_dim}")
+    x = np.asarray(x1, dtype=np.float64)
+    if x.shape[-1:] != (field.state_dim,):
+        raise ShapeMismatchError(f"state shape {x.shape} does not end in {field.state_dim}")
     times = schedule.times
-    x = x1.array.copy()
     traj = Trajectory()
     for i in range(schedule.T, 0, -1):
         t_i, t_prev = float(times[i]), float(times[i - 1])
@@ -212,13 +220,12 @@ def generate(
                 StepRecord(t=t_i, x_src=None, x_main=x.copy(), eps=None, v_src=None, v_tar=v.copy())
             )
         x = euler(x, v, t_i, t_prev)
-    out = x1.with_array(x)
-    return (out, traj) if record else out
+    return (x, traj) if record else x
 
 
 def flowedit(
     field: VelocityField,
-    x_src: TensorState,
+    x_src: np.ndarray,
     c_src: Condition,
     c_tar: Condition,
     cfg: EditConfig,
@@ -236,8 +243,9 @@ def flowedit(
         raise InvalidConfigError("flowedit requires sequence_mode='edit'")
     rng = _resolve_rng(cfg, rng)
     times = cfg.schedule().times
-    src = x_src.array
-    x_edit = src.copy()
+    src = np.asarray(x_src, dtype=np.float64)
+    target_velocity = _guided(cfg, field.velocity, c_tar)
+    x_edit = src
     eps = None
     traj = Trajectory()
     for i in range(cfg.n_max, 0, -1):
@@ -247,7 +255,7 @@ def flowedit(
         x_src_t = interp(src, eps, t_i)
         x_tar_t = x_edit + x_src_t - src
         v_src = _checked(i, field.velocity, x_src_t, c_src, t_i)
-        v_tar = _guided(cfg, i, field.velocity, x_tar_t, c=c_tar, t=t_i)
+        v_tar = target_velocity(i, x_tar_t, t=t_i)
         if cfg.noise_mode == "estimated":
             eps = estimate_noise(x_src_t, v_src, t_i)
         if record:
@@ -256,13 +264,12 @@ def flowedit(
                            eps=eps.copy(), v_src=v_src.copy(), v_tar=v_tar.copy())
             )
         x_edit = euler(x_edit, v_tar - v_src, t_i, t_prev)
-    out = x_src.with_array(x_edit)
-    return (out, traj) if record else out
+    return (x_edit, traj) if record else x_edit
 
 
 def omniedit_sync(
     field: VelocityField,
-    x_src: TensorState,
+    x_src: np.ndarray,
     c_src: Condition | None,
     c_tar: Condition,
     cfg: EditConfig,
@@ -290,8 +297,9 @@ def omniedit_sync(
 
     src_cond = combined(c_src if c_src is not None else Condition.null(c_tar.dim))
     tar_cond = combined(c_tar)
+    target_velocity = _guided(cfg, field.velocity, tar_cond)
     times = cfg.schedule().times
-    src = x_src.array
+    src = np.asarray(x_src, dtype=np.float64)
 
     if c_src is None:
         eps = rng.normal_array(src.shape)
@@ -306,7 +314,7 @@ def omniedit_sync(
             eps = rng.normal_array(src.shape)
         x_src_t = interp(src, eps, t_i)
         v_src = _checked(i, field.velocity, x_src_t, src_cond, t_i)
-        v_tar = _guided(cfg, i, field.velocity, x_tar, c=tar_cond, t=t_i)
+        v_tar = target_velocity(i, x_tar, t=t_i)
         if cfg.noise_mode == "estimated":
             eps = estimate_noise(x_src_t, v_src, t_i)
         x_src_prev = interp(src, eps, t_prev)
@@ -316,14 +324,13 @@ def omniedit_sync(
                            eps=eps.copy(), v_src=v_src.copy(), v_tar=v_tar.copy())
             )
         x_tar = step_target(x_tar, x_src_t, x_src_prev, v_tar, v_src, t_i, t_prev)
-    out = x_src.with_array(x_tar)
-    return (out, traj) if record else out
+    return (x_tar, traj) if record else x_tar
 
 
 def omniedit_av(
     field2: DualVelocityField,
-    x_src: TensorState,
-    a_src: TensorState | None,
+    x_src: np.ndarray,
+    a_src: np.ndarray | None,
     c_src: Condition,
     c_tar: Condition,
     cfg: EditConfig,
@@ -345,21 +352,23 @@ def omniedit_av(
         raise InvalidConfigError("omniedit_av requires sequence_mode='target'")
     if cfg.noise_mode != "estimated":
         raise InvalidConfigError("the dual-modality editor implements estimated noise only")
-    if x_src.shape[-1] != field2.video_dim:
-        raise ShapeMismatchError(f"video dim {x_src.shape[-1]} != field {field2.video_dim}")
-    if a_src is not None and a_src.shape[-1] != field2.audio_dim:
-        raise ShapeMismatchError(f"audio dim {a_src.shape[-1]} != field {field2.audio_dim}")
+    src = np.asarray(x_src, dtype=np.float64)
+    aud = None if a_src is None else np.asarray(a_src, dtype=np.float64)
+    if src.shape[-1:] != (field2.video_dim,):
+        raise ShapeMismatchError(f"video shape {src.shape} does not end in {field2.video_dim}")
+    if aud is not None and aud.shape[-1:] != (field2.audio_dim,):
+        raise ShapeMismatchError(f"audio shape {aud.shape} does not end in {field2.audio_dim}")
     rng = _resolve_rng(cfg, rng)
     times = cfg.schedule().times
     t_max = float(times[cfg.n_max])
-    src = x_src.array
+    target_velocities = _guided(cfg, field2.velocities, c_tar)
     traj = DualTrajectory()
 
     def evaluate(phase: str, i: int, x_src_t, x_tar_t, a_src_t, a_tar_t):
         """Source and guided target velocities of one step, recorded."""
         t_i = float(times[i])
         vv_src, av_src = _checked(i, field2.velocities, x_src_t, a_src_t, c_src, t_i)
-        vv_tar, av_tar = _guided(cfg, i, field2.velocities, x_tar_t, a_tar_t, c=c_tar, t=t_i)
+        vv_tar, av_tar = target_velocities(i, x_tar_t, a_tar_t, t=t_i)
         if record:
             traj.steps.append(AvStepRecord(
                 t=t_i, phase=phase, x_src=x_src_t.copy(), x_tar=x_tar_t.copy(),
@@ -369,7 +378,7 @@ def omniedit_av(
             ))
         return vv_src, av_src, vv_tar, av_tar
 
-    if a_src is None:
+    if aud is None:
         # Both audio streams start from the same realization and are
         # denoised down to t_max before the editing loop begins; the video
         # is the same noised source in both streams.
@@ -385,7 +394,6 @@ def omniedit_av(
         if eps_video is None:  # n_max == T: no pre-steps ran
             eps_video = rng.normal_array(src.shape)
     else:
-        aud = a_src.array
         vv0, av0 = _checked(cfg.n_max, field2.velocities, src, aud, c_src, 0.0)
         eps_video = estimate_noise(src, vv0, 0.0)
         a_src_t = a_tar_t = interp(aud, estimate_noise(aud, av0, 0.0), t_max)
@@ -398,7 +406,7 @@ def omniedit_av(
         eps_video = estimate_noise(x_src_t, vv_src, t_i)
         x_src_prev = interp(src, eps_video, t_prev)
         x_tar = step_target(x_tar, x_src_t, x_src_prev, vv_tar, vv_src, t_i, t_prev)
-        if a_src is None:
+        if aud is None:
             a_src_t = euler(a_src_t, av_src, t_i, t_prev)
             a_tar_t = euler(a_tar_t, av_tar, t_i, t_prev)
         else:
@@ -406,12 +414,5 @@ def omniedit_av(
             a_tar_t = step_target(a_tar_t, a_src_t, a_src_prev, av_tar, av_src, t_i, t_prev)
             a_src_t = a_src_prev
 
-    out = DualState(
-        video=TensorState(data=x_tar.ravel(), shape=x_src.shape, modality="video"),
-        audio=TensorState(
-            data=a_tar_t.ravel(),
-            shape=a_src.shape if a_src is not None else (*x_src.shape[:-1], field2.audio_dim),
-            modality="audio",
-        ),
-    )
+    out = DualState(video=x_tar, audio=a_tar_t)
     return (out, traj) if record else out

@@ -18,8 +18,8 @@ from flowlab.rng import CounterRng
 from flowlab.samplers import EditConfig, flowedit
 
 
-def state(values, modality="generic"):
-    return TensorState.from_array(values, modality=modality)
+def state(values):
+    return TensorState.from_array(values)
 
 
 class TestTensorState:
@@ -30,10 +30,6 @@ class TestTensorState:
     def test_entries_must_be_finite(self):
         with pytest.raises(InvalidConfigError):
             TensorState(data=np.array([1.0, np.nan]), shape=(2,))
-
-    def test_modality_checked(self):
-        with pytest.raises(InvalidConfigError):
-            TensorState(data=np.zeros(2), shape=(2,), modality="text")
 
     def test_data_is_read_only(self):
         s = state([1.0, 2.0])
@@ -153,11 +149,11 @@ class TestNoisySource:
         # every noised source a sampler records is interp(source, noise, t)
         src, tar = GaussianSpec.isotropic(0.0, 1.0, dim=2), GaussianSpec.isotropic(2.0, 0.25, dim=2)
         field, c_src, c_tar = pair_field(src, tar)
-        x = TensorState.from_array([0.3, -0.8])
+        x = np.array([0.3, -0.8])
         cfg = EditConfig(T=10, n_max=8, sequence_mode="edit", noise_mode="random", seed=5)
         _, traj = flowedit(field, x, c_src, c_tar, cfg, record=True)
         for step in traj.steps:
-            assert np.array_equal(step.x_src, interp(x.array, step.eps, step.t))
+            assert np.array_equal(step.x_src, interp(x, step.eps, step.t))
 
 
 class TestCfgCombine:

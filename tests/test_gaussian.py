@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flowlab.core import Condition, TensorState, make_schedule
+from flowlab.core import Condition, make_schedule
 from flowlab.errors import (
     InsufficientSamplesError,
     InvalidConfigError,
@@ -12,12 +12,10 @@ from flowlab.gaussian import (
     GaussianConditionalField,
     _velocity_affine,
     GaussianSpec,
-    gaussian_marginal_velocity,
     marginal_velocity,
     mc_conditional_velocity,
     ot_map,
     sample_array,
-    sample_gaussian,
     w2_gaussian,
 )
 from flowlab.metrics import empirical_moments
@@ -70,13 +68,6 @@ class TestMarginalVelocity:
         est = mc_conditional_velocity(spec, np.array([1.0]), 0.3, 200_000, CounterRng(5))
         closed = marginal_velocity(spec, np.array([1.0]), 0.3)
         assert np.all(np.abs(est.value - closed) <= 3.0 * est.stderr)
-
-    def test_tensorstate_wrapper(self):
-        spec = GaussianSpec.isotropic(0.0, 1.0, dim=2)
-        s = TensorState.from_array([[1.0, 2.0], [0.0, 0.0]])
-        out = gaussian_marginal_velocity(spec, s, 1.0)
-        assert out.shape == s.shape
-        assert np.allclose(out.array, s.array)
 
 
 _coords = st.floats(-3.0, 3.0)
@@ -141,6 +132,16 @@ class TestMcConditionalVelocity:
         with pytest.raises(InvalidConfigError):
             mc_conditional_velocity(spec, np.array([0.0]), 0.5, 5_000, CounterRng(0))
 
+    @pytest.mark.parametrize("t", [1.5, -0.25])
+    def test_time_outside_unit_interval_rejected(self, t):
+        # the same check marginal_velocity makes: a time off the path is a
+        # config error, not an estimate
+        spec = GaussianSpec.isotropic(0.0, 1.0)
+        with pytest.raises(InvalidConfigError, match="outside"):
+            mc_conditional_velocity(spec, np.array([0.5]), t, 20_000, CounterRng(1))
+        with pytest.raises(InvalidConfigError, match="outside"):
+            marginal_velocity(spec, np.array([0.5]), t)
+
     def test_insufficient_effective_samples(self):
         spec = GaussianSpec.isotropic(0.0, 1.0)
         with pytest.raises(InsufficientSamplesError):
@@ -157,8 +158,8 @@ class TestSampling:
 
     def test_degenerate_limit(self):
         spec = GaussianSpec(mean=np.array([3.0]), cov=np.array([1e-12]))
-        for s in sample_gaussian(spec, 5, CounterRng(1)):
-            assert abs(s.data[0] - 3.0) < 1e-5
+        for s in sample_array(spec, 5, CounterRng(1)):
+            assert abs(s[0] - 3.0) < 1e-5
 
     def test_deterministic(self):
         spec = GaussianSpec.isotropic(1.0, 2.0, dim=3)
@@ -254,8 +255,8 @@ class TestFineGridTransport:
         field = GaussianConditionalField(condition_dim=1, state_dim=dim)
         c = Condition.one_hot(0, 1)
         field.register(c, spec)
-        noise = TensorState.from_array(CounterRng(9).normal_array((10_000, dim)))
+        noise = CounterRng(9).normal_array((10_000, dim))
         out = generate(field, noise, c, make_schedule(10_000))
-        mean, cov = empirical_moments(out.array)
+        mean, cov = empirical_moments(out)
         assert np.max(np.abs(mean - spec.mean)) < 0.05
         assert np.max(np.abs(cov - spec.cov_matrix())) < 0.05

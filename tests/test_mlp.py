@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from flowlab.core import Condition, TensorState, make_schedule
+from flowlab.core import Condition, make_schedule
 from flowlab.errors import (
     InvalidConfigError,
     ModelFormatError,
@@ -124,7 +124,7 @@ class TestGradCheck:
 
 def _gaussian_pairs(mean, var, n, seed, cond_dim=0):
     data = sample_array(GaussianSpec.isotropic(mean, var), n, CounterRng(seed))
-    return [(TensorState.from_array(row), Condition.null(cond_dim)) for row in data]
+    return [(row, Condition.null(cond_dim)) for row in data]
 
 
 class TestTrain:
@@ -135,9 +135,9 @@ class TestTrain:
             model, pairs, TrainConfig(epochs=250, batch_size=64, learning_rate=3e-3, seed=7)
         )
         assert report.final_loss < report.initial_loss
-        noise = TensorState.from_array(CounterRng(11).normal_array((2000, 1)))
+        noise = CounterRng(11).normal_array((2000, 1))
         out = generate(MlpVelocityField(model), noise, Condition.null(0), make_schedule(100))
-        assert abs(float(out.array.mean()) - 2.0) < 0.15
+        assert abs(float(out.mean()) - 2.0) < 0.15
 
     def test_zero_learning_rate_freezes_the_loss_curve(self):
         pairs = _gaussian_pairs(0.0, 1.0, 64, seed=1)
@@ -157,7 +157,7 @@ class TestTrain:
     def test_frozen_losses(self):
         # frozen values; the per-row times of the training batches move them
         data = CounterRng(4).normal_array((64, 2)) + 1.0
-        pairs = [(TensorState.from_array(row), Condition.null(0)) for row in data]
+        pairs = [(row, Condition.null(0)) for row in data]
         cfg = TrainConfig(epochs=3, batch_size=16, learning_rate=1e-2, seed=5)
         report = train(mlp_init([8, 2], condition_dim=0, seed=2), pairs, cfg)
         np.testing.assert_allclose(

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,10 +32,6 @@ from flowlab.samplers import (
     omniedit_av,
     omniedit_sync,
 )
-
-
-def state(values):
-    return TensorState.from_array(values)
 
 
 def dual_field(video_dim=2, audio_dim=1, tar_var=1.0):
@@ -93,26 +91,31 @@ class _NanField:
 
 class TestGenerate:
     def test_constant_unit_velocity(self):
-        out = generate(_ConstField(), state([3.0]), Condition.null(0), make_schedule(16))
-        assert out.data[0] == pytest.approx(2.0, abs=1e-12)
+        out = generate(_ConstField(), np.array([3.0]), Condition.null(0), make_schedule(16))
+        assert out[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_zero_field_is_stationary(self):
-        out = generate(_ConstField(value=0.0), state([1.25]), Condition.null(0), make_schedule(8))
-        assert out.data[0] == 1.25
+        out = generate(_ConstField(value=0.0), np.array([1.25]), Condition.null(0), make_schedule(8))
+        assert out[0] == 1.25
 
     def test_nan_velocity_names_step(self):
         with pytest.raises(NumericalError) as err:
-            generate(_NanField(), state([0.0]), Condition.null(0), make_schedule(4))
+            generate(_NanField(), np.array([0.0]), Condition.null(0), make_schedule(4))
         assert "step 4" in str(err.value)
+
+    @pytest.mark.parametrize("x1", [np.float64(3.0), np.zeros((4, 2))], ids=["scalar", "wrong-dim"])
+    def test_state_must_end_in_field_dim(self, x1):
+        with pytest.raises(ShapeMismatchError):
+            generate(_ConstField(), x1, Condition.null(0), make_schedule(4))
 
     def test_trajectory_recorded_on_request(self):
         out, traj = generate(
-            _ConstField(), state([3.0]), Condition.null(0), make_schedule(5), record=True
+            _ConstField(), np.array([3.0]), Condition.null(0), make_schedule(5), record=True
         )
         assert len(traj.steps) == 5
         times = traj.times()
         assert np.all(np.diff(times) < 0)  # strictly decreasing traversal
-        assert out.data[0] == pytest.approx(2.0, abs=1e-12)
+        assert out[0] == pytest.approx(2.0, abs=1e-12)
 
 
 class TestEstimateNoise:
@@ -183,42 +186,43 @@ class TestFlowEdit:
     def test_identity_edit_is_exact(self, shift_pair_1d):
         field, _, _, c_src, _ = shift_pair_1d
         for seed in range(5):
-            x = state(sample_array(GaussianSpec.isotropic(0.0, 1.0), 1, CounterRng(seed))[0])
+            x = sample_array(GaussianSpec.isotropic(0.0, 1.0), 1, CounterRng(seed))[0]
             cfg = EditConfig(T=20, n_max=14, sequence_mode="edit", noise_mode="random", seed=seed)
             out = flowedit(field, x, c_src, c_src, cfg)
-            assert np.max(np.abs(out.data - x.data)) < 1e-12
+            assert np.max(np.abs(out - x)) < 1e-12
 
     def test_sequence_mode_precondition(self, shift_pair_1d):
         field, _, _, c_src, c_tar = shift_pair_1d
         with pytest.raises(InvalidConfigError):
-            flowedit(field, state([0.0]), c_src, c_tar, EditConfig(sequence_mode="target"))
+            flowedit(field, np.array([0.0]), c_src, c_tar, EditConfig(sequence_mode="target"))
 
     def test_truncation_bias_matches_dense_oracle(self, shift_pair_1d):
         field, src, tar, c_src, c_tar = shift_pair_1d
-        oracle = truncation_bias(src, tar, state([0.0]), 0.7, state([0.0]), grid_steps=20_000)
+        zero = TensorState.from_array([0.0])
+        oracle = truncation_bias(src, tar, zero, 0.7, zero, grid_steps=20_000).data
         residuals = []
         for seed in range(30):
-            x = state(sample_array(src, 1, CounterRng(derive_seed(seed, 1)))[0])
+            x = sample_array(src, 1, CounterRng(derive_seed(seed, 1)))[0]
             cfg = EditConfig(T=20, n_max=14, sequence_mode="edit", noise_mode="random", seed=seed)
             out = flowedit(field, x, c_src, c_tar, cfg)
-            residuals.append(float(out.data[0] - x.data[0] - 2.0))
+            residuals.append(float(out[0] - x[0] - 2.0))
         measured = np.mean(residuals)
-        assert abs(measured - oracle.data[0]) / abs(oracle.data[0]) < 0.10
+        assert abs(measured - oracle[0]) / abs(oracle[0]) < 0.10
 
     def test_full_horizon_removes_initialization_mismatch(self, shift_pair_1d):
         field, src, _, c_src, c_tar = shift_pair_1d
         outs = []
         for seed in range(1000):
-            x = state(sample_array(src, 1, CounterRng(derive_seed(seed, 1)))[0])
+            x = sample_array(src, 1, CounterRng(derive_seed(seed, 1)))[0]
             cfg = EditConfig(T=20, n_max=20, sequence_mode="edit", noise_mode="random", seed=seed)
-            outs.append(float(flowedit(field, x, c_src, c_tar, cfg).data[0]))
+            outs.append(float(flowedit(field, x, c_src, c_tar, cfg)[0]))
         assert abs(np.mean(outs) - 2.0) < 0.1
 
     def test_estimated_noise_draws_once(self, shift_pair_1d):
         field, _, _, c_src, c_tar = shift_pair_1d
         cfg = EditConfig(T=20, n_max=14, sequence_mode="edit", noise_mode="estimated", seed=0)
         rng = CounterRng(0)
-        flowedit(field, state([0.1]), c_src, c_tar, cfg, rng=rng)
+        flowedit(field, np.array([0.1]), c_src, c_tar, cfg, rng=rng)
         assert rng.normal_draws == 1
 
 
@@ -226,24 +230,24 @@ class TestOmniEditSync:
     def test_identity_edit_is_exact(self, shift_pair_1d):
         field, _, _, c_src, _ = shift_pair_1d
         for seed in range(5):
-            x = state(sample_array(GaussianSpec.isotropic(0.0, 1.0), 1, CounterRng(seed))[0])
+            x = sample_array(GaussianSpec.isotropic(0.0, 1.0), 1, CounterRng(seed))[0]
             cfg = EditConfig(T=20, n_max=14, sequence_mode="target", noise_mode="estimated", seed=seed)
             out = omniedit_sync(field, x, c_src, c_src, cfg)
-            assert np.max(np.abs(out.data - x.data)) < 1e-12
+            assert np.max(np.abs(out - x)) < 1e-12
 
     def test_missing_target_condition(self, shift_pair_1d):
         field, _, _, c_src, _ = shift_pair_1d
         with pytest.raises(InvalidConfigError):
-            omniedit_sync(field, state([0.0]), c_src, None, EditConfig())
+            omniedit_sync(field, np.array([0.0]), c_src, None, EditConfig())
 
     def test_sequence_mode_precondition(self, shift_pair_1d):
         field, _, _, c_src, c_tar = shift_pair_1d
         with pytest.raises(InvalidConfigError):
-            omniedit_sync(field, state([0.0]), c_src, c_tar, EditConfig(sequence_mode="edit"))
+            omniedit_sync(field, np.array([0.0]), c_src, c_tar, EditConfig(sequence_mode="edit"))
 
     def test_rng_draw_accounting(self, shift_pair_1d):
         field, _, _, c_src, c_tar = shift_pair_1d
-        x = state([0.3])
+        x = np.array([0.3])
         est = EditConfig(T=20, n_max=14, sequence_mode="target", noise_mode="estimated")
         rng = CounterRng(1)
         omniedit_sync(field, x, c_src, c_tar, est, rng=rng)
@@ -260,25 +264,25 @@ class TestOmniEditSync:
         field, src, _, c_src, c_tar = shift_pair_1d
         residuals = []
         for seed in range(300):
-            x = state(sample_array(src, 1, CounterRng(derive_seed(seed, 1)))[0])
+            x = sample_array(src, 1, CounterRng(derive_seed(seed, 1)))[0]
             cfg = EditConfig(T=20, n_max=20, sequence_mode="target", noise_mode="estimated", seed=seed)
             out = omniedit_sync(field, x, c_src, c_tar, cfg)
-            residuals.append(float(out.data[0] - x.data[0] - 2.0))
+            residuals.append(float(out[0] - x[0] - 2.0))
         assert abs(np.mean(residuals)) < 1e-9  # exact for the equal-covariance pair
 
     def test_bit_identical_under_same_config(self, shift_pair_1d):
         field, _, _, c_src, c_tar = shift_pair_1d
-        x = state([0.4])
+        x = np.array([0.4])
         cfg = EditConfig(T=20, n_max=14, sequence_mode="target", noise_mode="estimated", seed=5)
         a = omniedit_sync(field, x, None, c_tar, cfg)
         b = omniedit_sync(field, x, None, c_tar, cfg)
-        assert np.array_equal(a.data, b.data)
+        assert np.array_equal(a, b)
 
     def test_prompt_condition_is_appended(self, counting_field):
         field = counting_field(state_dim=1, condition_dim=3)
         cfg = EditConfig(T=4, n_max=2, sequence_mode="target", noise_mode="estimated", seed=0)
         omniedit_sync(
-            field, state([0.0]), Condition.one_hot(0, 2), Condition.one_hot(1, 2), cfg,
+            field, np.array([0.0]), Condition.one_hot(0, 2), Condition.one_hot(1, 2), cfg,
             c_prompt=Condition.one_hot(0, 1),
         )
         assert all(len(vec) == 3 for _, vec, _ in field.calls)
@@ -287,26 +291,26 @@ class TestOmniEditSync:
         # the edit iterate reconstructed as x_tar - x_src_t + x_src obeys the
         # velocity-difference-only update between consecutive records
         field, src, _, c_src, c_tar = shift_pair_1d
-        x = state(sample_array(src, 1, CounterRng(3))[0])
+        x = sample_array(src, 1, CounterRng(3))[0]
         cfg = EditConfig(T=20, n_max=14, sequence_mode="target", noise_mode="estimated", seed=8)
         out, traj = omniedit_sync(field, x, c_src, c_tar, cfg, record=True)
         times = traj.times()
         for k in range(len(traj.steps) - 1):
             s_k, s_next = traj.steps[k], traj.steps[k + 1]
-            edit_k = s_k.x_main - s_k.x_src + x.data
-            edit_next = s_next.x_main - s_next.x_src + x.data
+            edit_k = s_k.x_main - s_k.x_src + x
+            edit_next = s_next.x_main - s_next.x_src + x
             expected = edit_k + (times[k + 1] - times[k]) * (s_k.v_tar - s_k.v_src)
             assert np.max(np.abs(edit_next - expected)) < 1e-12
 
     def test_cfg_scale_one_never_evaluates_null(self, counting_field):
         field = counting_field(state_dim=1, condition_dim=2)
         cfg = EditConfig(T=4, n_max=3, sequence_mode="target", noise_mode="estimated", cfg_scale=1.0)
-        omniedit_sync(field, state([0.0]), Condition.one_hot(0, 2), Condition.one_hot(1, 2), cfg)
+        omniedit_sync(field, np.array([0.0]), Condition.one_hot(0, 2), Condition.one_hot(1, 2), cfg)
         assert not any(is_null for is_null, _, _ in field.calls)
 
     def test_cfg_scale_zero_uses_unconditional_target(self, shift_pair_1d):
         field, _, _, c_src, c_tar = shift_pair_1d
-        x = state([0.2])
+        x = np.array([0.2])
         guided = EditConfig(T=8, n_max=6, sequence_mode="target", noise_mode="estimated",
                             cfg_scale=0.0, seed=2)
         plain = EditConfig(T=8, n_max=6, sequence_mode="target", noise_mode="estimated", seed=2)
@@ -314,25 +318,24 @@ class TestOmniEditSync:
         # which the fixture maps to the source spec: the edit becomes identity
         out_guided = omniedit_sync(field, x, c_src, c_tar, guided)
         out_plain = omniedit_sync(field, x, c_src, c_tar, plain)
-        assert np.max(np.abs(out_guided.data - x.data)) < 1e-12
-        assert abs(out_plain.data[0] - x.data[0]) > 0.5
+        assert np.max(np.abs(out_guided - x)) < 1e-12
+        assert abs(out_plain[0] - x[0]) > 0.5
 
 
 class TestOmniEditAv:
     def test_identity_with_source_audio(self):
         field2, c0, _ = dual_field()
-        xv = state([0.2, -0.4])
-        xv = TensorState.from_array(xv.data, modality="video")
-        xa = TensorState.from_array([0.9], modality="audio")
+        xv = np.array([0.2, -0.4])
+        xa = np.array([0.9])
         cfg = EditConfig(T=40, n_max=28, sequence_mode="target", noise_mode="estimated", seed=4)
         out = omniedit_av(field2, xv, xa, c0, c0, cfg)
         assert isinstance(out, DualState)
-        assert np.max(np.abs(out.video.data - xv.data)) < 1e-12
-        assert np.max(np.abs(out.audio.data - xa.data)) < 1e-12
+        assert np.max(np.abs(out.video - xv)) < 1e-12
+        assert np.max(np.abs(out.audio - xa)) < 1e-12
 
     def test_missing_audio_streams_match_exactly(self):
         field2, c0, _ = dual_field()
-        xv = TensorState.from_array([0.5, 0.1], modality="video")
+        xv = np.array([0.5, 0.1])
         cfg = EditConfig(T=40, n_max=28, sequence_mode="target", noise_mode="estimated", seed=6)
         out, traj = omniedit_av(field2, xv, None, c0, c0, cfg, record=True)
         pre = [s for s in traj.steps if s.phase == "pre"]
@@ -340,68 +343,70 @@ class TestOmniEditAv:
         assert len(pre) == 12 and len(main) == 28
         a_src, a_tar = traj.audio_streams()
         assert np.array_equal(a_src, a_tar)
-        assert np.max(np.abs(out.video.data - xv.data)) < 1e-12
-        assert np.array_equal(out.audio.data, out.audio.data)
+        assert np.max(np.abs(out.video - xv)) < 1e-12
+        assert out.audio.shape == (1,) and np.all(np.isfinite(out.audio))
 
     def test_missing_audio_draw_accounting(self):
         field2, c0, c1 = dual_field()
-        xv = TensorState.from_array([0.5, 0.1], modality="video")
+        xv = np.array([0.5, 0.1])
         cfg = EditConfig(T=40, n_max=28, sequence_mode="target", noise_mode="estimated")
         rng = CounterRng(2)
         omniedit_av(field2, xv, None, c0, c1, cfg, rng=rng)
         # one audio draw + fresh 2-dim video noise for each of the 12 pre-steps
         assert rng.normal_draws == 1 + 2 * 12
         rng = CounterRng(2)
-        xa = TensorState.from_array([0.3], modality="audio")
+        xa = np.array([0.3])
         omniedit_av(field2, xv, xa, c0, c1, cfg, rng=rng)
         assert rng.normal_draws == 0
 
     def test_full_horizon_missing_audio_still_draws_video_noise(self):
         field2, c0, c1 = dual_field()
-        xv = TensorState.from_array([0.5, 0.1], modality="video")
+        xv = np.array([0.5, 0.1])
         cfg = EditConfig(T=20, n_max=20, sequence_mode="target", noise_mode="estimated")
         rng = CounterRng(2)
         out = omniedit_av(field2, xv, None, c0, c1, cfg, rng=rng)
         assert rng.normal_draws == 1 + 2
-        assert np.all(np.isfinite(out.video.data))
+        assert np.all(np.isfinite(out.video))
 
     def test_prompts_required(self):
         field2, c0, _ = dual_field()
-        xv = TensorState.from_array([0.0, 0.0], modality="video")
+        xv = np.array([0.0, 0.0])
         with pytest.raises(InvalidConfigError):
             omniedit_av(field2, xv, None, None, c0, EditConfig())
 
     def test_random_noise_mode_rejected(self):
         field2, c0, c1 = dual_field()
-        xv = TensorState.from_array([0.0, 0.0], modality="video")
+        xv = np.array([0.0, 0.0])
         with pytest.raises(InvalidConfigError):
             omniedit_av(field2, xv, None, c0, c1,
                         EditConfig(sequence_mode="target", noise_mode="random"))
 
     def test_modality_shape_mismatch(self):
         field2, c0, c1 = dual_field()
-        xv = TensorState.from_array([0.0, 0.0, 0.0], modality="video")
+        xv = np.array([0.0, 0.0, 0.0])
         with pytest.raises(ShapeMismatchError):
             omniedit_av(field2, xv, None, c0, c1, EditConfig())
+        with pytest.raises(ShapeMismatchError):
+            omniedit_av(field2, np.zeros(2), np.float64(0.5), c0, c1, EditConfig())
 
     def test_deterministic(self):
         field2, c0, c1 = dual_field()
-        xv = TensorState.from_array([0.5, 0.1], modality="video")
+        xv = np.array([0.5, 0.1])
         cfg = EditConfig(T=40, n_max=28, sequence_mode="target", noise_mode="estimated", seed=13)
         a = omniedit_av(field2, xv, None, c0, c1, cfg)
         b = omniedit_av(field2, xv, None, c0, c1, cfg)
-        assert np.array_equal(a.video.data, b.video.data)
-        assert np.array_equal(a.audio.data, b.audio.data)
+        assert np.array_equal(a.video, b.video)
+        assert np.array_equal(a.audio, b.audio)
 
     def test_class_swap_moves_both_modalities(self):
         field2, c0, c1 = dual_field()
-        xv = TensorState.from_array([0.2, -0.4], modality="video")
-        xa = TensorState.from_array([-0.9], modality="audio")
+        xv = np.array([0.2, -0.4])
+        xa = np.array([-0.9])
         cfg = EditConfig(T=40, n_max=40, sequence_mode="target", noise_mode="estimated", seed=1)
         out = omniedit_av(field2, xv, xa, c0, c1, cfg)
         # full horizon on equal-covariance pairs is the exact mean shift
-        assert np.allclose(out.video.data - xv.data, [2.0, 2.0], atol=1e-9)
-        assert np.allclose(out.audio.data - xa.data, [2.0], atol=1e-9)
+        assert np.allclose(out.video - xv, [2.0, 2.0], atol=1e-9)
+        assert np.allclose(out.audio - xa, [2.0], atol=1e-9)
 
 
 # Frozen editor outputs. The pairs change the variance, so the velocity
@@ -421,21 +426,21 @@ _FROZEN = {
 def _frozen_case(name):
     if name.startswith("av"):
         field2, c0, c1 = dual_field(tar_var=0.25)
-        xv = TensorState.from_array([0.2, -0.4], modality="video")
-        xa = TensorState.from_array([-0.9], modality="audio") if name == "av-audio" else None
+        xv = np.array([0.2, -0.4])
+        xa = np.array([-0.9]) if name == "av-audio" else None
         out = omniedit_av(field2, xv, xa, c0, c1, EditConfig(T=40, n_max=28, cfg_scale=1.5, seed=1))
-        return np.concatenate([out.video.data, out.audio.data])
+        return np.concatenate([out.video, out.audio])
     src, tar = GaussianSpec.isotropic(0.0, 1.0, dim=2), GaussianSpec.isotropic(2.0, 0.25, dim=2)
     field, c_src, c_tar = pair_field(src, tar)
-    x = state([0.3, -0.8])
+    x = np.array([0.3, -0.8])
     if name == "sync-no-source":
-        return omniedit_sync(field, x, None, c_tar, EditConfig(T=20, n_max=14, seed=3)).data
+        return omniedit_sync(field, x, None, c_tar, EditConfig(T=20, n_max=14, seed=3))
     editor, noise = name.split("-")
     if editor == "sync":
         cfg = EditConfig(T=20, n_max=14, noise_mode=noise, cfg_scale=1.5, seed=3)
-        return omniedit_sync(field, x, c_src, c_tar, cfg).data
+        return omniedit_sync(field, x, c_src, c_tar, cfg)
     cfg = EditConfig(T=20, n_max=14, sequence_mode="edit", noise_mode=noise, cfg_scale=1.5, seed=3)
-    return flowedit(field, x, c_src, c_tar, cfg).data
+    return flowedit(field, x, c_src, c_tar, cfg)
 
 
 @pytest.mark.parametrize("name", sorted(_FROZEN))
@@ -465,16 +470,16 @@ class _NanAt:
 
 def _run_flowedit(field, c):
     cfg = EditConfig(T=10, n_max=8, sequence_mode="edit", noise_mode="estimated")
-    flowedit(field, state([0.0]), c, c, cfg)
+    flowedit(field, np.array([0.0]), c, c, cfg)
 
 
 def _run_sync(field, c):
-    omniedit_sync(field, state([0.0]), c, c, EditConfig(T=10, n_max=8))
+    omniedit_sync(field, np.array([0.0]), c, c, EditConfig(T=10, n_max=8))
 
 
 def _run_av(field, c):
-    video = TensorState.from_array([0.0], modality="video")
-    audio = TensorState.from_array([0.0], modality="audio")
+    video = np.array([0.0])
+    audio = np.array([0.0])
     omniedit_av(field, video, audio, c, c, EditConfig(T=10, n_max=8))
 
 
@@ -525,5 +530,67 @@ class TestIdentityEditProperty:
         cfg = EditConfig(T=T, n_max=n_max, sequence_mode="target" if seq == "sync" else "edit",
                          noise_mode=noise, cfg_scale=scale, seed=seed)
         run = omniedit_sync if seq == "sync" else flowedit
-        out = run(field, TensorState.from_array(x), c_src, c_src, cfg)
-        assert np.max(np.abs(out.data - x)) <= 1e-12 * max(1.0, np.max(np.abs(x)))
+        out = run(field, x, c_src, c_src, cfg)
+        assert np.max(np.abs(out - x)) <= 1e-12 * max(1.0, np.max(np.abs(x)))
+
+
+class TestGuidanceNullCondition:
+    @pytest.mark.parametrize("scale, built", [(1.5, 1), (1.0, 0)])
+    def test_null_condition_built_once_per_call(self, monkeypatch, scale, built):
+        # 14 guided steps share one null condition; unguided edits build none
+        calls = []
+        null = Condition.null.__func__
+
+        def counting(cls, dim):
+            calls.append(dim)
+            return null(cls, dim)
+
+        src, tar = GaussianSpec.isotropic(0.0, 1.0, dim=2), GaussianSpec.isotropic(2.0, 0.25, dim=2)
+        field, c_src, c_tar = pair_field(src, tar)
+        monkeypatch.setattr(Condition, "null", classmethod(counting))
+        cfg = EditConfig(T=20, n_max=14, cfg_scale=scale, seed=3)
+        omniedit_sync(field, np.array([0.3, -0.8]), c_src, c_tar, cfg)
+        assert calls == [2] * built
+
+
+def _run_editor(name, video, audio):
+    src, tar = GaussianSpec.isotropic(0.0, 1.0, dim=2), GaussianSpec.isotropic(2.0, 0.25, dim=2)
+    field, c_src, c_tar = pair_field(src, tar)
+    if name == "generate":
+        return [generate(field, video, c_src, make_schedule(6))]
+    if name == "flowedit":
+        cfg = EditConfig(T=6, n_max=4, sequence_mode="edit", cfg_scale=1.5)
+        return [flowedit(field, video, c_src, c_tar, cfg)]
+    if name == "omniedit_sync":
+        return [omniedit_sync(field, video, c_src, c_tar, EditConfig(T=6, n_max=4, cfg_scale=1.5))]
+    field2, c0, c1 = dual_field(tar_var=0.25)
+    out = omniedit_av(field2, video, audio if name == "omniedit_av" else None, c0, c1,
+                      EditConfig(T=6, n_max=4, cfg_scale=1.5))
+    return [out.video, out.audio]
+
+
+@pytest.mark.parametrize("name", ["generate", "flowedit", "omniedit_sync", "omniedit_av",
+                                  "omniedit_av-no-audio"])
+def test_editors_leave_their_inputs_alone(name):
+    # the editors never write into the caller's arrays, and what they return
+    # shares no memory with them
+    video = CounterRng(31).normal_array((3, 2))
+    audio = CounterRng(32).normal_array((3, 1))
+    keep = video.copy(), audio.copy()
+    outputs = _run_editor(name, video, audio)
+    assert np.array_equal(video, keep[0]) and np.array_equal(audio, keep[1])
+    for out in outputs:
+        assert out.shape[:-1] == (3,)
+        out += 100.0
+    assert np.array_equal(video, keep[0]) and np.array_equal(audio, keep[1])
+
+
+def test_dual_state_is_a_frozen_pair_of_arrays():
+    field2, c0, c1 = dual_field()
+    video, audio = np.array([0.2, -0.4]), np.array([0.9])
+    out = omniedit_av(field2, video, audio, c0, c1, EditConfig(T=6, n_max=4))
+    assert isinstance(out.video, np.ndarray) and isinstance(out.audio, np.ndarray)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        out.video = video
+    out.video[0] = out.audio[0] = 7.0
+    assert video.tolist() == [0.2, -0.4] and audio.tolist() == [0.9]
