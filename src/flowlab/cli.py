@@ -270,7 +270,12 @@ def _cmd_generate(options: dict, config: ExperimentConfig) -> int:
 
 def _cmd_train(options: dict, config: ExperimentConfig) -> int:
     params = default_av_params()
-    widths = tuple(int(w) for w in str(options["widths"]).split(","))
+    try:
+        widths = tuple(int(w) for w in str(options["widths"]).split(","))
+    except ValueError:
+        raise InvalidConfigError(
+            f"widths = {options['widths']!r}; expected comma-separated integers"
+        ) from None
     field2, report, dataset = train_av_model(
         params, n_samples=options["n"], widths=widths, epochs=options["epochs"],
         batch_size=options["batch"], learning_rate=options["lr"], seed=options["seed"],

@@ -41,6 +41,8 @@ class GaussianSpec:
         cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise InvalidConfigError("mean and covariance must be finite")
         d = mean.size
         if cov.ndim == 1:
             if cov.size != d:

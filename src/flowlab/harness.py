@@ -141,7 +141,6 @@ def pair_field(
 class EditRun:
     seed: int
     output: np.ndarray
-    x_src: np.ndarray
     structure: float
     residual: np.ndarray
     smoothness_source: float
@@ -179,7 +178,6 @@ def run_edit_sweep(
             EditRun(
                 seed=seed,
                 output=out,
-                x_src=x_src,
                 structure=structure_distance(x_src, out),
                 residual=out - ideal,
                 smoothness_source=smoothness(traj, "source") if len(traj.steps) >= 3 else 0.0,
@@ -455,8 +453,6 @@ class AvEditRun:
     seed: int
     video_out: np.ndarray
     audio_out: np.ndarray
-    video_src: np.ndarray
-    audio_src: np.ndarray
     target_sigmas: float
 
 
@@ -468,37 +464,40 @@ def run_avedit_sweep(
     src_class: int = 0,
     tar_class: int = 1,
 ) -> list[AvEditRun]:
-    """Class-swap edits on synthesized sources.
+    """Class-swap edits on synthesized sources, every seed in one editor call.
 
+    Row r takes its video and audio source from the keyed stream
+    ``derive_seed(seeds[r], 1)`` and its sampler noise from
+    ``derive_seed(seeds[r], 2)``, so it is the edit a one-seed sweep gives.
     ``target_sigmas`` is the video output's distance to the target-class
     mean in units of the within-class standard deviation."""
-    runs = []
-    tar_mean = params.video_means[tar_class]
-    for seed in seeds:
-        data_rng = CounterRng(derive_seed(seed, 1))
-        v = params.video_means[src_class] + params.video_scale * data_rng.normal_array(
-            params.video_dim
-        )
-        a = (
-            params.coupling @ v
-            + params.audio_offsets[src_class]
-            + params.noise_scale * data_rng.normal_array(params.audio_dim)
-        )
-        cfg = replace(edit_cfg, seed=derive_seed(seed, 2))
-        out = omniedit_av(
-            field2, v, a,
-            Condition.one_hot(src_class, params.num_classes),
-            Condition.one_hot(tar_class, params.num_classes),
-            cfg,
-        )
-        dist = float(np.linalg.norm(out.video - tar_mean)) / params.video_scale
-        runs.append(
-            AvEditRun(
-                seed=seed, video_out=out.video, audio_out=out.audio,
-                video_src=v, audio_src=a, target_sigmas=dist,
-            )
-        )
-    return runs
+    for name, k in (("src_class", src_class), ("tar_class", tar_class)):
+        if not 0 <= k < params.num_classes:
+            raise InvalidConfigError(f"{name}={k} outside 0..{params.num_classes - 1}")
+    n = len(seeds)
+    data_rng = CounterRng([derive_seed(seed, 1) for seed in seeds])
+    v = params.video_means[src_class] + params.video_scale * data_rng.normal_array(
+        (n, params.video_dim)
+    )
+    # The stacked product multiplies row by row, as a one-seed sweep does.
+    a = (
+        (params.coupling @ v[..., None])[..., 0]
+        + params.audio_offsets[src_class]
+        + params.noise_scale * data_rng.normal_array((n, params.audio_dim))
+    )
+    out = omniedit_av(
+        field2, v, a,
+        Condition.one_hot(src_class, params.num_classes),
+        Condition.one_hot(tar_class, params.num_classes),
+        edit_cfg,
+        rng=CounterRng([derive_seed(seed, 2) for seed in seeds]),
+    )
+    dist = np.linalg.norm(out.video - params.video_means[tar_class], axis=-1) / params.video_scale
+    return [
+        AvEditRun(seed=seed, video_out=out.video[r], audio_out=out.audio[r],
+                  target_sigmas=float(dist[r]))
+        for r, seed in enumerate(seeds)
+    ]
 
 
 def write_avedit_csv(runs: list[AvEditRun], cfg: EditConfig, out_dir) -> str:

@@ -12,11 +12,21 @@ generator so that runs reproduce bit-for-bit across platforms:
 The sine branch is discarded so that the j-th normal is a pure function of
 (seed, j) regardless of how draws are batched. Any change to these formulas
 must bump RNG_ALGORITHM.
+
+Keyed streams: a generator built on a 1-D sequence of k seeds runs k such
+streams side by side, one per seed, with a counter per stream (the
+counter-based design of Salmon et al., "Parallel random numbers: as easy
+as 1, 2, 3", SC 2011). Every draw then has a leading axis of length k, and
+row r is bit for bit what a generator on ``seeds[r]`` alone would give for
+the same sequence of calls. This lets a whole seed sweep run as one batched
+sampler call.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import ShapeMismatchError
 
 RNG_ALGORITHM = "splitmix64-boxmuller/1"
 
@@ -46,11 +56,20 @@ def derive_seed(seed: int, tag: int) -> int:
 
 
 class CounterRng:
-    """Seeded counter-based generator; see module docstring for the stream."""
+    """Seeded counter-based generator; see module docstring for the stream.
 
-    def __init__(self, seed: int):
-        self.seed = int(seed) & _U64
-        self._key = np.uint64(self.seed)
+    ``seed`` is one integer, or a 1-D sequence of them for keyed streams.
+    ``words_consumed`` and ``normal_draws`` count per stream."""
+
+    def __init__(self, seed):
+        if np.ndim(seed) == 0:
+            self.seed = int(seed) & _U64
+            self._key = np.uint64(self.seed)
+        elif np.ndim(seed) == 1:
+            self.seed = tuple(int(s) & _U64 for s in seed)
+            self._key = np.array(self.seed, dtype=np.uint64)[:, None]
+        else:
+            raise ShapeMismatchError(f"seed must be an integer or 1-D, not {np.ndim(seed)}-D")
         self._index = 0
         self.normal_draws = 0
 
@@ -65,18 +84,26 @@ class CounterRng:
         return self._index
 
     def uniform(self, n: int | None = None):
-        """Uniform draws in (0, 1]; scalar if n is None, else shape (n,)."""
+        """Uniform draws in (0, 1]; scalar if n is None, else shape (n,),
+        keyed (k, n)."""
         u = ((self._words(1 if n is None else n) >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
         return float(u[0]) if n is None else u
 
     def standard_normal(self, n: int) -> np.ndarray:
-        """n standard normal draws (two words each, Box-Muller cosine branch)."""
+        """n standard normal draws (two words each, Box-Muller cosine branch);
+        keyed: shape (k, n)."""
         w = self._words(2 * n)
         u = ((w >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
         self.normal_draws += n
-        return np.sqrt(-2.0 * np.log(u[0::2])) * np.cos(2.0 * np.pi * u[1::2])
+        return np.sqrt(-2.0 * np.log(u[..., 0::2])) * np.cos(2.0 * np.pi * u[..., 1::2])
 
     def normal_array(self, shape: tuple[int, ...] | int) -> np.ndarray:
-        """Standard normals reshaped to ``shape`` (row-major draw order)."""
+        """Standard normals reshaped to ``shape`` (row-major draw order).
+
+        Keyed, the leading axis of ``shape`` must be k: each stream fills
+        its own row with ``shape[1:]``."""
         shape = (shape,) if isinstance(shape, int) else tuple(shape)
-        return self.standard_normal(int(np.prod(shape, dtype=int))).reshape(shape)
+        streams = self._key.shape[:1]  # () for one stream, (k,) keyed
+        if shape[: len(streams)] != streams:
+            raise ShapeMismatchError(f"shape {shape} does not lead with the {streams[0]} streams")
+        return self.standard_normal(int(np.prod(shape[len(streams) :], dtype=int))).reshape(shape)

@@ -77,8 +77,8 @@ class EditConfig:
             raise InvalidConfigError(f"unknown sequence_mode {self.sequence_mode!r}")
         if self.noise_mode not in NOISE_MODES:
             raise InvalidConfigError(f"unknown noise_mode {self.noise_mode!r}")
-        if self.cfg_scale < 0.0:
-            raise InvalidConfigError(f"cfg_scale must be >= 0, got {self.cfg_scale}")
+        if not 0.0 <= self.cfg_scale < np.inf:
+            raise InvalidConfigError(f"cfg_scale must be finite and >= 0, got {self.cfg_scale}")
 
     @classmethod
     def from_skip(cls, T: int, skip: int, **kw) -> "EditConfig":

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from flowlab.cli import cli_main
+from flowlab.mlp import mlp_init, save_model
 
 
 def run_cli(*args):
@@ -52,6 +53,32 @@ class TestArgumentHandling:
     def test_ablation_runs_all_cells_without_mode_flags(self, flag, value, capsys):
         assert run_cli("ablation", flag, value) == 2
         assert "usage" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("widths", ["a,b", ""], ids=["letters", "empty"])
+    def test_train_bad_widths_exit_2(self, tmp_path, widths, capsys):
+        assert run_cli("train", "--widths", widths, "--out-dir", str(tmp_path)) == 2
+        assert "widths" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", ["spec=nan,1", "spec=inf,1", "spec=0,nan", "spec=0,inf"])
+    def test_non_finite_spec_exits_2(self, tmp_path, spec, capsys):
+        assert run_cli("generate", "--analytic", spec, "--n", "10", "--out-dir", str(tmp_path)) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale", ["nan", "inf"])
+    def test_non_finite_cfg_scale_exits_2(self, tmp_path, scale, capsys):
+        code = run_cli("edit", "--cfg-scale", scale, "--seeds", "2", "--out-dir", str(tmp_path))
+        assert code == 2
+        assert "cfg_scale" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--src-class", "5"), ("--tar-class", "-1")])
+    def test_avedit_class_out_of_range_exits_2(self, tmp_path, flag, value, capsys):
+        model = tmp_path / "model.bin"
+        save_model(mlp_init([8, 3], condition_dim=2, seed=0), model)
+        code = run_cli("avedit", "--model", str(model), "--T", "4", "--skip", "2", "--seeds", "2",
+                       flag, value, "--out-dir", str(tmp_path / "o"))
+        assert code == 2
+        assert "class" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_ablation_mode_key_is_unknown(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from flowlab.errors import InvalidConfigError
-from flowlab.gaussian import GaussianSpec
+from flowlab.core import Condition
+from flowlab.gaussian import AnalyticDualField, GaussianConditionalField, GaussianSpec
 from flowlab.harness import (
     ABLATION_CELLS,
     ExperimentConfig,
@@ -25,7 +26,8 @@ from flowlab.harness import (
     write_per_seed_csv,
 )
 from flowlab.metrics import MetricReport
-from flowlab.samplers import EditConfig
+from flowlab.rng import CounterRng, derive_seed
+from flowlab.samplers import EditConfig, omniedit_av
 
 SRC = GaussianSpec.isotropic(0.0, 1.0, dim=2)
 TAR = GaussianSpec.isotropic(2.0, 1.0, dim=2)
@@ -219,6 +221,60 @@ class TestAvHarness:
         )
         assert len(runs) == 2
         assert all(np.all(np.isfinite(r.video_out)) for r in runs)
+
+
+def _analytic_av_field(params):
+    """Per-class diagonal Gaussians at the synthetic classes' means."""
+    video = GaussianConditionalField(condition_dim=params.num_classes, state_dim=params.video_dim)
+    audio = GaussianConditionalField(condition_dim=params.num_classes, state_dim=params.audio_dim)
+    for k in range(params.num_classes):
+        c = Condition.one_hot(k, params.num_classes)
+        video.register(c, GaussianSpec.isotropic(params.video_means[k], params.video_scale**2))
+        audio_mean = params.coupling @ params.video_means[k] + params.audio_offsets[k]
+        audio.register(c, GaussianSpec.isotropic(audio_mean, 0.5))
+    return AnalyticDualField(video, audio)
+
+
+def _looped_avedit(field2, params, seeds, cfg, src_class, tar_class):
+    """The per-seed loop the batched sweep replaced, on scalar generators."""
+    c_src = Condition.one_hot(src_class, params.num_classes)
+    c_tar = Condition.one_hot(tar_class, params.num_classes)
+    rows = []
+    for seed in seeds:
+        data_rng = CounterRng(derive_seed(seed, 1))
+        v = params.video_means[src_class] + params.video_scale * data_rng.normal_array(
+            params.video_dim
+        )
+        a = (params.coupling @ v + params.audio_offsets[src_class]
+             + params.noise_scale * data_rng.normal_array(params.audio_dim))
+        out = omniedit_av(field2, v, a, c_src, c_tar, cfg, rng=CounterRng(derive_seed(seed, 2)))
+        dist = float(np.linalg.norm(out.video - params.video_means[tar_class])) / params.video_scale
+        rows.append((out.video, out.audio, dist))
+    return rows
+
+
+class TestAvEditSweep:
+    @pytest.mark.parametrize("src_class, tar_class", [(0, 1), (1, 0), (1, 1)])
+    def test_rows_equal_the_per_seed_loop_bitwise(self, src_class, tar_class):
+        params = default_av_params()
+        field2 = _analytic_av_field(params)
+        seeds = [0, 5, 2, 2**40, 17]
+        cfg = EditConfig(T=12, n_max=8)
+        runs = run_avedit_sweep(field2, params, seeds, cfg, src_class, tar_class)
+        assert [r.seed for r in runs] == seeds
+        for run, (video, audio, dist) in zip(
+            runs, _looped_avedit(field2, params, seeds, cfg, src_class, tar_class)
+        ):
+            assert np.array_equal(run.video_out, video)
+            assert np.array_equal(run.audio_out, audio)
+            assert run.target_sigmas == dist
+
+    @pytest.mark.parametrize("classes", [(5, 1), (0, -1), (2, 0)])
+    def test_classes_outside_the_synthetic_set_rejected(self, classes):
+        params = default_av_params()
+        with pytest.raises(InvalidConfigError, match="class"):
+            run_avedit_sweep(_analytic_av_field(params), params, [0], EditConfig(T=4, n_max=2),
+                             *classes)
 
 
 def test_bias_curve_plot_is_svg():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from flowlab.core import Condition, make_schedule
 from flowlab.errors import (
@@ -248,3 +250,56 @@ class TestSerialization:
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(ModelFormatError):
             load_model(path)
+
+
+@st.composite
+def _models(draw):
+    """Any valid model: 1-3 hidden layers, any finite parameters."""
+    state_dim, cond_dim = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    chain = [state_dim + cond_dim + 2, *draw(st.lists(st.integers(1, 6), min_size=1, max_size=3)),
+             state_dim]
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    weights = [draw(hnp.arrays(np.float64, (fan_out, fan_in), elements=finite))
+               for fan_in, fan_out in zip(chain[:-1], chain[1:])]
+    biases = [draw(hnp.arrays(np.float64, fan_out, elements=finite)) for fan_out in chain[1:]]
+    return MlpModel(weights=weights, biases=biases, condition_dim=cond_dim,
+                    activation=draw(st.sampled_from(["tanh", "relu"])))
+
+
+class TestModelFileProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(model=_models())
+    def test_save_then_load_round_trips(self, model, tmp_path_factory):
+        path = tmp_path_factory.mktemp("model") / "model.bin"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert (loaded.condition_dim, loaded.activation) == (model.condition_dim, model.activation)
+        for got, want in zip(loaded.weights + loaded.biases, model.weights + model.biases):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()  # bit for bit, -0.0 included
+
+    def test_every_truncation_and_bit_flip_is_format_error_or_finite_model(self, tmp_path):
+        path = tmp_path / "model.bin"
+        model = tiny_model([6, 5, 3], 2, seed=4)
+        # exponent 0x3FF: flipping its top bit turns 1.5 into NaN and -1.0 into -inf
+        model.biases[-1][:] = [1.5, -1.0, 0.0]
+        save_model(model, path)
+        blob = path.read_bytes()
+        assert len(blob) == 844
+        variants = [blob[:n] for n in range(len(blob))]
+        for i in range(len(blob)):
+            for bit in range(8):
+                flipped = bytearray(blob)
+                flipped[i] ^= 1 << bit
+                variants.append(bytes(flipped))
+        loaded = 0
+        for data in variants:
+            path.write_bytes(data)
+            try:
+                model = load_model(path)
+            except ModelFormatError:
+                continue
+            loaded += 1
+            assert all(np.isfinite(a).all() for a in model.weights + model.biases)
+        # most flips land in a parameter and still load
+        assert 0 < loaded < len(variants)

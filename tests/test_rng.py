@@ -1,5 +1,8 @@
 import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
 
+from flowlab.errors import ShapeMismatchError
 from flowlab.rng import RNG_ALGORITHM, CounterRng, derive_seed
 
 
@@ -49,3 +52,51 @@ def test_seeds_give_distinct_streams():
 
 def test_algorithm_identifier_is_versioned():
     assert "/" in RNG_ALGORITHM
+
+
+_keys = st.integers(0, 2**64 - 1)
+# One draw call: (method, size); normal_array takes a (size, 2) shape.
+_calls = st.lists(
+    st.tuples(st.sampled_from(["standard_normal", "normal_array", "uniform"]), st.integers(0, 9)),
+    max_size=6,
+)
+
+
+def _draw(rng, method, size, streams=None):
+    if method == "normal_array":
+        return rng.normal_array((size, 2) if streams is None else (streams, size, 2))
+    return getattr(rng, method)(size)
+
+
+@settings(max_examples=200, deadline=None)
+@given(key=st.one_of(_keys, st.lists(_keys, min_size=1, max_size=4)),
+       sizes=st.lists(st.integers(0, 12), max_size=8),
+       method=st.sampled_from(["standard_normal", "uniform"]))
+def test_draws_do_not_depend_on_how_calls_are_split(key, sizes, method):
+    split, whole = CounterRng(key), CounterRng(key)
+    chunks = [getattr(split, method)(n) for n in [0, *sizes]]
+    assert np.array_equal(np.concatenate(chunks, axis=-1), getattr(whole, method)(sum(sizes)))
+    assert split.words_consumed == whole.words_consumed
+    assert split.normal_draws == whole.normal_draws
+
+
+@settings(max_examples=200, deadline=None)
+@given(keys=st.lists(_keys, min_size=1, max_size=6), calls=_calls)
+def test_keyed_rows_equal_scalar_streams(keys, calls):
+    keyed, scalars = CounterRng(keys), [CounterRng(key) for key in keys]
+    for method, size in calls:
+        rows = _draw(keyed, method, size, streams=len(keys))
+        expected = np.stack([_draw(rng, method, size) for rng in scalars])
+        assert rows.shape == expected.shape
+        assert np.array_equal(rows, expected)
+    for rng in scalars:
+        assert keyed.words_consumed == rng.words_consumed
+        assert keyed.normal_draws == rng.normal_draws
+
+
+def test_keyed_draws_lead_with_the_streams():
+    keyed = CounterRng([1, 2, 3])
+    with pytest.raises(ShapeMismatchError):
+        keyed.normal_array((2, 4))
+    with pytest.raises(ShapeMismatchError):
+        CounterRng([[1, 2]])

@@ -21,6 +21,7 @@ from flowlab.gaussian import (
 )
 from flowlab.harness import pair_field
 from flowlab.metrics import truncation_bias
+from flowlab.mlp import MlpDualField, mlp_init
 from flowlab.rng import CounterRng, derive_seed
 from flowlab.samplers import (
     DualState,
@@ -594,3 +595,63 @@ def test_dual_state_is_a_frozen_pair_of_arrays():
         out.video = video
     out.video[0] = out.audio[0] = 7.0
     assert video.tolist() == [0.2, -0.4] and audio.tolist() == [0.9]
+
+
+@st.composite
+def _diagonal_dual_fields(draw):
+    """A diagonal two-class AnalyticDualField (video dim 1-3, audio dim 1-2)
+    whose null condition reuses class 0, plus the two class conditions."""
+    c0, c1 = Condition.one_hot(0, 2), Condition.one_hot(1, 2)
+    fields = []
+    for dim in (draw(st.integers(1, 3)), draw(st.integers(1, 2))):
+        field = GaussianConditionalField(condition_dim=2, state_dim=dim)
+        specs = [
+            GaussianSpec(mean=draw(st.lists(_coords, min_size=dim, max_size=dim)),
+                         cov=draw(st.lists(st.floats(0.1, 4.0), min_size=dim, max_size=dim)))
+            for _ in range(2)
+        ]
+        field.register(c0, specs[0]).register(c1, specs[1]).register(Condition.null(2), specs[0])
+        fields.append(field)
+    return AnalyticDualField(*fields), c0, c1
+
+
+def _batched_and_looped_av(field2, c0, c1, cfg, seeds, with_audio):
+    n = len(seeds)
+    video = CounterRng(derive_seed(seeds[0], 5)).normal_array((n, field2.video_dim))
+    audio = CounterRng(derive_seed(seeds[0], 6)).normal_array((n, field2.audio_dim))
+    batched = omniedit_av(field2, video, audio if with_audio else None, c0, c1, cfg,
+                          rng=CounterRng(seeds))
+    looped = [
+        omniedit_av(field2, video[r], audio[r] if with_audio else None, c0, c1, cfg,
+                    rng=CounterRng(seed))
+        for r, seed in enumerate(seeds)
+    ]
+    return batched, looped
+
+
+class TestBatchedOmniEditAv:
+    """One omniedit_av call over n rows with a keyed generator is the loop of
+    n one-row calls, each with its row's seed."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_diagonal_dual_fields(), T=st.integers(2, 24), data=st.data(),
+           seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5),
+           scale=st.sampled_from([1.0, 1.5]), with_audio=st.booleans())
+    def test_diagonal_analytic_field_is_bitwise(self, case, T, data, seeds, scale, with_audio):
+        field2, c0, c1 = case
+        cfg = EditConfig(T=T, n_max=data.draw(st.integers(1, T)), cfg_scale=scale)
+        batched, looped = _batched_and_looped_av(field2, c0, c1, cfg, seeds, with_audio)
+        assert np.array_equal(batched.video, np.stack([out.video for out in looped]))
+        assert np.array_equal(batched.audio, np.stack([out.audio for out in looped]))
+
+    @pytest.mark.parametrize("with_audio", [True, False], ids=["audio", "no-audio"])
+    @pytest.mark.parametrize("scale", [1.0, 1.5])
+    def test_mlp_field_within_1e12(self, scale, with_audio):
+        field2 = MlpDualField(mlp_init([16, 16, 3], condition_dim=2, seed=8), 2, 1)
+        c0, c1 = Condition.one_hot(0, 2), Condition.one_hot(1, 2)
+        cfg = EditConfig(T=12, n_max=9, cfg_scale=scale)
+        batched, looped = _batched_and_looped_av(field2, c0, c1, cfg, list(range(40)), with_audio)
+        for got, want in ((batched.video, [o.video for o in looped]),
+                          (batched.audio, [o.audio for o in looped])):
+            want = np.stack(want)
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
