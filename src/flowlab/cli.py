@@ -167,7 +167,10 @@ _NUMERIC_UNSET_KEYS = {"n_max": int}
 
 def _coerce(key: str, raw: str, default):
     if key in _BOOL_KEYS:
-        return raw.strip().lower() in ("1", "true", "yes", "on")
+        value = configparser.ConfigParser.BOOLEAN_STATES.get(raw.strip().lower())
+        if value is None:
+            raise InvalidConfigError(f"{key} = {raw!r}: expected 1/0, yes/no, true/false or on/off")
+        return value
     if key == "analytic" and isinstance(default, tuple):
         parts = raw.split()
         if len(parts) != 2:
@@ -190,9 +193,12 @@ def _resolve_options(args: argparse.Namespace) -> dict:
         cfg_path = Path(args.config)
         if not cfg_path.exists():
             raise InvalidConfigError(f"config file {cfg_path} does not exist")
-        ini = configparser.ConfigParser()
+        ini = configparser.ConfigParser(interpolation=None)
         ini.optionxform = str  # keys are case sensitive (T vs t)
-        ini.read(cfg_path)
+        try:
+            ini.read(cfg_path, encoding="utf-8")
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise InvalidConfigError(f"config file {cfg_path} is not valid INI: {exc}") from None
         if ini.has_section(command):
             for key, raw in ini.items(command):
                 key = key.replace("-", "_")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Condition, interp
+from .core import Condition
 from .errors import (
     InsufficientSamplesError,
     InvalidConfigError,
@@ -141,43 +141,34 @@ class McVelocityEstimate:
 
 
 def mc_conditional_velocity(
-    spec: GaussianSpec,
-    x,
-    t: float,
-    n: int,
-    rng: CounterRng,
-    bandwidth: float | None = None,
+    spec: GaussianSpec, x, t: float, n: int, rng: CounterRng
 ) -> McVelocityEstimate:
-    """Brute-force kernel estimate of E[x1 - x0 | x_t ~ x].
+    """Importance-sampling estimate of E[x1 - x0 | x_t = x].
 
-    Draws n (x0, x1) pairs, weights them with a Gaussian kernel of width
-    ``bandwidth`` (default 0.05 * sqrt(t)) around the query point, and
-    returns the weighted mean of x1 - x0 with a per-coordinate standard
-    error of the weighted mean.
+    Draws n source points x0 and pairs each with x1 = (x - (1-t) x0) / t,
+    the only noise endpoint that puts x_t exactly at x, weighted by the
+    noise density N(x1; 0, I); the Jacobian of that map is constant and
+    cancels. The self-normalised weighted mean of x1 - x0 is the exact
+    conditional expectation as n grows, with no kernel and no bandwidth.
+    Returns it with a per-coordinate standard error of the weighted mean.
     """
     if n < 10_000:
         raise InvalidConfigError(f"need n >= 1e4 Monte Carlo samples, got {n}")
-    if not 0.0 <= t <= 1.0:
-        raise InvalidConfigError(f"t={t} outside [0, 1]")
-    if bandwidth is None:
-        bandwidth = 0.05 * float(np.sqrt(t))
-    if not bandwidth > 0.0:
-        raise InvalidConfigError(f"bandwidth must be positive, got {bandwidth}")
+    if not 0.0 < t <= 1.0:
+        raise InvalidConfigError(f"t={t} outside (0, 1]: the noise endpoint divides by t")
     x = np.asarray(x, dtype=np.float64).ravel()
     if x.size != spec.dim:
         raise ShapeMismatchError(f"query dim {x.size} != spec dim {spec.dim}")
 
     x0 = sample_array(spec, n, rng)
-    x1 = rng.normal_array((n, spec.dim))
-    xt = interp(x0, x1, t)
-    sq = np.sum((xt - x) ** 2, axis=1)
-    w = np.exp(-0.5 * sq / bandwidth**2)
+    x1 = (x - (1.0 - t) * x0) / t
+    log_w = -0.5 * np.sum(x1 * x1, axis=1)
+    w = np.exp(log_w - np.max(log_w))  # max-shifted: the largest weight is 1
     wsum = float(np.sum(w))
-    ess = wsum**2 / float(np.sum(w**2)) if wsum > 0.0 else 0.0
+    ess = wsum**2 / float(np.sum(w**2))
     if ess < 30.0:
         raise InsufficientSamplesError(
-            f"effective sample size {ess:.1f} < 30 at x={x}, t={t}; "
-            "increase n or the bandwidth"
+            f"effective sample size {ess:.1f} < 30 at x={x}, t={t}; increase n"
         )
     y = x1 - x0
     value = (w @ y) / wsum

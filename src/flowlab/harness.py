@@ -57,6 +57,12 @@ ABLATION_CELLS = (
 )
 
 
+# Two-sided Bonferroni bound on run_oracle_check's z scores: a family-wise
+# false-alarm rate of 1e-3 over the 45 coordinates its 35 probes test needs
+# 45 * erfc(z / sqrt(2)) <= 1e-3, i.e. z >= 4.2414.
+ORACLE_MAX_Z = 4.25
+
+
 def format_num(x: float) -> str:
     """A number as every CSV and log line writes it: 12 significant digits."""
     return format(float(x), ".12g")
@@ -242,50 +248,40 @@ def run_ablation(
     return reports
 
 
-def run_oracle_check(
-    dims: tuple[int, ...] = (1, 2), n: int = 200_000, seed: int = 0, tolerance_sigmas: float = 3.0
-) -> tuple[list[dict], bool]:
+def run_oracle_check(n: int = 200_000, seed: int = 0) -> tuple[list[dict], bool]:
     """Compare the closed-form marginal velocity against the Monte Carlo
-    conditional-expectation estimate.
+    conditional-expectation estimate of ``mc_conditional_velocity``.
 
     1D probes a 5x5 (x, t) grid spanning +-1.5 marginal standard deviations;
-    higher dims probe 10 derived-seed random points at milder noise levels
-    (the product kernel starves at small t past one dimension). Returns
-    per-probe rows and whether every coordinate agreed within
-    ``tolerance_sigmas`` reported standard errors."""
+    2D probes 10 derived-seed random points at t >= 0.3, because the
+    effective sample size of the importance weights falls roughly like t^dim
+    (about 500 of 2e5 draws for a 2D point at t = 0.1). Returns
+    per-probe rows and whether every coordinate's z score stays within
+    ``ORACLE_MAX_Z``."""
     rows: list[dict] = []
     ok = True
     t_grid = (0.1, 0.3, 0.5, 0.7, 0.9)
-    t_grid_nd = (0.3, 0.5, 0.7, 0.9)
-    for dim in dims:
-        spec = GaussianSpec.isotropic(0.5, 1.0, dim=dim) if dim > 1 else GaussianSpec.isotropic(0.5, 1.0)
-        probe_rng = CounterRng(derive_seed(seed, 900 + dim))
-        if dim == 1:
-            probes = []
-            for t in t_grid:
-                s_t = (1.0 - t) ** 2 * float(spec.cov[0]) + t * t
-                center = (1.0 - t) * spec.mean
-                for offset in (-1.5, -0.75, 0.0, 0.75, 1.5):
-                    probes.append((center + offset * np.sqrt(s_t), t))
-        else:
-            probes = []
-            for k in range(10):
-                t = t_grid_nd[k % len(t_grid_nd)]
-                s_t = (1.0 - t) ** 2 * spec.cov + t * t
-                x = (1.0 - t) * spec.mean + probe_rng.normal_array(dim) * np.sqrt(s_t)
-                probes.append((x, t))
-        for k, (x, t) in enumerate(probes):
+    probe_rng = CounterRng(derive_seed(seed, 902))
+    # per dim: (t, offset from the marginal mean in marginal standard deviations)
+    probes = {
+        1: [(t, np.array([u])) for t in t_grid for u in (-1.5, -0.75, 0.0, 0.75, 1.5)],
+        2: [(t_grid[1 + k % 4], probe_rng.normal_array(2)) for k in range(10)],
+    }
+    for dim, offsets in probes.items():
+        spec = GaussianSpec.isotropic(0.5, 1.0, dim=dim)
+        for k, (t, u) in enumerate(offsets):
+            x = (1.0 - t) * spec.mean + u * np.sqrt((1.0 - t) ** 2 * spec.cov + t * t)
             mc_rng = CounterRng(derive_seed(seed, 1000 * dim + k))
             est = mc_conditional_velocity(spec, x, t, n, mc_rng)
-            closed = marginal_velocity(spec, np.asarray(x, dtype=float), t)
+            closed = marginal_velocity(spec, x, t)
             z = np.abs(est.value - closed) / est.stderr
-            agree = bool(np.all(z <= tolerance_sigmas))
+            agree = bool(np.all(z <= ORACLE_MAX_Z))
             ok = ok and agree
             rows.append(
                 {
                     "dim": dim, "t": t,
-                    "x": " ".join(format_num(v) for v in np.atleast_1d(x)),
-                    "closed": " ".join(format_num(v) for v in np.atleast_1d(closed)),
+                    "x": " ".join(format_num(v) for v in x),
+                    "closed": " ".join(format_num(v) for v in closed),
                     "mc": " ".join(format_num(v) for v in est.value),
                     "stderr": " ".join(format_num(v) for v in est.stderr),
                     "max_z": format_num(float(np.max(z))),
@@ -352,9 +348,12 @@ def write_per_seed_csv(runs: list[EditRun], cfg: EditConfig, out_dir, experiment
 
 def summarize_per_seed_csv(path) -> list[MetricReport]:
     """Rebuild summary metrics from a previously written edits.csv."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh, restval="")
-        rows = list(reader)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh, restval="")
+            rows = list(reader)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise InvalidConfigError(f"{path} is not a UTF-8 CSV file: {exc}") from None
     missing = [c for c in PER_SEED_COLUMNS if c not in (reader.fieldnames or ())]
     if missing:
         raise InvalidConfigError(f"{path} is not an edits.csv: no column {', '.join(missing)}")

@@ -230,8 +230,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise InvalidConfigError("epochs and batch_size must be positive")
-        if self.learning_rate < 0.0:
-            raise InvalidConfigError("learning rate must be >= 0")
+        if not 0.0 <= self.learning_rate < np.inf:
+            raise InvalidConfigError(f"learning rate must be finite and >= 0, got {self.learning_rate}")
         if self.optimizer not in ("adam", "sgd"):
             raise InvalidConfigError(f"unknown optimizer {self.optimizer!r}")
 

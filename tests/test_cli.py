@@ -1,8 +1,12 @@
 import csv
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from flowlab.cli import cli_main
 from flowlab.mlp import mlp_init, save_model
@@ -69,6 +73,12 @@ class TestArgumentHandling:
         code = run_cli("edit", "--cfg-scale", scale, "--seeds", "2", "--out-dir", str(tmp_path))
         assert code == 2
         assert "cfg_scale" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_non_finite_learning_rate_exits_2(self, tmp_path, lr, capsys):
+        code = run_cli("train", "--lr", lr, "--n", "64", "--epochs", "1", "--out-dir", str(tmp_path))
+        assert code == 2
+        assert "learning rate" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, value", [("--src-class", "5"), ("--tar-class", "-1")])
     def test_avedit_class_out_of_range_exits_2(self, tmp_path, flag, value, capsys):
@@ -222,6 +232,37 @@ class TestConfigFile:
         assert run_cli("edit", "--config", str(cfg), "--out-dir", str(tmp_path / "o")) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", [
+        b"seeds = 4\n",
+        b"[edit]\nseeds = 4\nseeds = 5\n",
+        b"[edit]\nseeds = 4\n[edit]\nT = 10\n",
+        b"[edit]\n# caf\xe9 in Latin-1\nseeds = 2\n",
+    ], ids=["no-section", "duplicate-key", "duplicate-section", "not-utf8"])
+    def test_unreadable_file_is_config_error(self, tmp_path, content, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(content)
+        assert run_cli("edit", "--config", str(cfg), "--out-dir", str(tmp_path / "o")) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_values_are_literal(self, tmp_path):
+        # no % interpolation: the value is the path as written
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[edit]\nseeds = 2\nout_dir = {tmp_path}/%foo\n")
+        assert run_cli("edit", "--config", str(cfg)) == 0
+        assert (tmp_path / "%foo" / "edits.csv").exists()
+
+    @pytest.mark.parametrize("value, svg", [("On", True), ("no", False), ("maybe", None)])
+    def test_plot_takes_only_boolean_words(self, tmp_path, value, svg, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[edit]\nseeds = 2\nplot = {value}\n")
+        code = run_cli("edit", "--config", str(cfg), "--out-dir", str(tmp_path / "o"))
+        if svg is None:
+            assert code == 2
+            assert "yes/no" in capsys.readouterr().err
+        else:
+            assert code == 0
+            assert (tmp_path / "o" / "trajectories.svg").exists() == svg
+
     def test_plot_key_only_for_plotting_commands(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("[generate]\nplot = 1\n")
@@ -294,6 +335,12 @@ class TestTrainAveditReport:
         assert code == 2
         assert "experiment" in capsys.readouterr().err
 
+    def test_report_on_non_utf8_file(self, tmp_path, capsys):
+        bad = tmp_path / "edits.csv"
+        bad.write_bytes(b"experiment,seq_mode\n\xff\xfe,target\n")
+        assert run_cli("report", "--from", str(bad), "--out-dir", str(tmp_path / "o")) == 2
+        assert "UTF-8" in capsys.readouterr().err
+
     def test_avedit_without_model_is_config_error(self, tmp_path):
         assert run_cli("avedit", "--out-dir", str(tmp_path)) == 2
 
@@ -301,3 +348,63 @@ class TestTrainAveditReport:
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"NOTAMODEL")
         assert run_cli("avedit", "--model", str(bad), "--out-dir", str(tmp_path)) == 2
+
+
+# Every key of the edit run pinned by a flag, so that a config file can only
+# fail to parse: it can change neither the run's size nor its output path.
+PINNED_EDIT = {
+    "--seeds": "2", "--T": "4", "--n-max": "3", "--dim": "2", "--cfg-scale": "1",
+    "--mode": "target", "--noise": "estimated",
+}
+NUMERIC_FLAGS = {"--seeds": int, "--T": int, "--n-max": int, "--dim": int, "--skip": int,
+                 "--cfg-scale": float}
+EDIT_KEYS = ("analytic", "dim", "T", "skip", "n_max", "n-max", "mode", "noise", "cfg_scale",
+             "seeds", "out_dir", "plot")
+
+_ini_lines = st.lists(st.one_of(
+    st.builds("{} = {}".format, st.sampled_from(EDIT_KEYS), st.text()),
+    st.sampled_from(["[edit]", "[DEFAULT]", "[report]", "# note", ""]),
+    st.text(),
+))
+_config_bytes = st.one_of(
+    st.binary(),
+    _ini_lines.map(lambda lines: "\n".join(["[edit]"] + lines).encode()),
+    st.tuples(_ini_lines, st.binary()).map(
+        lambda p: "\n".join(["[edit]"] + p[0]).encode() + p[1]),
+)
+
+
+def _pinned_edit(out_dir, **flags) -> list[str]:
+    argv = ["edit", "--analytic", "src=0,1", "tar=2,0.25", "--out-dir", str(out_dir)]
+    for flag, value in {**PINNED_EDIT, **flags}.items():
+        argv += [flag, value]
+    return argv
+
+
+class TestGarbageInput:
+    """Garbage in a config file or a flag ends in exit code 0 or 2, never a
+    traceback."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(content=_config_bytes)
+    def test_any_config_file_bytes(self, content):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "run.cfg"
+            cfg.write_bytes(content)
+            assert cli_main(_pinned_edit(Path(tmp) / "o") + ["--config", str(cfg)]) in (0, 2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(flag=st.sampled_from(sorted(NUMERIC_FLAGS)), text=st.one_of(
+        st.text(), st.integers(-70, 70).map(str), st.floats().map(repr),
+        st.sampled_from(["", " 3 ", "1_0", "0x10", "\u0663", "nan", "-inf", "1e309", "--seeds"]),
+    ))
+    def test_any_numeric_flag_text(self, flag, text):
+        try:
+            value = NUMERIC_FLAGS[flag](text)
+        except ValueError:
+            value = None
+        # a number beyond +-64 is no garbage: it resizes the run (seeds, T,
+        # dim) or can overflow the guided velocity (cfg-scale, exit code 3)
+        assume(value is None or not math.isfinite(value) or abs(value) <= 64)
+        with tempfile.TemporaryDirectory() as tmp:
+            assert cli_main(_pinned_edit(Path(tmp) / "o", **{flag: text})) in (0, 2)

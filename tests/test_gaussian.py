@@ -142,12 +142,17 @@ class TestMcConditionalVelocity:
         with pytest.raises(InvalidConfigError, match="outside"):
             marginal_velocity(spec, np.array([0.5]), t)
 
+    def test_time_zero_rejected(self):
+        # the noise endpoint x1 = (x - (1-t) x0) / t divides by t
+        spec = GaussianSpec.isotropic(0.0, 1.0)
+        with pytest.raises(InvalidConfigError, match="outside"):
+            mc_conditional_velocity(spec, np.array([0.5]), 0.0, 20_000, CounterRng(1))
+
     def test_insufficient_effective_samples(self):
+        # at x = 40 the single source draw nearest 80 carries all the weight
         spec = GaussianSpec.isotropic(0.0, 1.0)
         with pytest.raises(InsufficientSamplesError):
-            mc_conditional_velocity(
-                spec, np.array([40.0]), 0.5, 20_000, CounterRng(0), bandwidth=1e-4
-            )
+            mc_conditional_velocity(spec, np.array([40.0]), 0.5, 20_000, CounterRng(0))
 
 
 class TestSampling:

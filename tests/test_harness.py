@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -6,8 +7,10 @@ import pytest
 from flowlab.errors import InvalidConfigError
 from flowlab.core import Condition
 from flowlab.gaussian import AnalyticDualField, GaussianConditionalField, GaussianSpec
+from flowlab import harness
 from flowlab.harness import (
     ABLATION_CELLS,
+    ORACLE_MAX_Z,
     ExperimentConfig,
     RunManifest,
     bias_curve_plot,
@@ -178,11 +181,28 @@ class TestPerSeedCsv:
 
 
 class TestOracleCheckRunner:
-    def test_quick_grid_agrees(self):
-        # smoke-scale run; the full n=1e6 contract lives in the acceptance suite
-        rows, ok = run_oracle_check(n=200_000, seed=0)
+    @pytest.mark.parametrize("seed", range(20))
+    def test_quick_grid_agrees(self, seed):
+        # calibration: the correct closed form passes on every seed
+        rows, ok = run_oracle_check(seed=seed)
         assert ok
         assert len(rows) == 35  # 25-point 1D grid plus 10 2D probes
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_two_percent_scale_error_fails(self, monkeypatch, seed):
+        # power: the threshold still catches a 2 % error in the closed form
+        exact = harness.marginal_velocity
+        monkeypatch.setattr(harness, "marginal_velocity", lambda spec, x, t: 1.02 * exact(spec, x, t))
+        rows, ok = run_oracle_check(seed=seed)
+        assert not ok
+
+    def test_threshold_is_the_family_wise_bound(self):
+        rows, _ = run_oracle_check(n=10_000, seed=0)
+        coords = sum(len(r["x"].split()) for r in rows)
+        assert coords == 45
+        assert coords * math.erfc(ORACLE_MAX_Z / math.sqrt(2)) <= 1e-3
+        # and the smallest such threshold at two decimals, not a looser one
+        assert coords * math.erfc((ORACLE_MAX_Z - 0.01) / math.sqrt(2)) > 1e-3
 
 
 class TestManifest:
