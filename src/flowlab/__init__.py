@@ -7,9 +7,7 @@ from .core import (
     Condition,
     DualVelocityField,
     TensorState,
-    TimeSchedule,
     VelocityField,
-    make_schedule,
 )
 from .errors import (
     FlowLabError,
@@ -47,12 +45,9 @@ from .data import AvSynthParams, CoupledAvDataset, synth_av_dataset
 from .rng import RNG_ALGORITHM, CounterRng, derive_seed
 from .samplers import (
     DualState,
-    DualTrajectory,
     EditConfig,
     StepRecord,
     Trajectory,
-    default_av_config,
-    default_sync_config,
     flowedit,
     generate,
     omniedit_av,

@@ -1,4 +1,4 @@
-"""Rectified-flow building blocks: schedules, conditions and the
+"""Rectified-flow building blocks: conditions, the field protocols and the
 interpolation/velocity arithmetic every sampler is made of.
 
 States are plain float64 arrays whose last axis is the state dimension;
@@ -16,13 +16,13 @@ The arithmetic is five array kernels, each formula written once:
 endpoint implied by a velocity), ``euler`` (one step), ``step_target``
 (one target-sequence step) and ``guided`` (classifier-free guidance).
 They broadcast like numpy and do no validation: the samplers take their
-times from a ``TimeSchedule`` and their guidance scale from an
-``EditConfig``, which check them.
+times (the uniform grid ``EditConfig.times``) and their guidance scale
+from an ``EditConfig``, which checks them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -104,42 +104,6 @@ class Condition:
             vector=np.concatenate([self.vector, other.vector]),
             is_null=self.is_null and other.is_null,
         )
-
-
-@dataclass(frozen=True)
-class TimeSchedule:
-    """Discretization {t_i}, i = 0..T, ascending in index, traversed in
-    decreasing t by the samplers. ``n_max`` marks the editing start index,
-    with t_max = times[n_max]."""
-
-    times: np.ndarray
-    n_max: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "times", _frozen(self.times))
-        t = self.times
-        if t.size < 3 or t[0] != 0.0 or t[-1] != 1.0 or np.any(np.diff(t) <= 0.0):
-            raise InvalidConfigError(
-                "times must run strictly increasing from 0 to 1 with T >= 2 steps"
-            )
-        if not 1 <= self.n_max <= self.T:
-            raise InvalidConfigError(f"n_max={self.n_max} outside 1..{self.T}")
-
-    @property
-    def T(self) -> int:
-        return self.times.size - 1
-
-    @property
-    def t_max(self) -> float:
-        return float(self.times[self.n_max])
-
-
-def make_schedule(T: int, n_max: int | None = None) -> TimeSchedule:
-    """Uniform grid times[i] = i/T. ``n_max`` defaults to T (full horizon)."""
-    if int(T) < 2:
-        raise InvalidConfigError(f"T must be >= 2, got {T}")
-    T = int(T)
-    return TimeSchedule(times=np.arange(T + 1) / T, n_max=T if n_max is None else int(n_max))
 
 
 @runtime_checkable

@@ -21,7 +21,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import __version__
-from .core import Condition, TensorState, make_schedule
+from .core import Condition, TensorState
 from .errors import InvalidConfigError, NumericalError
 from .gaussian import (
     GaussianConditionalField,
@@ -186,7 +186,7 @@ def run_edit_sweep(
                 output=out,
                 structure=structure_distance(x_src, out),
                 residual=out - ideal,
-                smoothness_source=smoothness(traj, "source") if len(traj.steps) >= 3 else 0.0,
+                smoothness_source=smoothness(traj) if len(traj.steps) >= 3 else 0.0,
                 trajectory=traj,
             )
         )
@@ -201,6 +201,27 @@ def mean_stderr(values: np.ndarray) -> tuple[float, float]:
     return float(values.mean()), float(values.std(ddof=1) / np.sqrt(values.size))
 
 
+def _fitted_w2(samples: np.ndarray, spec: GaussianSpec) -> float | None:
+    """W2 from the Gaussian fitted to the rows of ``samples`` (sample mean,
+    unbiased covariance plus 1e-12 I) to ``spec``.
+
+    None when there are no more rows than dimensions: the pooled covariance
+    of n <= dim rows has rank at most n - 1, so it is singular by
+    construction (one row has no covariance at all). A fit that fails with
+    more rows, say because the spread of the outputs swamps the jitter, is
+    a numerical failure of the run, not a bad configuration."""
+    if samples.shape[0] <= samples.shape[1]:
+        return None
+    mean, cov = empirical_moments(samples)
+    try:
+        fitted = GaussianSpec(mean=mean, cov=cov + 1e-12 * np.eye(mean.size))
+    except InvalidConfigError as exc:
+        raise NumericalError(
+            f"cannot fit a Gaussian to {samples.shape[0]} outputs: {exc}"
+        ) from None
+    return w2_gaussian(fitted, spec)
+
+
 def sweep_reports(
     runs: list[EditRun], tar_spec: GaussianSpec, cfg: EditConfig, experiment: str
 ) -> list[MetricReport]:
@@ -208,17 +229,17 @@ def sweep_reports(
 
     ``bias_norm`` and the per-seed metrics are seed averages with standard
     errors; ``fitted_w2`` fits Gaussian moments to the pooled outputs and is
-    reported without a standard error. A one-seed sweep has no covariance
-    to fit, so it reports no ``fitted_w2``."""
+    reported without a standard error. A sweep with no more seeds than
+    state dimensions (one seed included) has no covariance to fit, so it
+    reports no ``fitted_w2``."""
     config_echo = {
         "experiment": experiment, "seq_mode": cfg.sequence_mode, "noise_mode": cfg.noise_mode,
         "T": cfg.T, "n_max": cfg.n_max, "seed_count": len(runs),
     }
     reports = []
-    if len(runs) >= 2:
-        mean, cov = empirical_moments(np.stack([r.output for r in runs]))
-        fitted = GaussianSpec(mean=mean, cov=cov + 1e-12 * np.eye(mean.size))
-        reports.append(MetricReport("fitted_w2", w2_gaussian(fitted, tar_spec), config=config_echo))
+    w2 = _fitted_w2(np.stack([r.output for r in runs]), tar_spec)
+    if w2 is not None:
+        reports.append(MetricReport("fitted_w2", w2, config=config_echo))
     for name, values in (
         ("bias_norm", [float(np.linalg.norm(r.residual)) for r in runs]),
         ("smoothness", [r.smoothness_source for r in runs]),
@@ -525,15 +546,17 @@ def write_avedit_csv(runs: list[AvEditRun], cfg: EditConfig, out_dir) -> str:
 def run_generate_sweep(
     spec: GaussianSpec, n: int, T: int, seed: int
 ) -> tuple[np.ndarray, list[MetricReport]]:
-    """Transport n standard-normal draws through the analytic field."""
+    """Transport n standard-normal draws through the analytic field.
+
+    Like an edit sweep, a run with n <= dim draws reports no ``fitted_w2``."""
     field, c_src, _ = pair_field(spec, spec)
     rng = CounterRng(derive_seed(seed, 3))
-    samples = generate(field, rng.normal_array((n, spec.dim)), c_src, make_schedule(T))
+    samples = generate(field, rng.normal_array((n, spec.dim)), c_src, T)
+    w2 = _fitted_w2(samples, spec)
     mean, cov = empirical_moments(samples)
-    fitted = GaussianSpec(mean=mean, cov=cov + 1e-12 * np.eye(spec.dim))
     config_echo = {"experiment": "generate", "T": T, "seed_count": 1}
-    reports = [
-        MetricReport("fitted_w2", w2_gaussian(fitted, spec), config=config_echo),
+    reports = [] if w2 is None else [MetricReport("fitted_w2", w2, config=config_echo)]
+    reports += [
         MetricReport(
             "mean_abs_error", float(np.max(np.abs(mean - spec.mean))), config=config_echo
         ),

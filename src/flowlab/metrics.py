@@ -28,16 +28,11 @@ class MetricReport:
             raise InvalidConfigError(f"metric {self.name} is not finite")
 
 
-_STREAMS = {"source": "source", "target": "main", "edit": "main", "main": "main"}
-
-
-def smoothness(traj: Trajectory, stream: str = "source") -> float:
-    """Mean squared norm of second differences along one recorded stream,
-    normalized by interior point count and dimension. Zero exactly when the
-    points are collinear in the step index."""
-    if stream not in _STREAMS:
-        raise InvalidConfigError(f"unknown stream {stream!r}; use source or target/edit")
-    pts = traj.source_stream() if _STREAMS[stream] == "source" else traj.main_stream()
+def smoothness(traj: Trajectory) -> float:
+    """Mean squared norm of second differences along the recorded source
+    stream, normalized by interior point count and dimension. Zero exactly
+    when the points are collinear in the step index."""
+    pts = traj.source_stream()
     pts = pts.reshape(pts.shape[0], -1)
     if pts.shape[0] < 3:
         raise InvalidConfigError(f"need >= 3 recorded steps, got {pts.shape[0]}")

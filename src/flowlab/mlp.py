@@ -1,7 +1,7 @@
 """Small conditional MLP velocity model with hand-rolled backprop.
 
-The network maps concat(state, condition, (t, 1-t)) through tanh (or relu)
-hidden layers to a velocity of the state's dimension, and is trained with
+The network maps concat(state, condition, (t, 1-t)) through tanh hidden
+layers to a velocity of the state's dimension, and is trained with Adam on
 the straight-path regression objective: batch mean of
 ``||model(x_t, c, t) - (x1 - x0)||^2`` with x1 drawn standard normal and t
 uniform. Everything is float64 numpy, single threaded and deterministic.
@@ -24,9 +24,12 @@ from .errors import (
 )
 from .rng import CounterRng, derive_seed
 
-_ACTIVATIONS = ("tanh", "relu")
 _MAGIC = b"OMED"
 _FORMAT_VERSION = 1
+# The model file's activation code; tanh, code 0, is the only activation.
+_TANH_CODE = 0
+# Adam's decay rates and denominator guard.
+_BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -34,17 +37,14 @@ class MlpModel:
     """Weight matrices W_l of shape (fan_out, fan_in) plus bias vectors.
 
     The layer chain is [state_dim + condition_dim + 2, hidden..., state_dim];
-    the last layer is linear, all others pass through the activation.
+    the last layer is linear, all others pass through tanh.
     """
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     condition_dim: int
-    activation: str = "tanh"
 
     def __post_init__(self):
-        if self.activation not in _ACTIVATIONS:
-            raise InvalidConfigError(f"unknown activation {self.activation!r}")
         if not self.weights or len(self.weights) != len(self.biases):
             raise InvalidConfigError("weights and biases must be non-empty and aligned")
         chain = self.layer_chain
@@ -85,7 +85,6 @@ class MlpModel:
             weights=[w.copy() for w in self.weights],
             biases=[b.copy() for b in self.biases],
             condition_dim=self.condition_dim,
-            activation=self.activation,
         )
 
 
@@ -111,14 +110,6 @@ def mlp_init(widths: Sequence[int], condition_dim: int, seed: int) -> MlpModel:
     return MlpModel(weights=weights, biases=biases, condition_dim=int(condition_dim))
 
 
-def _act(z: np.ndarray, kind: str) -> np.ndarray:
-    return np.tanh(z) if kind == "tanh" else np.maximum(z, 0.0)
-
-
-def _act_grad(z: np.ndarray, h: np.ndarray, kind: str) -> np.ndarray:
-    return 1.0 - h * h if kind == "tanh" else (z > 0.0).astype(np.float64)
-
-
 def _assemble_inputs(model: MlpModel, x: np.ndarray, cond: np.ndarray, t) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     n = x.shape[0]
@@ -133,22 +124,20 @@ def _assemble_inputs(model: MlpModel, x: np.ndarray, cond: np.ndarray, t) -> np.
     return np.concatenate([x, cond, tcol, 1.0 - tcol], axis=1)
 
 
-def _forward_cached(model: MlpModel, inputs: np.ndarray):
-    hs, zs = [inputs], []
-    h = inputs
+def _forward_cached(model: MlpModel, inputs: np.ndarray) -> list[np.ndarray]:
+    """The inputs and every layer's output, the velocity last."""
+    hs = [inputs]
     last = len(model.weights) - 1
     for l, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = h @ w.T + b
-        h = z if l == last else _act(z, model.activation)
-        zs.append(z)
-        hs.append(h)
-    return hs, zs
+        z = hs[-1] @ w.T + b
+        hs.append(z if l == last else np.tanh(z))
+    return hs
 
 
 def forward_array(model: MlpModel, x: np.ndarray, cond, t) -> np.ndarray:
     """Velocity prediction for a batch; ``t`` may be scalar or per-row."""
     squeeze = np.asarray(x).ndim == 1
-    out = _forward_cached(model, _assemble_inputs(model, x, _cond_vector(cond, model), t))[0][-1]
+    out = _forward_cached(model, _assemble_inputs(model, x, _cond_vector(cond, model), t))[-1]
     return out[0] if squeeze else out
 
 
@@ -172,7 +161,7 @@ def batch_loss_and_grads(model: MlpModel, x, cond, t, target):
     if target.shape != (x.shape[0], model.state_dim):
         raise ShapeMismatchError(f"target shape {target.shape} does not match batch")
     n = x.shape[0]
-    hs, zs = _forward_cached(model, _assemble_inputs(model, x, np.asarray(cond, dtype=np.float64), t))
+    hs = _forward_cached(model, _assemble_inputs(model, x, np.asarray(cond, dtype=np.float64), t))
     resid = hs[-1] - target
     loss = float(np.sum(resid**2)) / n
 
@@ -182,7 +171,7 @@ def batch_loss_and_grads(model: MlpModel, x, cond, t, target):
         grads[2 * l] = g.T @ hs[l]
         grads[2 * l + 1] = g.sum(axis=0)
         if l > 0:
-            g = (g @ model.weights[l]) * _act_grad(zs[l - 1], hs[l], model.activation)
+            g = (g @ model.weights[l]) * (1.0 - hs[l] * hs[l])
     return loss, grads
 
 
@@ -222,18 +211,12 @@ class TrainConfig:
     batch_size: int = 64
     learning_rate: float = 1e-3
     seed: int = 0
-    optimizer: str = "adam"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise InvalidConfigError("epochs and batch_size must be positive")
         if not 0.0 <= self.learning_rate < np.inf:
             raise InvalidConfigError(f"learning rate must be finite and >= 0, got {self.learning_rate}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise InvalidConfigError(f"unknown optimizer {self.optimizer!r}")
 
 
 @dataclass
@@ -279,9 +262,7 @@ def train(model: MlpModel, dataset, config: TrainConfig) -> TrainReport:
     report = TrainReport()
     report.initial_loss = eval_loss()
 
-    moments = None
-    if config.optimizer == "adam":
-        moments = [(np.zeros_like(p), np.zeros_like(p)) for p in model.parameters()]
+    moments = [(np.zeros_like(p), np.zeros_like(p)) for p in model.parameters()]
     step = 0
     for _ in range(config.epochs):
         perm = np.argsort(rng.uniform(n), kind="stable")
@@ -295,19 +276,14 @@ def train(model: MlpModel, dataset, config: TrainConfig) -> TrainReport:
             if not np.isfinite(loss):
                 raise TrainingDivergedError(f"non-finite training loss at step {step}")
             step += 1
-            params = model.parameters()
-            if config.optimizer == "sgd":
-                for p, g in zip(params, grads):
-                    p -= config.learning_rate * g
-            else:
-                for (m, v), p, g in zip(moments, params, grads):
-                    m *= config.beta1
-                    m += (1.0 - config.beta1) * g
-                    v *= config.beta2
-                    v += (1.0 - config.beta2) * g * g
-                    mhat = m / (1.0 - config.beta1**step)
-                    vhat = v / (1.0 - config.beta2**step)
-                    p -= config.learning_rate * mhat / (np.sqrt(vhat) + config.adam_eps)
+            for (m, v), p, g in zip(moments, model.parameters(), grads):
+                m *= _BETA1
+                m += (1.0 - _BETA1) * g
+                v *= _BETA2
+                v += (1.0 - _BETA2) * g * g
+                mhat = m / (1.0 - _BETA1**step)
+                vhat = v / (1.0 - _BETA2**step)
+                p -= config.learning_rate * mhat / (np.sqrt(vhat) + _ADAM_EPS)
             report.losses.append(eval_loss())
     report.final_loss = report.losses[-1]
     if not np.isfinite(report.final_loss):
@@ -322,7 +298,7 @@ def save_model(model: MlpModel, path) -> None:
     blob = bytearray()
     blob += _MAGIC
     blob += struct.pack(
-        "<4I", _FORMAT_VERSION, _ACTIVATIONS.index(model.activation), model.condition_dim, len(chain)
+        "<4I", _FORMAT_VERSION, _TANH_CODE, model.condition_dim, len(chain)
     )
     blob += struct.pack(f"<{len(chain)}I", *chain)
     for w, b in zip(model.weights, model.biases):
@@ -346,7 +322,7 @@ def load_model(path) -> MlpModel:
     version, act_code, condition_dim, n_chain = struct.unpack("<4I", need(4, 16, "header"))
     if version != _FORMAT_VERSION:
         raise ModelFormatError(f"unsupported format version {version}", offset=4)
-    if act_code >= len(_ACTIVATIONS):
+    if act_code != _TANH_CODE:
         raise ModelFormatError(f"unknown activation code {act_code}", offset=8)
     if n_chain < 2:
         raise ModelFormatError(f"layer chain too short ({n_chain})", offset=16)
@@ -364,10 +340,7 @@ def load_model(path) -> MlpModel:
     if off != len(blob):
         raise ModelFormatError(f"{len(blob) - off} trailing bytes", offset=off)
     try:
-        return MlpModel(
-            weights=weights, biases=biases, condition_dim=condition_dim,
-            activation=_ACTIVATIONS[act_code],
-        )
+        return MlpModel(weights=weights, biases=biases, condition_dim=condition_dim)
     except InvalidConfigError as exc:
         raise ModelFormatError(f"inconsistent model: {exc}", offset=20) from exc
 

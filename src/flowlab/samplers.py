@@ -24,6 +24,9 @@ every noised state, ``estimate_noise`` for the noise re-estimate,
 ``euler`` for plain steps, ``step_target`` for target-sequence steps and
 ``guided`` for classifier-free guidance.
 
+Every sampler steps along the uniform grid ``EditConfig.times``;
+``generate``, which has no edit start, takes only the step count T.
+
 All samplers are single-threaded, own their RNG, and are bit-reproducible
 from ``EditConfig.seed``. Distinct invocations may run concurrently.
 """
@@ -37,13 +40,11 @@ import numpy as np
 from .core import (
     Condition,
     DualVelocityField,
-    TimeSchedule,
     VelocityField,
     estimate_noise,
     euler,
     guided,
     interp,
-    make_schedule,
     step_target,
 )
 from .errors import InvalidConfigError, NumericalError, ShapeMismatchError
@@ -57,8 +58,9 @@ NOISE_MODES = ("random", "estimated")
 class EditConfig:
     """Editing run parameters.
 
-    ``n_max`` is the schedule index the edit starts from (t_max = n_max/T).
-    ``sequence_mode`` and ``noise_mode`` are the two ablation switches.
+    ``n_max`` is the index into ``times`` the edit starts from
+    (t_max = n_max/T). ``sequence_mode`` and ``noise_mode`` are the two
+    ablation switches.
     """
 
     T: int = 20
@@ -80,25 +82,11 @@ class EditConfig:
         if not 0.0 <= self.cfg_scale < np.inf:
             raise InvalidConfigError(f"cfg_scale must be finite and >= 0, got {self.cfg_scale}")
 
-    @classmethod
-    def from_skip(cls, T: int, skip: int, **kw) -> "EditConfig":
-        """Build a config from a step budget and an initial-step count:
-        ``skip`` steps are skipped from pure noise, so the edit starts at
-        index T - skip (t_max below 1)."""
-        return cls(T=int(T), n_max=int(T) - int(skip), **kw)
-
-    def schedule(self) -> TimeSchedule:
-        return make_schedule(self.T, n_max=self.n_max)
-
-
-def default_sync_config(**kw) -> EditConfig:
-    """Single-modality editing defaults: 20 steps, 6 skipped from noise."""
-    return EditConfig.from_skip(20, 6, **kw)
-
-
-def default_av_config(**kw) -> EditConfig:
-    """Dual-modality editing defaults: 40 steps, 12 skipped from noise."""
-    return EditConfig.from_skip(40, 12, **kw)
+    @property
+    def times(self) -> np.ndarray:
+        """The uniform grid times[i] = i/T, i = 0..T, traversed in
+        decreasing t by the samplers."""
+        return np.arange(self.T + 1) / self.T
 
 
 @dataclass(frozen=True)
@@ -106,11 +94,11 @@ class StepRecord:
     """One velocity evaluation: states at t, the noise in use, velocities."""
 
     t: float
-    x_src: np.ndarray | None
-    x_main: np.ndarray | None
-    eps: np.ndarray | None
-    v_src: np.ndarray | None
-    v_tar: np.ndarray | None
+    x_src: np.ndarray
+    x_main: np.ndarray
+    eps: np.ndarray
+    v_src: np.ndarray
+    v_tar: np.ndarray
 
 
 @dataclass
@@ -121,8 +109,6 @@ class Trajectory:
         return np.array([s.t for s in self.steps])
 
     def source_stream(self) -> np.ndarray:
-        if any(s.x_src is None for s in self.steps):
-            raise InvalidConfigError("trajectory has no source stream")
         return np.stack([s.x_src for s in self.steps])
 
     def main_stream(self) -> np.ndarray:
@@ -137,39 +123,15 @@ class DualState:
     audio: np.ndarray
 
 
-@dataclass(frozen=True)
-class AvStepRecord:
-    t: float
-    phase: str  # "pre" or "main"
-    x_src: np.ndarray
-    x_tar: np.ndarray
-    a_src: np.ndarray
-    a_tar: np.ndarray
-    vv_src: np.ndarray
-    vv_tar: np.ndarray
-    av_src: np.ndarray
-    av_tar: np.ndarray
-
-
-@dataclass
-class DualTrajectory:
-    steps: list[AvStepRecord] = dc_field(default_factory=list)
-
-    def audio_streams(self, phase: str | None = None) -> tuple[np.ndarray, np.ndarray]:
-        steps = [s for s in self.steps if phase is None or s.phase == phase]
-        return np.stack([s.a_src for s in steps]), np.stack([s.a_tar for s in steps])
-
-
-def _checked(step: int, evaluate, *args):
-    """``evaluate(*args)`` -- a field's ``velocity`` or ``velocities``, whose
-    last argument is t -- with non-finite output rejected, naming the step."""
-    out = evaluate(*args)
+def _checked(step: int, t: float, out):
+    """``out`` -- a velocity or a (video, audio) velocity pair, evaluated or
+    guided at time t -- with non-finite entries rejected, naming the step."""
     if isinstance(out, tuple):
         finite = np.isfinite(out[0]).all() and np.isfinite(out[1]).all()
     else:
         finite = np.isfinite(out).all()
     if not finite:
-        raise NumericalError(f"non-finite velocity at step {step} (t={args[-1]:.6g})")
+        raise NumericalError(f"non-finite velocity at step {step} (t={t:.6g})")
     return out
 
 
@@ -177,17 +139,20 @@ def _guided(cfg: EditConfig, evaluate, c: Condition):
     """The target velocity (or dual velocity pair) under ``c`` with the
     guidance hook, as a function of (step, *states, t). Scale 1.0 is a single
     conditional evaluation, matching the ungained path; otherwise the null
-    condition is built once, here, for every step of the editor call."""
+    condition is built once, here, for every step of the editor call. The
+    check falls on the guided combination, which can overflow where neither
+    evaluation does and is non-finite wherever either evaluation is."""
     if cfg.cfg_scale == 1.0:
-        return lambda step, *states, t: _checked(step, evaluate, *states, c, t)
+        return lambda step, *states, t: _checked(step, t, evaluate(*states, c, t))
     null, s = Condition.null(c.dim), cfg.cfg_scale
 
     def target(step, *states, t):
-        v_cond = _checked(step, evaluate, *states, c, t)
-        v_uncond = _checked(step, evaluate, *states, null, t)
+        v_cond, v_uncond = evaluate(*states, c, t), evaluate(*states, null, t)
         if isinstance(v_cond, tuple):
-            return guided(v_cond[0], v_uncond[0], s), guided(v_cond[1], v_uncond[1], s)
-        return guided(v_cond, v_uncond, s)
+            out = guided(v_cond[0], v_uncond[0], s), guided(v_cond[1], v_uncond[1], s)
+        else:
+            out = guided(v_cond, v_uncond, s)
+        return _checked(step, t, out)
 
     return target
 
@@ -196,31 +161,18 @@ def _resolve_rng(cfg: EditConfig, rng: CounterRng | None) -> CounterRng:
     return rng if rng is not None else CounterRng(cfg.seed)
 
 
-def generate(
-    field: VelocityField,
-    x1: np.ndarray,
-    c: Condition,
-    schedule: TimeSchedule,
-    record: bool = False,
-):
-    """Integrate dx = V(x, c, t) dt from t=1 down to t=0 with explicit Euler.
-
-    Returns the t=0 state, or (state, Trajectory) when ``record`` is set.
-    """
+def generate(field: VelocityField, x1: np.ndarray, c: Condition, T: int) -> np.ndarray:
+    """Integrate dx = V(x, c, t) dt from t=1 down to t=0 with explicit Euler
+    over T uniform steps (T >= 2, checked as ``EditConfig`` checks it) and
+    return the t=0 state."""
     x = np.asarray(x1, dtype=np.float64)
     if x.shape[-1:] != (field.state_dim,):
         raise ShapeMismatchError(f"state shape {x.shape} does not end in {field.state_dim}")
-    times = schedule.times
-    traj = Trajectory()
-    for i in range(schedule.T, 0, -1):
+    times = EditConfig(T=T, n_max=T).times
+    for i in range(T, 0, -1):
         t_i, t_prev = float(times[i]), float(times[i - 1])
-        v = _checked(i, field.velocity, x, c, t_i)
-        if record:
-            traj.steps.append(
-                StepRecord(t=t_i, x_src=None, x_main=x.copy(), eps=None, v_src=None, v_tar=v.copy())
-            )
-        x = euler(x, v, t_i, t_prev)
-    return (x, traj) if record else x
+        x = euler(x, _checked(i, t_i, field.velocity(x, c, t_i)), t_i, t_prev)
+    return x
 
 
 def flowedit(
@@ -242,7 +194,7 @@ def flowedit(
     if cfg.sequence_mode != "edit":
         raise InvalidConfigError("flowedit requires sequence_mode='edit'")
     rng = _resolve_rng(cfg, rng)
-    times = cfg.schedule().times
+    times = cfg.times
     src = np.asarray(x_src, dtype=np.float64)
     target_velocity = _guided(cfg, field.velocity, c_tar)
     x_edit = src
@@ -254,7 +206,7 @@ def flowedit(
             eps = rng.normal_array(src.shape)
         x_src_t = interp(src, eps, t_i)
         x_tar_t = x_edit + x_src_t - src
-        v_src = _checked(i, field.velocity, x_src_t, c_src, t_i)
+        v_src = _checked(i, t_i, field.velocity(x_src_t, c_src, t_i))
         v_tar = target_velocity(i, x_tar_t, t=t_i)
         if cfg.noise_mode == "estimated":
             eps = estimate_noise(x_src_t, v_src, t_i)
@@ -298,13 +250,13 @@ def omniedit_sync(
     src_cond = combined(c_src if c_src is not None else Condition.null(c_tar.dim))
     tar_cond = combined(c_tar)
     target_velocity = _guided(cfg, field.velocity, tar_cond)
-    times = cfg.schedule().times
+    times = cfg.times
     src = np.asarray(x_src, dtype=np.float64)
 
     if c_src is None:
         eps = rng.normal_array(src.shape)
     else:
-        eps = estimate_noise(src, _checked(cfg.n_max, field.velocity, src, src_cond, 0.0), 0.0)
+        eps = estimate_noise(src, _checked(cfg.n_max, 0.0, field.velocity(src, src_cond, 0.0)), 0.0)
     x_tar = interp(src, eps, float(times[cfg.n_max]))
 
     traj = Trajectory()
@@ -313,7 +265,7 @@ def omniedit_sync(
         if cfg.noise_mode == "random":
             eps = rng.normal_array(src.shape)
         x_src_t = interp(src, eps, t_i)
-        v_src = _checked(i, field.velocity, x_src_t, src_cond, t_i)
+        v_src = _checked(i, t_i, field.velocity(x_src_t, src_cond, t_i))
         v_tar = target_velocity(i, x_tar, t=t_i)
         if cfg.noise_mode == "estimated":
             eps = estimate_noise(x_src_t, v_src, t_i)
@@ -335,8 +287,7 @@ def omniedit_av(
     c_tar: Condition,
     cfg: EditConfig,
     rng: CounterRng | None = None,
-    record: bool = False,
-):
+) -> DualState:
     """Target-sequence editing of a coupled (video, audio) state pair.
 
     With source audio present, both modality noises are estimated from one
@@ -359,24 +310,9 @@ def omniedit_av(
     if aud is not None and aud.shape[-1:] != (field2.audio_dim,):
         raise ShapeMismatchError(f"audio shape {aud.shape} does not end in {field2.audio_dim}")
     rng = _resolve_rng(cfg, rng)
-    times = cfg.schedule().times
+    times = cfg.times
     t_max = float(times[cfg.n_max])
     target_velocities = _guided(cfg, field2.velocities, c_tar)
-    traj = DualTrajectory()
-
-    def evaluate(phase: str, i: int, x_src_t, x_tar_t, a_src_t, a_tar_t):
-        """Source and guided target velocities of one step, recorded."""
-        t_i = float(times[i])
-        vv_src, av_src = _checked(i, field2.velocities, x_src_t, a_src_t, c_src, t_i)
-        vv_tar, av_tar = target_velocities(i, x_tar_t, a_tar_t, t=t_i)
-        if record:
-            traj.steps.append(AvStepRecord(
-                t=t_i, phase=phase, x_src=x_src_t.copy(), x_tar=x_tar_t.copy(),
-                a_src=a_src_t.copy(), a_tar=a_tar_t.copy(),
-                vv_src=vv_src.copy(), vv_tar=vv_tar.copy(),
-                av_src=av_src.copy(), av_tar=av_tar.copy(),
-            ))
-        return vv_src, av_src, vv_tar, av_tar
 
     if aud is None:
         # Both audio streams start from the same realization and are
@@ -388,13 +324,14 @@ def omniedit_av(
             t_i, t_prev = float(times[i]), float(times[i - 1])
             eps_video = rng.normal_array(src.shape)
             x_t = interp(src, eps_video, t_i)
-            _, av_src, _, av_tar = evaluate("pre", i, x_t, x_t, a_src_t, a_tar_t)
+            _, av_src = _checked(i, t_i, field2.velocities(x_t, a_src_t, c_src, t_i))
+            _, av_tar = target_velocities(i, x_t, a_tar_t, t=t_i)
             a_src_t = euler(a_src_t, av_src, t_i, t_prev)
             a_tar_t = euler(a_tar_t, av_tar, t_i, t_prev)
         if eps_video is None:  # n_max == T: no pre-steps ran
             eps_video = rng.normal_array(src.shape)
     else:
-        vv0, av0 = _checked(cfg.n_max, field2.velocities, src, aud, c_src, 0.0)
+        vv0, av0 = _checked(cfg.n_max, 0.0, field2.velocities(src, aud, c_src, 0.0))
         eps_video = estimate_noise(src, vv0, 0.0)
         a_src_t = a_tar_t = interp(aud, estimate_noise(aud, av0, 0.0), t_max)
     x_tar = interp(src, eps_video, t_max)
@@ -402,7 +339,8 @@ def omniedit_av(
     for i in range(cfg.n_max, 0, -1):
         t_i, t_prev = float(times[i]), float(times[i - 1])
         x_src_t = interp(src, eps_video, t_i)
-        vv_src, av_src, vv_tar, av_tar = evaluate("main", i, x_src_t, x_tar, a_src_t, a_tar_t)
+        vv_src, av_src = _checked(i, t_i, field2.velocities(x_src_t, a_src_t, c_src, t_i))
+        vv_tar, av_tar = target_velocities(i, x_tar, a_tar_t, t=t_i)
         eps_video = estimate_noise(x_src_t, vv_src, t_i)
         x_src_prev = interp(src, eps_video, t_prev)
         x_tar = step_target(x_tar, x_src_t, x_src_prev, vv_tar, vv_src, t_i, t_prev)
@@ -414,5 +352,4 @@ def omniedit_av(
             a_tar_t = step_target(a_tar_t, a_src_t, a_src_prev, av_tar, av_src, t_i, t_prev)
             a_src_t = a_src_prev
 
-    out = DualState(video=x_tar, audio=a_tar_t)
-    return (out, traj) if record else out
+    return DualState(video=x_tar, audio=a_tar_t)

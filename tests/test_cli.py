@@ -135,6 +135,28 @@ class TestEditCommand:
             "bias_norm", "smoothness", "structure_distance",
         ]
 
+    @pytest.mark.parametrize("scale", ["100", "1e5"])
+    def test_no_more_seeds_than_dims_skips_fitted_w2(self, tmp_path, scale):
+        code = run_cli(
+            "edit", "--seeds", "2", "--T", "4", "--n-max", "3", "--dim", "2",
+            "--analytic", "src=0,1", "tar=2,0.25", "--cfg-scale", scale, "--out-dir", str(tmp_path),
+        )
+        assert code == 0
+        assert [r["metric"] for r in read_csv(tmp_path / "summary.csv")] == [
+            "bias_norm", "smoothness", "structure_distance",
+        ]
+
+    @pytest.mark.parametrize("scale", ["1e154", "1e300"])
+    def test_guidance_overflow_is_numerical_failure(self, tmp_path, scale, capsys):
+        with np.errstate(over="ignore"):
+            code = run_cli(
+                "edit", "--seeds", "2", "--T", "4", "--n-max", "3", "--dim", "2",
+                "--analytic", "src=0,1", "tar=2,0.25", "--cfg-scale", scale,
+                "--out-dir", str(tmp_path),
+            )
+        assert code == 3
+        assert "numerical failure: non-finite velocity at step" in capsys.readouterr().err
+
     def test_out_dir_collision_is_config_error(self, tmp_path, capsys):
         blocker = tmp_path / "blocked"
         blocker.write_text("file, not a directory")

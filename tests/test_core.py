@@ -4,12 +4,10 @@ import pytest
 from flowlab.core import (
     Condition,
     TensorState,
-    TimeSchedule,
     estimate_noise,
     euler,
     guided,
     interp,
-    make_schedule,
 )
 from flowlab.errors import InvalidConfigError, ShapeMismatchError
 from flowlab.gaussian import GaussianSpec
@@ -53,24 +51,6 @@ class TestCondition:
         assert Condition.null(1).concat(Condition.null(2)).is_null
 
 
-class TestMakeSchedule:
-    def test_uniform_grid(self):
-        assert make_schedule(4).times.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
-        assert make_schedule(2).times.tolist() == [0.0, 0.5, 1.0]
-
-    def test_too_few_steps(self):
-        with pytest.raises(InvalidConfigError):
-            make_schedule(1)
-
-    def test_n_max_bounds(self):
-        assert make_schedule(10).n_max == 10
-        assert make_schedule(10, n_max=3).t_max == 0.3
-        with pytest.raises(InvalidConfigError):
-            make_schedule(10, n_max=0)
-        with pytest.raises(InvalidConfigError):
-            make_schedule(10, n_max=11)
-
-
 class TestInterpolate:
     def test_scalar_case(self):
         assert interp(np.array([0.0]), np.array([1.0]), 0.3)[0] == pytest.approx(0.3)
@@ -80,14 +60,6 @@ class TestInterpolate:
         x0, x1 = rng.standard_normal(5), rng.standard_normal(5)
         assert np.array_equal(interp(x0, x1, 0.0), x0)
         assert np.array_equal(interp(x0, x1, 1.0), x1)
-
-    def test_t_out_of_range(self):
-        # interp does not check t; the schedule that supplies every sampler
-        # time rejects grids that leave [0, 1]
-        with pytest.raises(InvalidConfigError):
-            TimeSchedule(times=np.array([0.0, 0.5, 1.5]), n_max=1)
-        with pytest.raises(InvalidConfigError):
-            TimeSchedule(times=np.array([-0.5, 0.5, 1.0]), n_max=1)
 
     def test_affine_in_t(self):
         rng = CounterRng(3)

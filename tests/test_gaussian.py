@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flowlab.core import Condition, make_schedule
+from flowlab.core import Condition
 from flowlab.errors import (
     InsufficientSamplesError,
     InvalidConfigError,
@@ -261,7 +261,7 @@ class TestFineGridTransport:
         c = Condition.one_hot(0, 1)
         field.register(c, spec)
         noise = CounterRng(9).normal_array((10_000, dim))
-        out = generate(field, noise, c, make_schedule(10_000))
+        out = generate(field, noise, c, 10_000)
         mean, cov = empirical_moments(out)
         assert np.max(np.abs(mean - spec.mean)) < 0.05
         assert np.max(np.abs(cov - spec.cov_matrix())) < 0.05

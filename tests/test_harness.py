@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from flowlab.errors import InvalidConfigError
+from flowlab.errors import InvalidConfigError, NumericalError
 from flowlab.core import Condition
 from flowlab.gaussian import AnalyticDualField, GaussianConditionalField, GaussianSpec
 from flowlab import harness
@@ -165,6 +165,22 @@ class TestPerSeedCsv:
         names = [r.name for r in sweep_reports(runs, TAR, cfg, "edit")]
         assert names == ["bias_norm", "smoothness", "structure_distance"]
 
+    def test_no_more_seeds_than_dims_has_no_fitted_w2(self):
+        # the pooled covariance of n <= dim outputs is singular by construction
+        spec = GaussianSpec.isotropic(0.0, 1.0, dim=3)
+        cfg = EditConfig(T=10, n_max=7, sequence_mode="target", noise_mode="estimated")
+        for seeds, fitted in ((3, False), (4, True)):
+            runs = run_edit_sweep(spec, spec, list(range(seeds)), cfg)
+            names = [r.name for r in sweep_reports(runs, spec, cfg, "edit")]
+            assert ("fitted_w2" in names) == fitted
+
+    def test_failed_fit_is_a_numerical_error(self):
+        # collinear outputs at a scale where the 1e-12 jitter rounds away
+        outputs = np.array([[0.0, 0.0], [1e10, 1e10], [2e10, 2e10]])
+        with pytest.raises(NumericalError, match="3 outputs"):
+            harness._fitted_w2(outputs, SRC)
+        assert harness._fitted_w2(outputs / 1e10, SRC) > 0.0
+
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "edits.csv"
         path.write_text("seed,out_0\n0,1.5\n")
@@ -226,6 +242,10 @@ class TestGenerateSweep:
         values = {r.name: r.value for r in reports}
         assert values["fitted_w2"] < 0.2
         assert values["mean_abs_error"] < 0.1
+
+    def test_no_more_draws_than_dims_has_no_fitted_w2(self):
+        _, reports = run_generate_sweep(SRC, 2, 10, seed=1)
+        assert [r.name for r in reports] == ["mean_abs_error", "cov_abs_error"]
 
 
 class TestAvHarness:

@@ -61,13 +61,6 @@ class TestSmoothness:
         with pytest.raises(InvalidConfigError):
             smoothness(traj_from_points(np.zeros((2, 1))))
 
-    def test_stream_names(self):
-        pts = np.array([[1.0], [-1.0], [1.0], [-1.0]])
-        traj = traj_from_points(pts)
-        assert smoothness(traj, "target") == smoothness(traj, "edit") == smoothness(traj, "source")
-        with pytest.raises(InvalidConfigError):
-            smoothness(traj, "sideways")
-
 
 class TestTruncationBias:
     def test_identical_specs_bias_exactly_zero(self):

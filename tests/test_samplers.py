@@ -4,14 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flowlab.core import (
-    Condition,
-    TensorState,
-    TimeSchedule,
-    estimate_noise,
-    make_schedule,
-    step_target,
-)
+from flowlab.cli import _DEFAULTS, _edit_config
+from flowlab.core import Condition, TensorState, estimate_noise, step_target
 from flowlab.errors import InvalidConfigError, NumericalError, ShapeMismatchError
 from flowlab.gaussian import (
     AnalyticDualField,
@@ -21,13 +15,11 @@ from flowlab.gaussian import (
 )
 from flowlab.harness import pair_field
 from flowlab.metrics import truncation_bias
-from flowlab.mlp import MlpDualField, mlp_init
+from flowlab.mlp import MlpDualField, MlpVelocityField, mlp_init
 from flowlab.rng import CounterRng, derive_seed
 from flowlab.samplers import (
     DualState,
     EditConfig,
-    default_av_config,
-    default_sync_config,
     flowedit,
     generate,
     omniedit_av,
@@ -62,14 +54,22 @@ class TestEditConfig:
         with pytest.raises(InvalidConfigError):
             EditConfig(cfg_scale=-1.0)
 
-    def test_skip_interpretations(self):
-        assert EditConfig.from_skip(20, 6).n_max == 14
+    def test_times_are_the_uniform_grid(self):
+        assert EditConfig(T=4, n_max=2).times.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert EditConfig(T=2, n_max=1).times.tolist() == [0.0, 0.5, 1.0]
+        assert EditConfig(T=10, n_max=3).times[3] == 0.3
+        for T in (3, 7, 20, 40, 997):
+            times = EditConfig(T=T, n_max=1).times
+            assert np.array_equal(times, np.arange(T + 1) / T)  # bit for bit
+            assert times[0] == 0.0 and times[-1] == 1.0 and np.all(np.diff(times) > 0.0)
 
     def test_paper_defaults(self):
-        sync = default_sync_config()
+        # the CLI's step budgets: 20 steps with 6 skipped from noise for
+        # single-modality edits, 40 with 12 skipped for audio-visual ones
+        sync = _edit_config(_DEFAULTS["edit"], "target", "estimated")
         assert (sync.T, sync.n_max) == (20, 14)
-        assert sync.schedule().t_max == pytest.approx(0.7)
-        av = default_av_config()
+        assert sync.times[sync.n_max] == pytest.approx(0.7)
+        av = _edit_config(_DEFAULTS["avedit"], "target", "estimated")
         assert (av.T, av.n_max) == (40, 28)
 
 
@@ -92,31 +92,26 @@ class _NanField:
 
 class TestGenerate:
     def test_constant_unit_velocity(self):
-        out = generate(_ConstField(), np.array([3.0]), Condition.null(0), make_schedule(16))
+        out = generate(_ConstField(), np.array([3.0]), Condition.null(0), 16)
         assert out[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_zero_field_is_stationary(self):
-        out = generate(_ConstField(value=0.0), np.array([1.25]), Condition.null(0), make_schedule(8))
+        out = generate(_ConstField(value=0.0), np.array([1.25]), Condition.null(0), 8)
         assert out[0] == 1.25
 
     def test_nan_velocity_names_step(self):
         with pytest.raises(NumericalError) as err:
-            generate(_NanField(), np.array([0.0]), Condition.null(0), make_schedule(4))
+            generate(_NanField(), np.array([0.0]), Condition.null(0), 4)
         assert "step 4" in str(err.value)
 
     @pytest.mark.parametrize("x1", [np.float64(3.0), np.zeros((4, 2))], ids=["scalar", "wrong-dim"])
     def test_state_must_end_in_field_dim(self, x1):
         with pytest.raises(ShapeMismatchError):
-            generate(_ConstField(), x1, Condition.null(0), make_schedule(4))
+            generate(_ConstField(), x1, Condition.null(0), 4)
 
-    def test_trajectory_recorded_on_request(self):
-        out, traj = generate(
-            _ConstField(), np.array([3.0]), Condition.null(0), make_schedule(5), record=True
-        )
-        assert len(traj.steps) == 5
-        times = traj.times()
-        assert np.all(np.diff(times) < 0)  # strictly decreasing traversal
-        assert out[0] == pytest.approx(2.0, abs=1e-12)
+    def test_too_few_steps(self):
+        with pytest.raises(InvalidConfigError):
+            generate(_ConstField(), np.array([3.0]), Condition.null(0), 1)
 
 
 class TestEstimateNoise:
@@ -154,14 +149,6 @@ class TestStepTarget:
         x_tar, v = np.array([1.0]), np.array([2.0])
         out = step_target(x_tar, np.array([0.2]), np.array([0.5]), v, v, 0.5, 0.4)
         assert out[0] == pytest.approx(1.3)
-
-    def test_time_ordering_enforced(self):
-        # step_target does not check t_prev < t_i; the schedule it steps
-        # along rejects grids that are not strictly increasing
-        with pytest.raises(InvalidConfigError):
-            TimeSchedule(times=np.array([0.0, 0.6, 0.5, 1.0]), n_max=2)
-        with pytest.raises(InvalidConfigError):
-            TimeSchedule(times=np.array([0.0, 0.5, 0.5, 1.0]), n_max=2)
 
     def test_groupings_agree_on_random_instances(self):
         # paper form vs the regrouped source-increment form, 1e4 instances
@@ -335,17 +322,17 @@ class TestOmniEditAv:
         assert np.max(np.abs(out.audio - xa)) < 1e-12
 
     def test_missing_audio_streams_match_exactly(self):
+        # both audio streams start from the first draw and step by plain
+        # Euler under the same prompt, pre-steps and edit steps alike, so the
+        # audio output is plain generation from that draw
         field2, c0, _ = dual_field()
         xv = np.array([0.5, 0.1])
-        cfg = EditConfig(T=40, n_max=28, sequence_mode="target", noise_mode="estimated", seed=6)
-        out, traj = omniedit_av(field2, xv, None, c0, c0, cfg, record=True)
-        pre = [s for s in traj.steps if s.phase == "pre"]
-        main = [s for s in traj.steps if s.phase == "main"]
-        assert len(pre) == 12 and len(main) == 28
-        a_src, a_tar = traj.audio_streams()
-        assert np.array_equal(a_src, a_tar)
-        assert np.max(np.abs(out.video - xv)) < 1e-12
-        assert out.audio.shape == (1,) and np.all(np.isfinite(out.audio))
+        for seed, T, n_max in ((6, 40, 28), (1, 10, 10), (3, 8, 2)):
+            cfg = EditConfig(T=T, n_max=n_max, seed=seed)
+            out = omniedit_av(field2, xv, None, c0, c0, cfg)
+            noise = CounterRng(seed).normal_array((1,))
+            assert np.array_equal(out.audio, generate(field2.audio_field, noise, c0, T))
+            assert np.max(np.abs(out.video - xv)) < 1e-12
 
     def test_missing_audio_draw_accounting(self):
         field2, c0, c1 = dual_field()
@@ -469,19 +456,34 @@ class _NanAt:
         return vv, av
 
 
-def _run_flowedit(field, c):
-    cfg = EditConfig(T=10, n_max=8, sequence_mode="edit", noise_mode="estimated")
+class _Huge:
+    """1e300 under the prompt and 0 under the null condition: every
+    evaluation is finite, and guidance at scale 1e9 overflows."""
+
+    state_dim = video_dim = audio_dim = 1
+    condition_dim = 1
+
+    def velocity(self, x, condition, t):
+        return np.full_like(x, 0.0 if condition.is_null else 1e300)
+
+    def velocities(self, video, audio, condition, t):
+        return self.velocity(video, condition, t), self.velocity(audio, condition, t)
+
+
+def _run_flowedit(field, c, cfg_scale=1.0):
+    cfg = EditConfig(T=10, n_max=8, sequence_mode="edit", noise_mode="estimated",
+                     cfg_scale=cfg_scale)
     flowedit(field, np.array([0.0]), c, c, cfg)
 
 
-def _run_sync(field, c):
-    omniedit_sync(field, np.array([0.0]), c, c, EditConfig(T=10, n_max=8))
+def _run_sync(field, c, cfg_scale=1.0):
+    omniedit_sync(field, np.array([0.0]), c, c, EditConfig(T=10, n_max=8, cfg_scale=cfg_scale))
 
 
-def _run_av(field, c):
+def _run_av(field, c, cfg_scale=1.0):
     video = np.array([0.0])
     audio = np.array([0.0])
-    omniedit_av(field, video, audio, c, c, EditConfig(T=10, n_max=8))
+    omniedit_av(field, video, audio, c, c, EditConfig(T=10, n_max=8, cfg_scale=cfg_scale))
 
 
 class TestNonFiniteVelocity:
@@ -494,6 +496,13 @@ class TestNonFiniteVelocity:
         with pytest.raises(NumericalError) as err:
             run(_NanAt(0.5, where), Condition.one_hot(0, 1))
         assert "step 5" in str(err.value)
+
+    @pytest.mark.parametrize("run", [_run_flowedit, _run_sync, _run_av],
+                             ids=["flowedit", "omniedit_sync", "omniedit_av"])
+    def test_overflowing_guidance_names_step(self, run):
+        with np.errstate(over="ignore"), pytest.raises(NumericalError) as err:
+            run(_Huge(), Condition.one_hot(0, 1), cfg_scale=1e9)
+        assert "step 8" in str(err.value)
 
 
 _coords = st.floats(-3.0, 3.0)
@@ -558,7 +567,7 @@ def _run_editor(name, video, audio):
     src, tar = GaussianSpec.isotropic(0.0, 1.0, dim=2), GaussianSpec.isotropic(2.0, 0.25, dim=2)
     field, c_src, c_tar = pair_field(src, tar)
     if name == "generate":
-        return [generate(field, video, c_src, make_schedule(6))]
+        return [generate(field, video, c_src, 6)]
     if name == "flowedit":
         cfg = EditConfig(T=6, n_max=4, sequence_mode="edit", cfg_scale=1.5)
         return [flowedit(field, video, c_src, c_tar, cfg)]
@@ -655,3 +664,43 @@ class TestBatchedOmniEditAv:
                           (batched.audio, [o.audio for o in looped])):
             want = np.stack(want)
             assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+class _JointField:
+    """A dual field seen as one velocity field on concat(video, audio)."""
+
+    def __init__(self, field2):
+        self.field2 = field2
+        self.state_dim = field2.video_dim + field2.audio_dim
+        self.condition_dim = field2.condition_dim
+
+    def velocity(self, x, condition, t):
+        video, audio = x[..., : self.field2.video_dim], x[..., self.field2.video_dim :]
+        return np.concatenate(self.field2.velocities(video, audio, condition, t), axis=-1)
+
+
+class TestPairedAvIsJointTargetSequence:
+    """With source audio, omniedit_av is omniedit_sync on the concatenated
+    (video, audio) state, bit for bit: both modalities follow the
+    target-sequence rule with estimated noise from one joint evaluation."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), mlp=st.booleans(), T=st.integers(2, 40),
+           scale=st.sampled_from([0.0, 1.0, 1.5]), rows=st.integers(1, 7))
+    def test_equals_omniedit_sync_on_the_joint_state(self, data, mlp, T, scale, rows):
+        if mlp:
+            video_dim, audio_dim = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2))
+            model = mlp_init([16, 16, video_dim + audio_dim], condition_dim=2,
+                             seed=data.draw(st.integers(0, 2**32 - 1)))
+            field2, joint = MlpDualField(model, video_dim, audio_dim), MlpVelocityField(model)
+            c0, c1 = Condition.one_hot(0, 2), Condition.one_hot(1, 2)
+        else:
+            field2, c0, c1 = data.draw(_diagonal_dual_fields())
+            joint = _JointField(field2)
+        cfg = EditConfig(T=T, n_max=data.draw(st.integers(1, T)), cfg_scale=scale)
+        rng = CounterRng(data.draw(st.integers(0, 2**64 - 1)))
+        video = rng.normal_array((rows, field2.video_dim))
+        audio = rng.normal_array((rows, field2.audio_dim))
+        out = omniedit_av(field2, video, audio, c0, c1, cfg)
+        want = omniedit_sync(joint, np.concatenate([video, audio], axis=-1), c0, c1, cfg)
+        assert np.array_equal(np.concatenate([out.video, out.audio], axis=-1), want)
