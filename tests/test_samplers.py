@@ -54,6 +54,16 @@ class TestEditConfig:
         with pytest.raises(InvalidConfigError):
             EditConfig(cfg_scale=-1.0)
 
+    def test_n_max_bounds(self):
+        # n_max may run from 1 to T (an edit from pure noise); t_max = times[n_max]
+        assert EditConfig(T=10, n_max=10).n_max == 10
+        assert EditConfig(T=10, n_max=1).n_max == 1
+        assert EditConfig(T=10, n_max=3).times[3] == 0.3
+        with pytest.raises(InvalidConfigError):
+            EditConfig(T=10, n_max=0)
+        with pytest.raises(InvalidConfigError):
+            EditConfig(T=10, n_max=11)
+
     def test_times_are_the_uniform_grid(self):
         assert EditConfig(T=4, n_max=2).times.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
         assert EditConfig(T=2, n_max=1).times.tolist() == [0.0, 0.5, 1.0]
