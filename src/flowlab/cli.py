@@ -378,7 +378,10 @@ def cli_main(argv: list[str] | None = None) -> int:
     try:
         options = _resolve_options(args)
         config = _experiment_config(args.command, options)
-        return _COMMANDS[args.command](options, config)
+        # every non-finite value ends in a typed error below, so numpy's own
+        # overflow and invalid-value warnings would only repeat it
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _COMMANDS[args.command](options, config)
     except _CONFIG_ERRORS as exc:
         print(f"flowlab: config error: {exc}", file=sys.stderr)
         return 2

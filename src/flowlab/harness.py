@@ -34,7 +34,7 @@ from .gaussian import (
 )
 from .data import AvSynthParams, CoupledAvDataset, synth_av_dataset
 from .metrics import MetricReport, empirical_moments, smoothness, structure_distance, truncation_bias
-from .mlp import MlpDualField, MlpVelocityField, TrainConfig, TrainReport, load_model, mlp_init, train
+from .mlp import MlpDualField, TrainConfig, TrainReport, mlp_init, train
 from .rng import RNG_ALGORITHM, CounterRng, derive_seed
 from .samplers import EditConfig, flowedit, generate, omniedit_av, omniedit_sync
 from .svgplot import line_plot
@@ -399,6 +399,8 @@ def summarize_per_seed_csv(path) -> list[MetricReport]:
                 values = np.array([float(r[column]) for r in grp])
             except ValueError:
                 raise InvalidConfigError(f"{path}: non-numeric {column} value") from None
+            if not np.isfinite(values).all():
+                raise InvalidConfigError(f"{path}: non-finite {column} value")
             m, se = mean_stderr(values)
             reports.append(MetricReport(metric, m, aux={"stderr": se}, config=config_echo))
     return reports

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import TensorState, interp
-from .errors import InvalidConfigError, ShapeMismatchError
+from .errors import InvalidConfigError, NumericalError, ShapeMismatchError
 from .gaussian import GaussianSpec, _velocity_affine
 from .samplers import Trajectory
 
@@ -25,7 +25,9 @@ class MetricReport:
 
     def __post_init__(self):
         if not np.isfinite(self.value):
-            raise InvalidConfigError(f"metric {self.name} is not finite")
+            raise NumericalError(f"metric {self.name} is not finite")
+        if not np.isfinite(self.aux.get("stderr", 0.0)):
+            raise NumericalError(f"metric {self.name} has a non-finite stderr")
 
 
 def smoothness(traj: Trajectory) -> float:

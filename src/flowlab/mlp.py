@@ -80,13 +80,6 @@ class MlpModel:
             out.extend([w, b])
         return out
 
-    def copy(self) -> "MlpModel":
-        return MlpModel(
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            condition_dim=self.condition_dim,
-        )
-
 
 def mlp_init(widths: Sequence[int], condition_dim: int, seed: int) -> MlpModel:
     """Build a model with hidden widths ``widths[:-1]`` and state dimension

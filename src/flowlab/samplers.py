@@ -10,9 +10,9 @@ Four entry points:
   sequence; noise is re-estimated from the source velocity each step
   instead of redrawn (the ``random`` noise mode keeps redrawing, as the
   ablation arm).
-* ``omniedit_av``    -- the dual-modality variant: video follows the
-  target-sequence rule while paired audio streams are denoised alongside,
-  with a pre-denoising phase when no source audio exists.
+* ``omniedit_av``    -- the dual-modality variant: with source audio it is
+  ``omniedit_sync`` on the joint state concat(video, audio); without, the
+  audio is pre-denoised to t_max, then stepped by Euler beside the video.
 
 States go in and come out as plain float64 arrays of shape
 (..., state_dim), leading axes acting as batch axes; ``omniedit_av``
@@ -123,38 +123,39 @@ class DualState:
     audio: np.ndarray
 
 
-def _checked(step: int, t: float, out):
-    """``out`` -- a velocity or a (video, audio) velocity pair, evaluated or
-    guided at time t -- with non-finite entries rejected, naming the step."""
-    if isinstance(out, tuple):
-        finite = np.isfinite(out[0]).all() and np.isfinite(out[1]).all()
-    else:
-        finite = np.isfinite(out).all()
-    if not finite:
+def _checked(step: int, t: float, out: np.ndarray) -> np.ndarray:
+    """``out`` -- a velocity evaluated or guided at time t -- with non-finite
+    entries rejected, naming the step."""
+    if not np.isfinite(out).all():
         raise NumericalError(f"non-finite velocity at step {step} (t={t:.6g})")
     return out
 
 
-def _guided(cfg: EditConfig, evaluate, c: Condition):
-    """The target velocity (or dual velocity pair) under ``c`` with the
-    guidance hook, as a function of (step, *states, t). Scale 1.0 is a single
-    conditional evaluation, matching the ungained path; otherwise the null
+def _guided(cfg: EditConfig, field: VelocityField, c: Condition):
+    """The checked target velocity under ``c`` as a function of (step, x, t).
+    Scale 1.0 is a single conditional evaluation; otherwise the null
     condition is built once, here, for every step of the editor call. The
     check falls on the guided combination, which can overflow where neither
     evaluation does and is non-finite wherever either evaluation is."""
     if cfg.cfg_scale == 1.0:
-        return lambda step, *states, t: _checked(step, t, evaluate(*states, c, t))
+        return lambda step, x, t: _checked(step, t, field.velocity(x, c, t))
     null, s = Condition.null(c.dim), cfg.cfg_scale
+    return lambda step, x, t: _checked(
+        step, t, guided(field.velocity(x, c, t), field.velocity(x, null, t), s))
 
-    def target(step, *states, t):
-        v_cond, v_uncond = evaluate(*states, c, t), evaluate(*states, null, t)
-        if isinstance(v_cond, tuple):
-            out = guided(v_cond[0], v_uncond[0], s), guided(v_cond[1], v_uncond[1], s)
-        else:
-            out = guided(v_cond, v_uncond, s)
-        return _checked(step, t, out)
 
-    return target
+class _JointField:
+    """A dual field seen as one velocity field on concat(video, audio); each
+    evaluation is one ``field2.velocities`` call."""
+
+    def __init__(self, field2: DualVelocityField):
+        self.field2 = field2
+        self.state_dim = field2.video_dim + field2.audio_dim
+        self.condition_dim = field2.condition_dim
+
+    def velocity(self, x: np.ndarray, condition: Condition, t: float) -> np.ndarray:
+        v = self.field2.video_dim
+        return np.concatenate(self.field2.velocities(x[..., :v], x[..., v:], condition, t), axis=-1)
 
 
 def _resolve_rng(cfg: EditConfig, rng: CounterRng | None) -> CounterRng:
@@ -196,7 +197,7 @@ def flowedit(
     rng = _resolve_rng(cfg, rng)
     times = cfg.times
     src = np.asarray(x_src, dtype=np.float64)
-    target_velocity = _guided(cfg, field.velocity, c_tar)
+    target_velocity = _guided(cfg, field, c_tar)
     x_edit = src
     eps = None
     traj = Trajectory()
@@ -249,7 +250,7 @@ def omniedit_sync(
 
     src_cond = combined(c_src if c_src is not None else Condition.null(c_tar.dim))
     tar_cond = combined(c_tar)
-    target_velocity = _guided(cfg, field.velocity, tar_cond)
+    target_velocity = _guided(cfg, field, tar_cond)
     times = cfg.times
     src = np.asarray(x_src, dtype=np.float64)
 
@@ -290,12 +291,13 @@ def omniedit_av(
 ) -> DualState:
     """Target-sequence editing of a coupled (video, audio) state pair.
 
-    With source audio present, both modality noises are estimated from one
-    joint t=0 evaluation and the audio pair follows the target-sequence rule
-    next to the video. With source audio missing, both audio streams start
-    from one shared Gaussian draw and are pre-denoised from t=1 down to
-    t_max (fresh video noise each pre-step), then advanced by plain Euler
-    while the video follows the target-sequence rule.
+    With source audio present, this is ``omniedit_sync`` on the joint state
+    concat(video, audio): both modality noises are estimated from one joint
+    t=0 evaluation and both modalities follow the target-sequence rule. With
+    source audio missing, both audio streams start from one shared Gaussian
+    draw and are pre-denoised from t=1 down to t_max (fresh video noise each
+    pre-step), then advanced by plain Euler while the video follows the
+    target-sequence rule.
     """
     if c_src is None or c_tar is None:
         raise InvalidConfigError("source and target prompts are required")
@@ -305,51 +307,46 @@ def omniedit_av(
         raise InvalidConfigError("the dual-modality editor implements estimated noise only")
     src = np.asarray(x_src, dtype=np.float64)
     aud = None if a_src is None else np.asarray(a_src, dtype=np.float64)
-    if src.shape[-1:] != (field2.video_dim,):
-        raise ShapeMismatchError(f"video shape {src.shape} does not end in {field2.video_dim}")
-    if aud is not None and aud.shape[-1:] != (field2.audio_dim,):
-        raise ShapeMismatchError(f"audio shape {aud.shape} does not end in {field2.audio_dim}")
-    rng = _resolve_rng(cfg, rng)
-    times = cfg.times
-    t_max = float(times[cfg.n_max])
-    target_velocities = _guided(cfg, field2.velocities, c_tar)
+    v = field2.video_dim
+    if src.shape[-1:] != (v,):
+        raise ShapeMismatchError(f"video shape {src.shape} does not end in {v}")
+    if aud is not None and aud.shape != (*src.shape[:-1], field2.audio_dim):
+        raise ShapeMismatchError(f"audio shape {aud.shape} does not match video shape {src.shape}")
+    joint = _JointField(field2)
 
-    if aud is None:
-        # Both audio streams start from the same realization and are
-        # denoised down to t_max before the editing loop begins; the video
-        # is the same noised source in both streams.
-        a_src_t = a_tar_t = rng.normal_array((*src.shape[:-1], field2.audio_dim))
-        eps_video = None
-        for i in range(cfg.T, cfg.n_max, -1):
-            t_i, t_prev = float(times[i]), float(times[i - 1])
-            eps_video = rng.normal_array(src.shape)
-            x_t = interp(src, eps_video, t_i)
-            _, av_src = _checked(i, t_i, field2.velocities(x_t, a_src_t, c_src, t_i))
-            _, av_tar = target_velocities(i, x_t, a_tar_t, t=t_i)
-            a_src_t = euler(a_src_t, av_src, t_i, t_prev)
-            a_tar_t = euler(a_tar_t, av_tar, t_i, t_prev)
-        if eps_video is None:  # n_max == T: no pre-steps ran
-            eps_video = rng.normal_array(src.shape)
-    else:
-        vv0, av0 = _checked(cfg.n_max, 0.0, field2.velocities(src, aud, c_src, 0.0))
-        eps_video = estimate_noise(src, vv0, 0.0)
-        a_src_t = a_tar_t = interp(aud, estimate_noise(aud, av0, 0.0), t_max)
-    x_tar = interp(src, eps_video, t_max)
+    def pair(video, audio):
+        return np.concatenate([video, audio], axis=-1)
+
+    if aud is not None:
+        out = omniedit_sync(joint, pair(src, aud), c_src, c_tar, cfg, rng=rng)
+        return DualState(video=out[..., :v], audio=out[..., v:])
+
+    rng, times = _resolve_rng(cfg, rng), cfg.times
+    target_velocity = _guided(cfg, joint, c_tar)
+    # the pre-steps feed both audio streams the same noised source video
+    a_src_t = a_tar_t = rng.normal_array((*src.shape[:-1], field2.audio_dim))
+    eps_video = None
+    for i in range(cfg.T, cfg.n_max, -1):
+        t_i, t_prev = float(times[i]), float(times[i - 1])
+        eps_video = rng.normal_array(src.shape)
+        x_t = interp(src, eps_video, t_i)
+        v_src = _checked(i, t_i, joint.velocity(pair(x_t, a_src_t), c_src, t_i))
+        v_tar = target_velocity(i, pair(x_t, a_tar_t), t=t_i)
+        a_src_t = euler(a_src_t, v_src[..., v:], t_i, t_prev)
+        a_tar_t = euler(a_tar_t, v_tar[..., v:], t_i, t_prev)
+    if eps_video is None:  # n_max == T: no pre-steps ran
+        eps_video = rng.normal_array(src.shape)
+    x_tar = interp(src, eps_video, float(times[cfg.n_max]))
 
     for i in range(cfg.n_max, 0, -1):
         t_i, t_prev = float(times[i]), float(times[i - 1])
         x_src_t = interp(src, eps_video, t_i)
-        vv_src, av_src = _checked(i, t_i, field2.velocities(x_src_t, a_src_t, c_src, t_i))
-        vv_tar, av_tar = target_velocities(i, x_tar, a_tar_t, t=t_i)
-        eps_video = estimate_noise(x_src_t, vv_src, t_i)
+        v_src = _checked(i, t_i, joint.velocity(pair(x_src_t, a_src_t), c_src, t_i))
+        v_tar = target_velocity(i, pair(x_tar, a_tar_t), t=t_i)
+        eps_video = estimate_noise(x_src_t, v_src[..., :v], t_i)
         x_src_prev = interp(src, eps_video, t_prev)
-        x_tar = step_target(x_tar, x_src_t, x_src_prev, vv_tar, vv_src, t_i, t_prev)
-        if aud is None:
-            a_src_t = euler(a_src_t, av_src, t_i, t_prev)
-            a_tar_t = euler(a_tar_t, av_tar, t_i, t_prev)
-        else:
-            a_src_prev = interp(aud, estimate_noise(a_src_t, av_src, t_i), t_prev)
-            a_tar_t = step_target(a_tar_t, a_src_t, a_src_prev, av_tar, av_src, t_i, t_prev)
-            a_src_t = a_src_prev
+        x_tar = step_target(x_tar, x_src_t, x_src_prev, v_tar[..., :v], v_src[..., :v], t_i, t_prev)
+        a_src_t = euler(a_src_t, v_src[..., v:], t_i, t_prev)
+        a_tar_t = euler(a_tar_t, v_tar[..., v:], t_i, t_prev)
 
     return DualState(video=x_tar, audio=a_tar_t)

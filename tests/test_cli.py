@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -8,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import flowlab
 from flowlab.cli import cli_main
 from flowlab.mlp import mlp_init, save_model
 
@@ -148,14 +152,38 @@ class TestEditCommand:
 
     @pytest.mark.parametrize("scale", ["1e154", "1e300"])
     def test_guidance_overflow_is_numerical_failure(self, tmp_path, scale, capsys):
-        with np.errstate(over="ignore"):
-            code = run_cli(
-                "edit", "--seeds", "2", "--T", "4", "--n-max", "3", "--dim", "2",
-                "--analytic", "src=0,1", "tar=2,0.25", "--cfg-scale", scale,
-                "--out-dir", str(tmp_path),
-            )
+        code = run_cli(
+            "edit", "--seeds", "2", "--T", "4", "--n-max", "3", "--dim", "2",
+            "--analytic", "src=0,1", "tar=2,0.25", "--cfg-scale", scale, "--out-dir", str(tmp_path),
+        )
         assert code == 3
         assert "numerical failure: non-finite velocity at step" in capsys.readouterr().err
+
+    def test_metric_overflow_is_numerical_failure(self, tmp_path, capsys):
+        # finite outputs whose distances overflow: a numerical failure, not a config error
+        code = run_cli(
+            "edit", "--seeds", "2", "--T", "4", "--n-max", "3", "--dim", "2",
+            "--analytic", "src=0,1", "tar=2,0.25", "--cfg-scale", "1e100", "--out-dir", str(tmp_path),
+        )
+        assert code == 3
+        assert "numerical failure: metric bias_norm is not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale, message", [
+        ("1e100", "numerical failure: metric bias_norm is not finite"),
+        ("1e154", "numerical failure: non-finite velocity at step 1 (t=0.25)"),
+    ], ids=["1e100", "1e154"])
+    def test_overflow_prints_only_the_flowlab_line(self, tmp_path, scale, message):
+        # a fresh interpreter, so numpy's warnings would reach stderr as they
+        # do for a user; only flowlab's own line may appear
+        env = {**os.environ, "PYTHONPATH": str(Path(flowlab.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "flowlab.cli", "edit", "--seeds", "2", "--T", "4",
+             "--n-max", "3", "--dim", "2", "--analytic", "src=0,1", "tar=2,0.25",
+             "--cfg-scale", scale, "--out-dir", str(tmp_path)],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr == f"flowlab: {message}\n"
 
     def test_out_dir_collision_is_config_error(self, tmp_path, capsys):
         blocker = tmp_path / "blocked"
@@ -356,6 +384,21 @@ class TestTrainAveditReport:
         code = run_cli("report", "--from", str(bad), "--out-dir", str(tmp_path / "o"))
         assert code == 2
         assert "experiment" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_report_on_non_finite_cell_is_config_error(self, tmp_path, cell, capsys):
+        edit_dir = tmp_path / "edit"
+        assert run_cli("edit", "--analytic", "src=0,1", "tar=2,1", "--seeds", "3",
+                       "--out-dir", str(edit_dir)) == 0
+        rows = read_csv(edit_dir / "edits.csv")
+        rows[1]["residual_norm"] = cell
+        bad = tmp_path / "edits.csv"
+        with open(bad, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        assert run_cli("report", "--from", str(bad), "--out-dir", str(tmp_path / "o")) == 2
+        assert "non-finite residual_norm value" in capsys.readouterr().err
 
     def test_report_on_non_utf8_file(self, tmp_path, capsys):
         bad = tmp_path / "edits.csv"

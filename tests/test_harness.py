@@ -16,7 +16,6 @@ from flowlab.harness import (
     bias_curve_plot,
     default_av_params,
     emit_report,
-    pair_field,
     run_ablation,
     run_avedit_sweep,
     run_edit_sweep,
@@ -28,7 +27,6 @@ from flowlab.harness import (
     trajectory_plot,
     write_per_seed_csv,
 )
-from flowlab.metrics import MetricReport
 from flowlab.rng import CounterRng, derive_seed
 from flowlab.samplers import EditConfig, omniedit_av
 

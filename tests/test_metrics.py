@@ -3,8 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from flowlab.core import Condition, TensorState
-from flowlab.errors import InvalidConfigError, ShapeMismatchError
+from flowlab.core import TensorState
+from flowlab.errors import InvalidConfigError, NumericalError, ShapeMismatchError
 from flowlab.gaussian import GaussianSpec, marginal_velocity, sample_array
 from flowlab.metrics import (
     MetricReport,
@@ -208,8 +208,13 @@ class TestEmpiricalMoments:
 
 class TestMetricReport:
     def test_rejects_non_finite(self):
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(NumericalError):
             MetricReport("bad", float("nan"))
+
+    def test_rejects_non_finite_stderr(self):
+        # finite values whose spread overflows, as in [1e308, -1e308]
+        with pytest.raises(NumericalError, match="stderr"):
+            MetricReport("bias_norm", 0.35, aux={"stderr": float("inf")})
 
     def test_carries_config_echo(self):
         rep = MetricReport("w2", 0.5, config={"seed_count": 3, "T": 20})

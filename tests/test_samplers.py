@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -93,13 +94,6 @@ class _ConstField:
         return np.full_like(np.asarray(x, dtype=float), self.value)
 
 
-class _NanField:
-    state_dim, condition_dim = 1, 0
-
-    def velocity(self, x, condition, t):
-        return np.full_like(np.asarray(x, dtype=float), np.nan)
-
-
 class TestGenerate:
     def test_constant_unit_velocity(self):
         out = generate(_ConstField(), np.array([3.0]), Condition.null(0), 16)
@@ -111,7 +105,7 @@ class TestGenerate:
 
     def test_nan_velocity_names_step(self):
         with pytest.raises(NumericalError) as err:
-            generate(_NanField(), np.array([0.0]), Condition.null(0), 4)
+            generate(_ConstField(value=np.nan), np.array([0.0]), Condition.null(0), 4)
         assert "step 4" in str(err.value)
 
     @pytest.mark.parametrize("x1", [np.float64(3.0), np.zeros((4, 2))], ids=["scalar", "wrong-dim"])
@@ -309,9 +303,8 @@ class TestOmniEditSync:
     def test_cfg_scale_zero_uses_unconditional_target(self, shift_pair_1d):
         field, _, _, c_src, c_tar = shift_pair_1d
         x = np.array([0.2])
-        guided = EditConfig(T=8, n_max=6, sequence_mode="target", noise_mode="estimated",
-                            cfg_scale=0.0, seed=2)
-        plain = EditConfig(T=8, n_max=6, sequence_mode="target", noise_mode="estimated", seed=2)
+        guided = EditConfig(T=8, n_max=6, cfg_scale=0.0, seed=2)
+        plain = EditConfig(T=8, n_max=6, seed=2)
         # scale 0 replaces the target velocity by the null-condition velocity,
         # which the fixture maps to the source spec: the edit becomes identity
         out_guided = omniedit_sync(field, x, c_src, c_tar, guided)
@@ -376,8 +369,7 @@ class TestOmniEditAv:
         field2, c0, c1 = dual_field()
         xv = np.array([0.0, 0.0])
         with pytest.raises(InvalidConfigError):
-            omniedit_av(field2, xv, None, c0, c1,
-                        EditConfig(sequence_mode="target", noise_mode="random"))
+            omniedit_av(field2, xv, None, c0, c1, EditConfig(noise_mode="random"))
 
     def test_modality_shape_mismatch(self):
         field2, c0, c1 = dual_field()
@@ -386,6 +378,8 @@ class TestOmniEditAv:
             omniedit_av(field2, xv, None, c0, c1, EditConfig())
         with pytest.raises(ShapeMismatchError):
             omniedit_av(field2, np.zeros(2), np.float64(0.5), c0, c1, EditConfig())
+        with pytest.raises(ShapeMismatchError):
+            omniedit_av(field2, np.zeros((3, 2)), np.zeros((2, 1)), c0, c1, EditConfig())
 
     def test_deterministic(self):
         field2, c0, c1 = dual_field()
@@ -481,8 +475,7 @@ class _Huge:
 
 
 def _run_flowedit(field, c, cfg_scale=1.0):
-    cfg = EditConfig(T=10, n_max=8, sequence_mode="edit", noise_mode="estimated",
-                     cfg_scale=cfg_scale)
+    cfg = EditConfig(T=10, n_max=8, sequence_mode="edit", cfg_scale=cfg_scale)
     flowedit(field, np.array([0.0]), c, c, cfg)
 
 
@@ -490,29 +483,36 @@ def _run_sync(field, c, cfg_scale=1.0):
     omniedit_sync(field, np.array([0.0]), c, c, EditConfig(T=10, n_max=8, cfg_scale=cfg_scale))
 
 
-def _run_av(field, c, cfg_scale=1.0):
-    video = np.array([0.0])
-    audio = np.array([0.0])
-    omniedit_av(field, video, audio, c, c, EditConfig(T=10, n_max=8, cfg_scale=cfg_scale))
+def _run_av(field, c, cfg_scale=1.0, audio=np.array([0.0])):
+    omniedit_av(field, np.array([0.0]), audio, c, c, EditConfig(T=10, n_max=8, cfg_scale=cfg_scale))
+
+
+# two pre-steps (t = 1, 0.9), then edit steps 8..1
+_run_av_no_audio = functools.partial(_run_av, audio=None)
+_NO_AUDIO_NANS = [(w, t, s) for w in ("video", "audio") for t in (0.5, 0.9) for s in (1.0, 1.5)]
 
 
 class TestNonFiniteVelocity:
     @pytest.mark.parametrize(
-        "run, where",
-        [(_run_flowedit, "video"), (_run_sync, "video"), (_run_av, "video"), (_run_av, "audio")],
-        ids=["flowedit", "omniedit_sync", "omniedit_av-video", "omniedit_av-audio"],
+        "run, where, t_nan, scale",
+        [(_run_flowedit, "video", 0.5, 1.0), (_run_sync, "video", 0.5, 1.0),
+         (_run_av, "video", 0.5, 1.0), (_run_av, "audio", 0.5, 1.0)]
+        + [(_run_av_no_audio, *case) for case in _NO_AUDIO_NANS],
+        ids=["flowedit", "omniedit_sync", "omniedit_av-video", "omniedit_av-audio"]
+        + [f"omniedit_av-no-audio-{w}-t{t}-scale{s}" for w, t, s in _NO_AUDIO_NANS],
     )
-    def test_nan_velocity_names_step(self, run, where):
+    def test_nan_velocity_names_step(self, run, where, t_nan, scale):
         with pytest.raises(NumericalError) as err:
-            run(_NanAt(0.5, where), Condition.one_hot(0, 1))
-        assert "step 5" in str(err.value)
+            run(_NanAt(t_nan, where), Condition.one_hot(0, 1), cfg_scale=scale)
+        assert str(err.value) == f"non-finite velocity at step {round(10 * t_nan)} (t={t_nan:g})"
 
-    @pytest.mark.parametrize("run", [_run_flowedit, _run_sync, _run_av],
-                             ids=["flowedit", "omniedit_sync", "omniedit_av"])
-    def test_overflowing_guidance_names_step(self, run):
+    @pytest.mark.parametrize("run, step",
+                             [(_run_flowedit, 8), (_run_sync, 8), (_run_av, 8), (_run_av_no_audio, 10)],
+                             ids=["flowedit", "omniedit_sync", "omniedit_av", "omniedit_av-no-audio"])
+    def test_overflowing_guidance_names_step(self, run, step):
         with np.errstate(over="ignore"), pytest.raises(NumericalError) as err:
             run(_Huge(), Condition.one_hot(0, 1), cfg_scale=1e9)
-        assert "step 8" in str(err.value)
+        assert f"step {step} " in str(err.value)
 
 
 _coords = st.floats(-3.0, 3.0)
@@ -676,17 +676,15 @@ class TestBatchedOmniEditAv:
             assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
-class _JointField:
-    """A dual field seen as one velocity field on concat(video, audio)."""
-
-    def __init__(self, field2):
-        self.field2 = field2
-        self.state_dim = field2.video_dim + field2.audio_dim
-        self.condition_dim = field2.condition_dim
-
-    def velocity(self, x, condition, t):
-        video, audio = x[..., : self.field2.video_dim], x[..., self.field2.video_dim :]
-        return np.concatenate(self.field2.velocities(video, audio, condition, t), axis=-1)
+def _joint_analytic_field(field2, conditions):
+    """The diagonal field on concat(video, audio) whose specs concatenate
+    the video and audio means and covariances."""
+    joint = GaussianConditionalField(field2.condition_dim, field2.video_dim + field2.audio_dim)
+    for c in conditions:
+        specs = field2.video_field.spec_for(c), field2.audio_field.spec_for(c)
+        joint.register(c, GaussianSpec(mean=np.concatenate([sp.mean for sp in specs]),
+                                       cov=np.concatenate([sp.cov for sp in specs])))
+    return joint
 
 
 class TestPairedAvIsJointTargetSequence:
@@ -706,7 +704,7 @@ class TestPairedAvIsJointTargetSequence:
             c0, c1 = Condition.one_hot(0, 2), Condition.one_hot(1, 2)
         else:
             field2, c0, c1 = data.draw(_diagonal_dual_fields())
-            joint = _JointField(field2)
+            joint = _joint_analytic_field(field2, (c0, c1, Condition.null(2)))
         cfg = EditConfig(T=T, n_max=data.draw(st.integers(1, T)), cfg_scale=scale)
         rng = CounterRng(data.draw(st.integers(0, 2**64 - 1)))
         video = rng.normal_array((rows, field2.video_dim))
