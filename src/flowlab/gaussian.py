@@ -151,6 +151,9 @@ def mc_conditional_velocity(
     cancels. The self-normalised weighted mean of x1 - x0 is the exact
     conditional expectation as n grows, with no kernel and no bandwidth.
     Returns it with a per-coordinate standard error of the weighted mean.
+    Both weighted sums are numpy pairwise sums over the draws, one
+    coordinate at a time, so the result does not depend on the BLAS thread
+    count.
     """
     if n < 10_000:
         raise InvalidConfigError(f"need n >= 1e4 Monte Carlo samples, got {n}")
@@ -160,20 +163,31 @@ def mc_conditional_velocity(
     if x.size != spec.dim:
         raise ShapeMismatchError(f"query dim {x.size} != spec dim {spec.dim}")
 
-    x0 = sample_array(spec, n, rng)
-    x1 = (x - (1.0 - t) * x0) / t
-    log_w = -0.5 * np.sum(x1 * x1, axis=1)
-    w = np.exp(log_w - np.max(log_w))  # max-shifted: the largest weight is 1
+    # one row per coordinate: the elementwise work and the sums run along
+    # the n draws
+    x0 = sample_array(spec, n, rng).T.copy()
+    x1 = x0 * (1.0 - t)
+    np.subtract(x[:, None], x1, out=x1)
+    x1 /= t
+    log_w = x1[0] * x1[0]
+    for row in x1[1:]:
+        log_w += row * row
+    log_w *= -0.5
+    log_w -= np.max(log_w)
+    w = np.exp(log_w, out=log_w)  # max-shifted: the largest weight is 1
+    w_sq = w * w
     wsum = float(np.sum(w))
-    ess = wsum**2 / float(np.sum(w**2))
+    ess = wsum**2 / float(np.sum(w_sq))
     if ess < 30.0:
         raise InsufficientSamplesError(
             f"effective sample size {ess:.1f} < 30 at x={x}, t={t}; increase n"
         )
-    y = x1 - x0
-    value = (w @ y) / wsum
-    resid = y - value
-    stderr = np.sqrt((w**2) @ resid**2) / wsum
+    y = np.subtract(x1, x0, out=x0)
+    value = np.array([np.sum(w * row) for row in y]) / wsum
+    resid = np.subtract(y, value[:, None], out=y)
+    resid *= resid
+    resid *= w_sq
+    stderr = np.sqrt([np.sum(row) for row in resid]) / wsum
     return McVelocityEstimate(value=value, stderr=stderr, effective_samples=ess, n=n)
 
 

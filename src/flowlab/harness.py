@@ -2,9 +2,10 @@
 CSV/SVG emission and run manifests.
 
 Determinism contract: identical resolved configuration produces
-byte-identical CSV and SVG outputs; wall-clock timestamps live only in the
-manifest. Seed sweeps run in seed order and each run derives its own
-data/sampler streams from the sweep seed.
+byte-identical CSV and SVG outputs, whatever the BLAS thread count;
+wall-clock timestamps live only in the manifest. Seed sweeps run in seed
+order and each run derives its own data/sampler streams from the sweep
+seed.
 """
 
 from __future__ import annotations
@@ -201,9 +202,10 @@ def mean_stderr(values: np.ndarray) -> tuple[float, float]:
     return float(values.mean()), float(values.std(ddof=1) / np.sqrt(values.size))
 
 
-def _fitted_w2(samples: np.ndarray, spec: GaussianSpec) -> float | None:
+def _fitted_w2(samples: np.ndarray, spec: GaussianSpec, moments=None) -> float | None:
     """W2 from the Gaussian fitted to the rows of ``samples`` (sample mean,
-    unbiased covariance plus 1e-12 I) to ``spec``.
+    unbiased covariance plus 1e-12 I) to ``spec``. ``moments`` passes
+    ``empirical_moments(samples)`` when the caller has it already.
 
     None when there are no more rows than dimensions: the pooled covariance
     of n <= dim rows has rank at most n - 1, so it is singular by
@@ -212,7 +214,7 @@ def _fitted_w2(samples: np.ndarray, spec: GaussianSpec) -> float | None:
     a numerical failure of the run, not a bad configuration."""
     if samples.shape[0] <= samples.shape[1]:
         return None
-    mean, cov = empirical_moments(samples)
+    mean, cov = empirical_moments(samples) if moments is None else moments
     try:
         fitted = GaussianSpec(mean=mean, cov=cov + 1e-12 * np.eye(mean.size))
     except InvalidConfigError as exc:
@@ -554,8 +556,8 @@ def run_generate_sweep(
     field, c_src, _ = pair_field(spec, spec)
     rng = CounterRng(derive_seed(seed, 3))
     samples = generate(field, rng.normal_array((n, spec.dim)), c_src, T)
-    w2 = _fitted_w2(samples, spec)
     mean, cov = empirical_moments(samples)
+    w2 = _fitted_w2(samples, spec, (mean, cov))
     config_echo = {"experiment": "generate", "T": T, "seed_count": 1}
     reports = [] if w2 is None else [MetricReport("fitted_w2", w2, config=config_echo)]
     reports += [

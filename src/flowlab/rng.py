@@ -74,10 +74,24 @@ class CounterRng:
         self.normal_draws = 0
 
     def _words(self, n: int) -> np.ndarray:
-        idx = np.arange(self._index + 1, self._index + n + 1, dtype=np.uint64)
+        # uint64 array arithmetic wraps mod 2**64 without a warning, so the
+        # SplitMix64 rounds run in place on the fresh counter array
+        z = np.arange(self._index + 1, self._index + n + 1, dtype=np.uint64)
         self._index += n
-        with np.errstate(over="ignore"):
-            return _mix64(self._key + idx * _GOLDEN)
+        z *= _GOLDEN
+        z = z + self._key  # a new array: a keyed key broadcasts to (k, n)
+        z ^= z >> np.uint64(30)
+        z *= _MIX1
+        z ^= z >> np.uint64(27)
+        z *= _MIX2
+        z ^= z >> np.uint64(31)
+        return z
+
+    def _uniforms(self, n: int) -> np.ndarray:
+        u = self._words(n)
+        u >>= np.uint64(11)
+        u += np.uint64(1)
+        return u * 2.0**-53
 
     @property
     def words_consumed(self) -> int:
@@ -86,16 +100,21 @@ class CounterRng:
     def uniform(self, n: int | None = None):
         """Uniform draws in (0, 1]; scalar if n is None, else shape (n,),
         keyed (k, n)."""
-        u = ((self._words(1 if n is None else n) >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
+        u = self._uniforms(1 if n is None else n)
         return float(u[0]) if n is None else u
 
     def standard_normal(self, n: int) -> np.ndarray:
         """n standard normal draws (two words each, Box-Muller cosine branch);
         keyed: shape (k, n)."""
-        w = self._words(2 * n)
-        u = ((w >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
+        u = self._uniforms(2 * n)
         self.normal_draws += n
-        return np.sqrt(-2.0 * np.log(u[..., 0::2])) * np.cos(2.0 * np.pi * u[..., 1::2])
+        z = np.log(u[..., 0::2])
+        z *= -2.0
+        np.sqrt(z, out=z)
+        angle = u[..., 1::2] * (2.0 * np.pi)
+        np.cos(angle, out=angle)
+        z *= angle
+        return z
 
     def normal_array(self, shape: tuple[int, ...] | int) -> np.ndarray:
         """Standard normals reshaped to ``shape`` (row-major draw order).

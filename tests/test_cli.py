@@ -13,6 +13,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 import flowlab
 from flowlab.cli import cli_main
+from flowlab.gaussian import GaussianSpec
+from flowlab.harness import format_num, run_generate_sweep
 from flowlab.mlp import mlp_init, save_model
 
 
@@ -329,6 +331,20 @@ class TestGenerateCommand:
         lines = (tmp_path / "samples.csv").read_text().strip().split("\n")
         assert len(lines) == 1 + 500
         assert (tmp_path / "summary.csv").exists()
+
+    def test_samples_file_spans_blocks(self, tmp_path):
+        # more rows than one write block; every cell is format_num's text
+        argv = ["--analytic", "spec=1,2", "--dim", "3", "--n", "4100", "--T", "10", "--seed", "4"]
+        assert run_cli("generate", *argv, "--out-dir", str(tmp_path)) == 0
+        samples, _ = run_generate_sweep(GaussianSpec.isotropic(1.0, 2.0, dim=3), 4100, 10, 4)
+        expected = ["x_0,x_1,x_2"] + [",".join(format_num(v) for v in row) for row in samples]
+        assert (tmp_path / "samples.csv").read_text() == "\n".join(expected) + "\n"
+
+    @settings(max_examples=500, deadline=None)
+    @given(v=st.floats(allow_nan=True, allow_infinity=True))
+    def test_percent_format_is_format_num(self, v):
+        # samples.csv formats with "%.12g"; every other CSV uses format_num
+        assert "%.12g" % v == format_num(v)
 
 
 class TestOracleCheckCommand:

@@ -1,7 +1,14 @@
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import flowlab
 from flowlab.core import Condition
 from flowlab.errors import (
     InsufficientSamplesError,
@@ -153,6 +160,50 @@ class TestMcConditionalVelocity:
         spec = GaussianSpec.isotropic(0.0, 1.0)
         with pytest.raises(InsufficientSamplesError):
             mc_conditional_velocity(spec, np.array([40.0]), 0.5, 20_000, CounterRng(0))
+
+    @pytest.mark.parametrize(
+        "spec, x, t",
+        [(GaussianSpec.isotropic(0.5, 1.0), [0.3], 0.5),
+         (GaussianSpec(mean=[-1.0], cov=[0.4]), [1.2], 0.3),
+         (GaussianSpec.isotropic(0.5, 1.0, dim=2), [0.3, -0.4], 0.7),
+         (GaussianSpec(mean=[1.0, -0.5], cov=[2.0, 0.5]), [-0.8, 0.6], 0.5)],
+    )
+    def test_matches_an_exactly_summed_reference(self, spec, x, t):
+        # the same draws, summed in the (n, dim) layout with math.fsum
+        n, seed = 20_000, 11
+        est = mc_conditional_velocity(spec, np.array(x), t, n, CounterRng(seed))
+        x0 = sample_array(spec, n, CounterRng(seed))
+        x1 = (np.array(x) - (1.0 - t) * x0) / t
+        log_w = -0.5 * np.sum(x1 * x1, axis=1)
+        w = np.exp(log_w - np.max(log_w))
+        y = x1 - x0
+        wsum = math.fsum(w)
+        value = np.array([math.fsum(w * y[:, j]) for j in range(spec.dim)]) / wsum
+        resid = y - value
+        stderr = np.sqrt([math.fsum(w**2 * resid[:, j] ** 2) for j in range(spec.dim)]) / wsum
+        np.testing.assert_allclose(est.value, value, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(est.stderr, stderr, rtol=1e-12, atol=0.0)
+        assert est.effective_samples == pytest.approx(wsum**2 / math.fsum(w**2), rel=1e-12)
+
+    def test_does_not_depend_on_the_blas_thread_count(self):
+        # a fresh interpreter per thread count: BLAS reads it at import
+        code = (
+            "from flowlab.gaussian import GaussianSpec, mc_conditional_velocity\n"
+            "from flowlab.rng import CounterRng\n"
+            "e = mc_conditional_velocity(GaussianSpec.isotropic(0.5, 1, dim=1), [0.3], 0.5,"
+            " 20_000, CounterRng(7))\n"
+            "print(e.value.tobytes().hex(), e.stderr.tobytes().hex())\n"
+        )
+        src = str(Path(flowlab.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=src)
+            run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                 text=True, timeout=120)
+            assert run.returncode == 0, run.stderr
+            outputs.append(run.stdout)
+        assert outputs[0] == outputs[1]
 
 
 class TestSampling:

@@ -245,6 +245,14 @@ class TestGenerateSweep:
         _, reports = run_generate_sweep(SRC, 2, 10, seed=1)
         assert [r.name for r in reports] == ["mean_abs_error", "cov_abs_error"]
 
+    def test_moments_computed_once(self, monkeypatch):
+        calls = []
+        moments = harness.empirical_moments
+        monkeypatch.setattr(harness, "empirical_moments", lambda s: calls.append(1) or moments(s))
+        _, reports = run_generate_sweep(SRC, 50, 10, seed=1)
+        assert [r.name for r in reports] == ["fitted_w2", "mean_abs_error", "cov_abs_error"]
+        assert len(calls) == 1
+
 
 class TestAvHarness:
     def test_train_and_swap_smoke(self):

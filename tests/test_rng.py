@@ -100,3 +100,56 @@ def test_keyed_draws_lead_with_the_streams():
         keyed.normal_array((2, 4))
     with pytest.raises(ShapeMismatchError):
         CounterRng([[1, 2]])
+
+
+# Known answers: the module docstring's formulas in Python integers, with no
+# numpy in the word stream.
+_MASK = (1 << 64) - 1
+
+
+def _reference_words(seed: int, first: int, n: int) -> list[int]:
+    """Words ``first+1 .. first+n`` of the stream of ``seed``."""
+    words = []
+    for k in range(first + 1, first + n + 1):
+        z = ((seed & _MASK) + k * 0x9E3779B97F4A7C15) & _MASK
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+        words.append(z ^ (z >> 31))
+    return words
+
+
+def _reference_uniforms(seed: int, first: int, n: int) -> np.ndarray:
+    return np.array([((w >> 11) + 1) * 2.0**-53 for w in _reference_words(seed, first, n)])
+
+
+def _reference_normals(seed: int, first: int, n: int) -> np.ndarray:
+    # numpy's log and cos, as the generator uses them: math.log and math.cos
+    # differ from them in the last ulp on some draws
+    u = _reference_uniforms(seed, first, 2 * n)
+    return np.sqrt(-2.0 * np.log(u[0::2])) * np.cos(2.0 * np.pi * u[1::2])
+
+
+def test_words_and_uniforms_match_the_integer_reference():
+    rng = CounterRng(12345)
+    assert [int(w) for w in rng._words(40_000)] == _reference_words(12345, 0, 40_000)
+    assert np.array_equal(rng.uniform(1_000), _reference_uniforms(12345, 40_000, 1_000))
+    assert rng.uniform() == _reference_uniforms(12345, 41_000, 1)[0]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1, -3])
+def test_scalar_stream_matches_the_reference_after_earlier_draws(seed):
+    rng = CounterRng(seed)
+    assert np.array_equal(rng.standard_normal(500), _reference_normals(seed, 0, 500))
+    rng.uniform(3)  # the stream has now drawn 1003 words
+    assert np.array_equal(rng.normal_array((40, 3)).ravel(), _reference_normals(seed, 1003, 120))
+    assert np.array_equal(rng.uniform(9), _reference_uniforms(seed, 1243, 9))
+
+
+def test_keyed_streams_match_the_reference_after_earlier_draws():
+    seeds = [5, 2**63 + 1, 0]
+    rng = CounterRng(seeds)
+    rng.standard_normal(4)
+    normals, uniforms = rng.normal_array((3, 50, 2)), rng.uniform(6)
+    for row, seed in enumerate(seeds):
+        assert np.array_equal(normals[row].ravel(), _reference_normals(seed, 8, 100))
+        assert np.array_equal(uniforms[row], _reference_uniforms(seed, 208, 6))

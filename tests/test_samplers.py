@@ -442,20 +442,27 @@ def test_frozen_editor_outputs(name):
 
 class _NanAt:
     """Zero velocities except NaN at one time, in the video (or the single)
-    output or in the audio output."""
+    output or in the audio output; with ``under``, only under that
+    condition."""
 
     state_dim = video_dim = audio_dim = 1
     condition_dim = 1
 
-    def __init__(self, t_nan, where="video"):
-        self.t_nan, self.where = t_nan, where
+    def __init__(self, t_nan, where="video", under=None):
+        self.t_nan, self.where, self.under = t_nan, where, under
+
+    def _nan(self, condition, t):
+        return t == self.t_nan and (
+            self.under is None
+            or (not condition.is_null and np.array_equal(condition.vector, self.under.vector))
+        )
 
     def velocity(self, x, condition, t):
-        return np.full_like(x, np.nan if t == self.t_nan else 0.0)
+        return np.full_like(x, np.nan if self._nan(condition, t) else 0.0)
 
     def velocities(self, video, audio, condition, t):
         vv, av = np.zeros_like(video), np.zeros_like(audio)
-        if t == self.t_nan:
+        if self._nan(condition, t):
             vv, av = (vv + np.nan, av) if self.where == "video" else (vv, av + np.nan)
         return vv, av
 
@@ -505,6 +512,17 @@ class TestNonFiniteVelocity:
         with pytest.raises(NumericalError) as err:
             run(_NanAt(t_nan, where), Condition.one_hot(0, 1), cfg_scale=scale)
         assert str(err.value) == f"non-finite velocity at step {round(10 * t_nan)} (t={t_nan:g})"
+
+    @pytest.mark.parametrize("where", ["video", "audio"])
+    @pytest.mark.parametrize("scale", [1.0, 1.5])
+    def test_nan_under_source_only_names_pre_step(self, where, scale):
+        # the target and null evaluations of pre-step 9 are finite, so only
+        # the check on the source velocity can name it
+        c_src, c_tar = Condition.one_hot(0, 1), Condition(vector=np.array([2.0]))
+        cfg = EditConfig(T=10, n_max=8, cfg_scale=scale)
+        with pytest.raises(NumericalError) as err:
+            omniedit_av(_NanAt(0.9, where, under=c_src), np.array([0.0]), None, c_src, c_tar, cfg)
+        assert str(err.value) == "non-finite velocity at step 9 (t=0.9)"
 
     @pytest.mark.parametrize("run, step",
                              [(_run_flowedit, 8), (_run_sync, 8), (_run_av, 8), (_run_av_no_audio, 10)],
