@@ -43,6 +43,7 @@ from .harness import (
     trajectory_plot,
     write_avedit_csv,
     write_per_seed_csv,
+    write_samples_csv,
 )
 from .metrics import MetricReport
 from .mlp import MlpDualField, load_model, save_model
@@ -50,8 +51,6 @@ from .samplers import EditConfig
 
 _CONFIG_ERRORS = (InvalidConfigError, ShapeMismatchError, ModelFormatError, OSError)
 _NUMERICAL_ERRORS = (NumericalError, InsufficientSamplesError, TrainingDivergedError)
-# generate writes samples.csv this many rows at a time
-_CSV_BLOCK_ROWS = 4096
 
 
 def _parse_spec(text: str, dim: int) -> GaussianSpec:
@@ -268,16 +267,7 @@ def _cmd_generate(options: dict, config: ExperimentConfig) -> int:
     samples, reports = run_generate_sweep(spec, options["n"], options["T"], options["seed"])
     out_dir = Path(options["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    # "%.12g" formats every float as format_num does. Each block of rows is
-    # one repeated row template, so no string per row, and no list of all
-    # rows, is ever built.
-    row = ",".join(["%.12g"] * samples.shape[1]) + "\n"
-    with open(out_dir / "samples.csv", "w") as f:
-        f.write(",".join(f"x_{j}" for j in range(samples.shape[1])) + "\n")
-        for start in range(0, samples.shape[0], _CSV_BLOCK_ROWS):
-            block = samples[start : start + _CSV_BLOCK_ROWS]
-            f.write((row * len(block)) % tuple(block.ravel().tolist()))
-    files = ["samples.csv"] + emit_report(reports, out_dir, False, None)
+    files = [write_samples_csv(samples, out_dir)] + emit_report(reports, out_dir, False, None)
     _finish(out_dir, config, files)
     return 0
 

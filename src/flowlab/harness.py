@@ -64,9 +64,31 @@ ABLATION_CELLS = (
 ORACLE_MAX_Z = 4.25
 
 
+# The format of every number in a CSV or log line: 12 significant digits.
+_NUM_FORMAT = ".12g"
+# write_samples_csv formats and writes this many rows at a time.
+_CSV_BLOCK_ROWS = 4096
+
+
 def format_num(x: float) -> str:
-    """A number as every CSV and log line writes it: 12 significant digits."""
-    return format(float(x), ".12g")
+    """A number as every CSV and log line writes it."""
+    return format(float(x), _NUM_FORMAT)
+
+
+def write_samples_csv(samples: np.ndarray, out_dir) -> str:
+    """Write the rows of an (n, dim) array to ``samples.csv``, each number
+    as format_num writes it.
+
+    ``"%" + _NUM_FORMAT`` formats a float exactly as format_num does. Each
+    block of rows is one repeated row template, so neither a string per row
+    nor a list of all rows is ever built."""
+    row = ",".join(["%" + _NUM_FORMAT] * samples.shape[1]) + "\n"
+    with open(Path(out_dir) / "samples.csv", "w") as f:
+        f.write(",".join(f"x_{j}" for j in range(samples.shape[1])) + "\n")
+        for start in range(0, samples.shape[0], _CSV_BLOCK_ROWS):
+            block = samples[start : start + _CSV_BLOCK_ROWS]
+            f.write((row * len(block)) % tuple(block.ravel().tolist()))
+    return "samples.csv"
 
 
 @dataclass(frozen=True)
@@ -202,25 +224,19 @@ def mean_stderr(values: np.ndarray) -> tuple[float, float]:
     return float(values.mean()), float(values.std(ddof=1) / np.sqrt(values.size))
 
 
-def _fitted_w2(samples: np.ndarray, spec: GaussianSpec, moments=None) -> float | None:
-    """W2 from the Gaussian fitted to the rows of ``samples`` (sample mean,
-    unbiased covariance plus 1e-12 I) to ``spec``. ``moments`` passes
-    ``empirical_moments(samples)`` when the caller has it already.
+def _fitted_w2(mean: np.ndarray, cov: np.ndarray, n: int, spec: GaussianSpec) -> float:
+    """W2 to ``spec`` from the Gaussian fitted to n rows with sample mean
+    ``mean`` and unbiased covariance ``cov`` (plus 1e-12 I).
 
-    None when there are no more rows than dimensions: the pooled covariance
-    of n <= dim rows has rank at most n - 1, so it is singular by
-    construction (one row has no covariance at all). A fit that fails with
-    more rows, say because the spread of the outputs swamps the jitter, is
-    a numerical failure of the run, not a bad configuration."""
-    if samples.shape[0] <= samples.shape[1]:
-        return None
-    mean, cov = empirical_moments(samples) if moments is None else moments
+    Callers fit only more rows than dimensions: the covariance of n <= dim
+    rows has rank at most n - 1, so it is singular by construction (one row
+    has no covariance at all). A fit that fails with more rows, say because
+    the spread of the outputs swamps the jitter, is a numerical failure of
+    the run, not a bad configuration."""
     try:
         fitted = GaussianSpec(mean=mean, cov=cov + 1e-12 * np.eye(mean.size))
     except InvalidConfigError as exc:
-        raise NumericalError(
-            f"cannot fit a Gaussian to {samples.shape[0]} outputs: {exc}"
-        ) from None
+        raise NumericalError(f"cannot fit a Gaussian to {n} outputs: {exc}") from None
     return w2_gaussian(fitted, spec)
 
 
@@ -239,8 +255,9 @@ def sweep_reports(
         "T": cfg.T, "n_max": cfg.n_max, "seed_count": len(runs),
     }
     reports = []
-    w2 = _fitted_w2(np.stack([r.output for r in runs]), tar_spec)
-    if w2 is not None:
+    outputs = np.stack([r.output for r in runs])
+    if outputs.shape[0] > outputs.shape[1]:
+        w2 = _fitted_w2(*empirical_moments(outputs), outputs.shape[0], tar_spec)
         reports.append(MetricReport("fitted_w2", w2, config=config_echo))
     for name, values in (
         ("bias_norm", [float(np.linalg.norm(r.residual)) for r in runs]),
@@ -557,9 +574,10 @@ def run_generate_sweep(
     rng = CounterRng(derive_seed(seed, 3))
     samples = generate(field, rng.normal_array((n, spec.dim)), c_src, T)
     mean, cov = empirical_moments(samples)
-    w2 = _fitted_w2(samples, spec, (mean, cov))
     config_echo = {"experiment": "generate", "T": T, "seed_count": 1}
-    reports = [] if w2 is None else [MetricReport("fitted_w2", w2, config=config_echo)]
+    reports = []
+    if n > spec.dim:
+        reports.append(MetricReport("fitted_w2", _fitted_w2(mean, cov, n, spec), config=config_echo))
     reports += [
         MetricReport(
             "mean_abs_error", float(np.max(np.abs(mean - spec.mean))), config=config_echo

@@ -37,11 +37,15 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    # all multiplies wrap mod 2**64 by design
-    with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-        return z ^ (z >> np.uint64(31))
+    # SplitMix64 finalizer, in place on an array (a scalar just rebinds).
+    # The multiplies wrap mod 2**64 by design: silently on a uint64 array,
+    # with an overflow warning on a scalar unless the caller ignores it.
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def derive_seed(seed: int, tag: int) -> int:
@@ -52,7 +56,7 @@ def derive_seed(seed: int, tag: int) -> int:
     """
     with np.errstate(over="ignore"):
         z = np.uint64(int(seed) & _U64) * _GOLDEN + np.uint64(int(tag) & _U64) * _MIX2 + np.uint64(1)
-    return int(_mix64(z))
+        return int(_mix64(z))
 
 
 class CounterRng:
@@ -74,18 +78,10 @@ class CounterRng:
         self.normal_draws = 0
 
     def _words(self, n: int) -> np.ndarray:
-        # uint64 array arithmetic wraps mod 2**64 without a warning, so the
-        # SplitMix64 rounds run in place on the fresh counter array
         z = np.arange(self._index + 1, self._index + n + 1, dtype=np.uint64)
         self._index += n
         z *= _GOLDEN
-        z = z + self._key  # a new array: a keyed key broadcasts to (k, n)
-        z ^= z >> np.uint64(30)
-        z *= _MIX1
-        z ^= z >> np.uint64(27)
-        z *= _MIX2
-        z ^= z >> np.uint64(31)
-        return z
+        return _mix64(z + self._key)  # a new array: a keyed key broadcasts to (k, n)
 
     def _uniforms(self, n: int) -> np.ndarray:
         u = self._words(n)

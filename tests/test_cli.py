@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 import flowlab
 from flowlab.cli import cli_main
 from flowlab.gaussian import GaussianSpec
-from flowlab.harness import format_num, run_generate_sweep
+from flowlab.harness import format_num, run_generate_sweep, write_samples_csv
 from flowlab.mlp import mlp_init, save_model
 
 
@@ -342,9 +342,13 @@ class TestGenerateCommand:
 
     @settings(max_examples=500, deadline=None)
     @given(v=st.floats(allow_nan=True, allow_infinity=True))
-    def test_percent_format_is_format_num(self, v):
-        # samples.csv formats with "%.12g"; every other CSV uses format_num
-        assert "%.12g" % v == format_num(v)
+    def test_samples_cells_are_format_num(self, v):
+        # samples.csv formats blocks of rows with a %-template; every other
+        # CSV writes numbers with format_num
+        with tempfile.TemporaryDirectory() as out_dir:
+            write_samples_csv(np.array([[v, -v]]), out_dir)
+            text = (Path(out_dir) / "samples.csv").read_text()
+        assert text == f"x_0,x_1\n{format_num(v)},{format_num(-v)}\n"
 
 
 class TestOracleCheckCommand:

@@ -27,6 +27,7 @@ from flowlab.harness import (
     trajectory_plot,
     write_per_seed_csv,
 )
+from flowlab.metrics import empirical_moments
 from flowlab.rng import CounterRng, derive_seed
 from flowlab.samplers import EditConfig, omniedit_av
 
@@ -176,8 +177,8 @@ class TestPerSeedCsv:
         # collinear outputs at a scale where the 1e-12 jitter rounds away
         outputs = np.array([[0.0, 0.0], [1e10, 1e10], [2e10, 2e10]])
         with pytest.raises(NumericalError, match="3 outputs"):
-            harness._fitted_w2(outputs, SRC)
-        assert harness._fitted_w2(outputs / 1e10, SRC) > 0.0
+            harness._fitted_w2(*empirical_moments(outputs), 3, SRC)
+        assert harness._fitted_w2(*empirical_moments(outputs / 1e10), 3, SRC) > 0.0
 
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "edits.csv"
