@@ -81,7 +81,10 @@ class CounterRng:
         z = np.arange(self._index + 1, self._index + n + 1, dtype=np.uint64)
         self._index += n
         z *= _GOLDEN
-        return _mix64(z + self._key)  # a new array: a keyed key broadcasts to (k, n)
+        # a new array, as a keyed key broadcasts to (k, n); rebinding z frees
+        # the counter array before the mix rather than holding both
+        z = z + self._key
+        return _mix64(z)
 
     def _uniforms(self, n: int) -> np.ndarray:
         u = self._words(n)
