@@ -577,7 +577,8 @@ def run_generate_sweep(
     config_echo = {"experiment": "generate", "T": T, "seed_count": 1}
     reports = []
     if n > spec.dim:
-        reports.append(MetricReport("fitted_w2", _fitted_w2(mean, cov, n, spec), config=config_echo))
+        w2 = _fitted_w2(mean, cov, n, spec)
+        reports.append(MetricReport("fitted_w2", w2, config=config_echo))
     reports += [
         MetricReport(
             "mean_abs_error", float(np.max(np.abs(mean - spec.mean))), config=config_echo
