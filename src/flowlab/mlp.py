@@ -5,6 +5,18 @@ layers to a velocity of the state's dimension, and is trained with Adam on
 the straight-path regression objective: batch mean of
 ``||model(x_t, c, t) - (x1 - x0)||^2`` with x1 drawn standard normal and t
 uniform. Everything is float64 numpy, single threaded and deterministic.
+
+Parameters live in one float64 vector, ``MlpModel.params``, laid out as the
+model file stores them: W0 (row-major, fan_out x fan_in), b0, W1, b1, ...
+``weights`` and ``biases`` are reshaped views of it, the gradient vector of
+``batch_loss_and_grads`` has the same layout, and Adam updates the whole
+vector at once.
+
+Per epoch, ``train`` draws a permutation (n uniforms) and then, in one call,
+the epoch's n * (2d + 1) words: for each batch of b rows in order, 2*b*d
+words turned into its (b, d) normal endpoints (Box-Muller, row-major), then
+b words for its times. Word k is the same however the draws are batched, so
+this stream equals one normal and one uniform draw per batch.
 """
 
 from __future__ import annotations
@@ -22,7 +34,7 @@ from .errors import (
     ShapeMismatchError,
     TrainingDivergedError,
 )
-from .rng import CounterRng, derive_seed
+from .rng import CounterRng, box_muller, derive_seed
 
 _MAGIC = b"OMED"
 _FORMAT_VERSION = 1
@@ -32,19 +44,28 @@ _TANH_CODE = 0
 _BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 
-@dataclass
+def _layer_views(flat: np.ndarray, chain: Sequence[int]) -> list[np.ndarray]:
+    """[W0, b0, W1, b1, ...] as reshaped views of a flat parameter-layout vector."""
+    views, off = [], 0
+    for fan_in, fan_out in zip(chain[:-1], chain[1:]):
+        views.append(flat[off : off + fan_out * fan_in].reshape(fan_out, fan_in))
+        off += fan_out * fan_in
+        views.append(flat[off : off + fan_out])
+        off += fan_out
+    return views
+
+
 class MlpModel:
     """Weight matrices W_l of shape (fan_out, fan_in) plus bias vectors.
 
     The layer chain is [state_dim + condition_dim + 2, hidden..., state_dim];
-    the last layer is linear, all others pass through tanh.
+    the last layer is linear, all others pass through tanh. The model copies
+    the given arrays into ``params``; afterwards ``weights`` and ``biases``
+    are views of it.
     """
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    condition_dim: int
-
-    def __post_init__(self):
+    def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray], condition_dim: int):
+        self.weights, self.biases, self.condition_dim = weights, biases, condition_dim
         if not self.weights or len(self.weights) != len(self.biases):
             raise InvalidConfigError("weights and biases must be non-empty and aligned")
         chain = self.layer_chain
@@ -58,9 +79,13 @@ class MlpModel:
                 f"input width {self.input_dim} != state {self.state_dim} + "
                 f"condition {self.condition_dim} + 2 time features"
             )
-        for w, b in zip(self.weights, self.biases):
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise InvalidConfigError("parameters must be finite")
+        self.params = np.concatenate(
+            [np.ravel(a) for pair in zip(self.weights, self.biases) for a in pair]
+        ).astype(np.float64, copy=False)
+        if not np.all(np.isfinite(self.params)):
+            raise InvalidConfigError("parameters must be finite")
+        views = _layer_views(self.params, chain)
+        self.weights, self.biases = views[0::2], views[1::2]
 
     @property
     def layer_chain(self) -> list[int]:
@@ -75,10 +100,8 @@ class MlpModel:
         return self.weights[-1].shape[0]
 
     def parameters(self) -> list[np.ndarray]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend([w, b])
-        return out
+        """[W0, b0, W1, b1, ...], views of ``params``."""
+        return _layer_views(self.params, self.layer_chain)
 
 
 def mlp_init(widths: Sequence[int], condition_dim: int, seed: int) -> MlpModel:
@@ -105,16 +128,21 @@ def mlp_init(widths: Sequence[int], condition_dim: int, seed: int) -> MlpModel:
 
 def _assemble_inputs(model: MlpModel, x: np.ndarray, cond: np.ndarray, t) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    n = x.shape[0]
+    n, d, c = x.shape[0], model.state_dim, model.condition_dim
     cond = np.asarray(cond, dtype=np.float64)
-    cond = np.broadcast_to(cond, (n, model.condition_dim)) if cond.ndim <= 1 else cond
-    if x.shape[1] != model.state_dim or cond.shape != (n, model.condition_dim):
+    # one condition (size c, or 1) broadcasts to every row
+    one_cond = cond.ndim <= 1 and cond.size in (1, c)
+    if x.shape[1] != d or not (one_cond or cond.shape == (n, c)):
         raise ShapeMismatchError(
             f"inputs ({x.shape}, {cond.shape}) do not match model dims "
-            f"(state {model.state_dim}, condition {model.condition_dim})"
+            f"(state {d}, condition {c})"
         )
-    tcol = np.broadcast_to(np.asarray(t, dtype=np.float64), (n,))[:, None]
-    return np.concatenate([x, cond, tcol, 1.0 - tcol], axis=1)
+    inputs = np.empty((n, d + c + 2))
+    inputs[:, :d] = x
+    inputs[:, d : d + c] = cond
+    inputs[:, -2] = t
+    np.subtract(1.0, inputs[:, -2], out=inputs[:, -1])
+    return inputs
 
 
 def _forward_cached(model: MlpModel, inputs: np.ndarray) -> list[np.ndarray]:
@@ -122,8 +150,11 @@ def _forward_cached(model: MlpModel, inputs: np.ndarray) -> list[np.ndarray]:
     hs = [inputs]
     last = len(model.weights) - 1
     for l, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = hs[-1] @ w.T + b
-        hs.append(z if l == last else np.tanh(z))
+        z = hs[-1] @ w.T
+        z += b
+        if l != last:
+            np.tanh(z, out=z)
+        hs.append(z)
     return hs
 
 
@@ -144,9 +175,12 @@ def _cond_vector(cond, model: MlpModel) -> np.ndarray:
     return np.asarray(cond, dtype=np.float64)
 
 
-def batch_loss_and_grads(model: MlpModel, x, cond, t, target):
-    """Mean squared-error loss over the batch and gradients for every
-    parameter, in the same (W, b) per-layer order as ``parameters()``."""
+def batch_loss_and_grads(model: MlpModel, x, cond, t, target, out: np.ndarray | None = None):
+    """Mean squared-error loss over the batch and its gradient.
+
+    The gradient is written into ``out`` (a new vector if None), laid out
+    like ``model.params``; the returned list holds its per-parameter views
+    in the same (W, b) per-layer order as ``parameters()``."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     target = np.atleast_2d(np.asarray(target, dtype=np.float64))
     if x.size == 0:
@@ -158,13 +192,20 @@ def batch_loss_and_grads(model: MlpModel, x, cond, t, target):
     resid = hs[-1] - target
     loss = float(np.sum(resid**2)) / n
 
-    grads: list[np.ndarray] = [np.empty(0)] * (2 * len(model.weights))
-    g = 2.0 * resid / n
+    out = np.empty_like(model.params) if out is None else out
+    grads = _layer_views(out, model.layer_chain)
+    g = resid
+    g *= 2.0
+    g /= n
     for l in range(len(model.weights) - 1, -1, -1):
-        grads[2 * l] = g.T @ hs[l]
-        grads[2 * l + 1] = g.sum(axis=0)
+        np.matmul(g.T, hs[l], out=grads[2 * l])
+        np.sum(g, axis=0, out=grads[2 * l + 1])
         if l > 0:
-            g = (g @ model.weights[l]) * (1.0 - hs[l] * hs[l])
+            g = g @ model.weights[l]
+            h = hs[l]  # not needed after this layer: becomes tanh' = 1 - h^2
+            h *= h
+            np.subtract(1.0, h, out=h)
+            g *= h
     return loss, grads
 
 
@@ -181,20 +222,20 @@ def grad_check(model: MlpModel, sample, fd_step: float = 1e-5) -> float:
     t = float(sample[2])
     tgt = np.atleast_2d(np.asarray(sample[3], dtype=np.float64))
 
-    _, grads = batch_loss_and_grads(model, x, cond, t, tgt)
+    grad = np.empty_like(model.params)
+    batch_loss_and_grads(model, x, cond, t, tgt, out=grad)
+    flat = model.params
     worst = 0.0
-    for param, grad in zip(model.parameters(), grads):
-        flat, gflat = param.ravel(), np.asarray(grad).ravel()
-        for k in range(flat.size):
-            orig = flat[k]
-            flat[k] = orig + fd_step
-            hi = batch_loss_and_grads(model, x, cond, t, tgt)[0]
-            flat[k] = orig - fd_step
-            lo = batch_loss_and_grads(model, x, cond, t, tgt)[0]
-            flat[k] = orig
-            fd = (hi - lo) / (2.0 * fd_step)
-            err = abs(gflat[k] - fd) / (abs(gflat[k]) + abs(fd) + 1e-12)
-            worst = max(worst, err)
+    for k in range(flat.size):
+        orig = flat[k]
+        flat[k] = orig + fd_step
+        hi = batch_loss_and_grads(model, x, cond, t, tgt)[0]
+        flat[k] = orig - fd_step
+        lo = batch_loss_and_grads(model, x, cond, t, tgt)[0]
+        flat[k] = orig
+        fd = (hi - lo) / (2.0 * fd_step)
+        err = abs(grad[k] - fd) / (abs(grad[k]) + abs(fd) + 1e-12)
+        worst = max(worst, err)
     return worst
 
 
@@ -255,33 +296,59 @@ def train(model: MlpModel, dataset, config: TrainConfig) -> TrainReport:
     report = TrainReport()
     report.initial_loss = eval_loss()
 
-    moments = [(np.zeros_like(p), np.zeros_like(p)) for p in model.parameters()]
+    params, batch = model.params, config.batch_size
+    grad, m, v = np.empty_like(params), np.zeros_like(params), np.zeros_like(params)
+    upd, buf = np.empty_like(params), np.empty_like(params)
     step = 0
     for _ in range(config.epochs):
         perm = np.argsort(rng.uniform(n), kind="stable")
-        for lo in range(0, n, config.batch_size):
-            idx = perm[lo : lo + config.batch_size]
-            bx0, bcond = x0[idx], cond[idx]
-            bx1 = rng.normal_array((idx.size, d))
-            bt = rng.uniform(idx.size)
-            xt = interp(bx0, bx1, bt[:, None])
-            loss, grads = batch_loss_and_grads(model, xt, bcond, bt, bx1 - bx0)
+        x1, t = _epoch_draws(rng.uniform(n * (2 * d + 1)), n, d, batch)
+        ex0, econd = x0[perm], cond[perm]
+        xt = interp(ex0, x1, t[:, None])
+        target = x1 - ex0
+        for lo in range(0, n, batch):
+            rows = slice(lo, lo + batch)
+            loss, _ = batch_loss_and_grads(model, xt[rows], econd[rows], t[rows], target[rows],
+                                           out=grad)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(f"non-finite training loss at step {step}")
             step += 1
-            for (m, v), p, g in zip(moments, model.parameters(), grads):
-                m *= _BETA1
-                m += (1.0 - _BETA1) * g
-                v *= _BETA2
-                v += (1.0 - _BETA2) * g * g
-                mhat = m / (1.0 - _BETA1**step)
-                vhat = v / (1.0 - _BETA2**step)
-                p -= config.learning_rate * mhat / (np.sqrt(vhat) + _ADAM_EPS)
+            # Adam in the per-array expressions' operation order, so every
+            # bit is theirs: (1-b2)*g*g and lr*mhat/(sqrt(vhat)+eps)
+            m *= _BETA1
+            np.multiply(1.0 - _BETA1, grad, out=buf)
+            m += buf
+            v *= _BETA2
+            np.multiply(1.0 - _BETA2, grad, out=buf)
+            buf *= grad
+            v += buf
+            np.divide(m, 1.0 - _BETA1**step, out=upd)
+            upd *= config.learning_rate
+            np.divide(v, 1.0 - _BETA2**step, out=buf)
+            np.sqrt(buf, out=buf)
+            buf += _ADAM_EPS
+            upd /= buf
+            params -= upd
             report.losses.append(eval_loss())
     report.final_loss = report.losses[-1]
     if not np.isfinite(report.final_loss):
         raise TrainingDivergedError("non-finite final loss")
     return report
+
+
+def _epoch_draws(u: np.ndarray, n: int, d: int, batch: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, d) normal endpoints and n times of one epoch from its
+    n * (2d + 1) words: per batch of b rows, 2*b*d normal words, then b
+    time words (see the module docstring)."""
+    full = n - n % batch
+    head = u[: full * (2 * d + 1)].reshape(-1, batch * (2 * d + 1))
+    tail = u[full * (2 * d + 1) :]
+    x1, t = np.empty((n, d)), np.empty(n)
+    x1[:full] = box_muller(head[:, : 2 * batch * d]).reshape(-1, d)
+    t[:full] = head[:, 2 * batch * d :].ravel()
+    x1[full:] = box_muller(tail[: 2 * (n - full) * d]).reshape(-1, d)
+    t[full:] = tail[2 * (n - full) * d :]
+    return x1, t
 
 
 def save_model(model: MlpModel, path) -> None:
@@ -294,9 +361,7 @@ def save_model(model: MlpModel, path) -> None:
         "<4I", _FORMAT_VERSION, _TANH_CODE, model.condition_dim, len(chain)
     )
     blob += struct.pack(f"<{len(chain)}I", *chain)
-    for w, b in zip(model.weights, model.biases):
-        blob += np.ascontiguousarray(w, dtype="<f8").tobytes()
-        blob += np.ascontiguousarray(b, dtype="<f8").tobytes()
+    blob += model.params.astype("<f8", copy=False).tobytes()
     with open(path, "wb") as fh:
         fh.write(bytes(blob))
 
@@ -322,18 +387,14 @@ def load_model(path) -> MlpModel:
     off = 20
     chain = struct.unpack(f"<{n_chain}I", need(off, 4 * n_chain, "layer chain"))
     off += 4 * n_chain
-    weights, biases = [], []
-    for fan_in, fan_out in zip(chain[:-1], chain[1:]):
-        wbytes = need(off, 8 * fan_in * fan_out, "weights")
-        weights.append(np.frombuffer(wbytes, dtype="<f8").reshape(fan_out, fan_in).copy())
-        off += 8 * fan_in * fan_out
-        bbytes = need(off, 8 * fan_out, "biases")
-        biases.append(np.frombuffer(bbytes, dtype="<f8").copy())
-        off += 8 * fan_out
+    count = sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(chain[:-1], chain[1:]))
+    params = np.frombuffer(need(off, 8 * count, "parameters"), dtype="<f8")
+    off += 8 * count
     if off != len(blob):
         raise ModelFormatError(f"{len(blob) - off} trailing bytes", offset=off)
+    views = _layer_views(params, chain)
     try:
-        return MlpModel(weights=weights, biases=biases, condition_dim=condition_dim)
+        return MlpModel(weights=views[0::2], biases=views[1::2], condition_dim=condition_dim)
     except InvalidConfigError as exc:
         raise ModelFormatError(f"inconsistent model: {exc}", offset=20) from exc
 

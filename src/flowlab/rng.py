@@ -7,7 +7,9 @@ generator so that runs reproduce bit-for-bit across platforms:
   ``mix64`` is the SplitMix64 finalizer, all arithmetic mod 2**64;
 * uniforms: ``u[k] = ((word[k] >> 11) + 1) * 2**-53``, in (0, 1];
 * normals: Box-Muller, one value per word pair, cosine branch only:
-  ``z[j] = sqrt(-2 ln u[2j]) * cos(2 pi u[2j+1])``.
+  ``z[j] = sqrt(-2 ln u[2j]) * cos(2 pi u[2j+1])``. ``box_muller`` is the
+  one implementation: ``CounterRng.standard_normal`` calls it, and so does
+  ``mlp.train`` on the words of a whole epoch drawn in one ``uniform`` call.
 
 The sine branch is discarded so that the j-th normal is a pure function of
 (seed, j) regardless of how draws are batched. Any change to these formulas
@@ -59,6 +61,18 @@ def derive_seed(seed: int, tag: int) -> int:
         return int(_mix64(z))
 
 
+def box_muller(u: np.ndarray) -> np.ndarray:
+    """Normals from uniform pairs along the last axis, cosine branch only:
+    ``z[..., j] = sqrt(-2 ln u[..., 2j]) * cos(2 pi u[..., 2j+1])``."""
+    z = np.log(u[..., 0::2])
+    z *= -2.0
+    np.sqrt(z, out=z)
+    angle = u[..., 1::2] * (2.0 * np.pi)
+    np.cos(angle, out=angle)
+    z *= angle
+    return z
+
+
 class CounterRng:
     """Seeded counter-based generator; see module docstring for the stream.
 
@@ -97,23 +111,19 @@ class CounterRng:
         return self._index
 
     def uniform(self, n: int | None = None):
-        """Uniform draws in (0, 1]; scalar if n is None, else shape (n,),
-        keyed (k, n)."""
+        """Uniform draws in (0, 1], shape (n,), keyed (k, n). With n None,
+        one word per stream: a float, keyed shape (k,) (row r is the float
+        a generator on ``seeds[r]`` alone gives)."""
         u = self._uniforms(1 if n is None else n)
-        return float(u[0]) if n is None else u
+        if n is not None:
+            return u
+        return float(u[0]) if u.ndim == 1 else u[:, 0]
 
     def standard_normal(self, n: int) -> np.ndarray:
         """n standard normal draws (two words each, Box-Muller cosine branch);
         keyed: shape (k, n)."""
-        u = self._uniforms(2 * n)
         self.normal_draws += n
-        z = np.log(u[..., 0::2])
-        z *= -2.0
-        np.sqrt(z, out=z)
-        angle = u[..., 1::2] * (2.0 * np.pi)
-        np.cos(angle, out=angle)
-        z *= angle
-        return z
+        return box_muller(self._uniforms(2 * n))
 
     def normal_array(self, shape: tuple[int, ...] | int) -> np.ndarray:
         """Standard normals reshaped to ``shape`` (row-major draw order).

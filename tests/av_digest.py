@@ -10,7 +10,8 @@ Run: ``PYTHONPATH=src python tests/av_digest.py`` (point PYTHONPATH at
 another checkout's ``src`` to digest that one). It prints the call count
 and the digest and exits 1 if the digest differs from RECORDED, which was
 taken with numpy 2.4 and OpenBLAS on x86-64; other BLAS builds may round
-the MLP differently. Not collected by pytest.
+the MLP differently. ``tests/test_av_digest.py`` asserts the same digest
+under pytest.
 """
 
 import hashlib

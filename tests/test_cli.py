@@ -359,6 +359,10 @@ class TestOracleCheckCommand:
         assert code == 0
         assert (tmp_path / "oracle_check.csv").exists()
 
+    def test_seed_with_a_far_tail_probe_passes(self, tmp_path):
+        # seed 870001 draws a 2-D probe offset of norm 4.2, shortened to 1.5
+        assert run_cli("oracle-check", "--seed", "870001", "--out-dir", str(tmp_path)) == 0
+
 
 class TestTrainAveditReport:
     def test_train_then_avedit_then_report(self, tmp_path):

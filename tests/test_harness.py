@@ -211,6 +211,17 @@ class TestOracleCheckRunner:
         rows, ok = run_oracle_check(seed=seed)
         assert not ok
 
+    @pytest.mark.parametrize("seed", [0, 870001])
+    def test_two_dim_probes_stay_within_the_grid_reach(self, seed):
+        rows, _ = run_oracle_check(n=10_000, seed=seed)
+        offsets = []
+        for r in rows:
+            x, t = np.array([float(v) for v in r["x"].split()]), r["t"]
+            offsets.append(np.linalg.norm((x - (1.0 - t) * 0.5) / np.hypot(1.0 - t, t)))
+        assert max(offsets[:25]) == pytest.approx(1.5)
+        assert max(offsets[25:]) <= 1.5 + 1e-9
+        assert min(offsets[25:]) < 1.5 - 0.1  # short offsets keep their length
+
     def test_threshold_is_the_family_wise_bound(self):
         rows, _ = run_oracle_check(n=10_000, seed=0)
         coords = sum(len(r["x"].split()) for r in rows)

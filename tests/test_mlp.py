@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from flowlab.core import Condition
+from flowlab.cli import cli_main
+from flowlab.core import Condition, interp
 from flowlab.errors import (
     InvalidConfigError,
     ModelFormatError,
@@ -23,7 +26,7 @@ from flowlab.mlp import (
     save_model,
     train,
 )
-from flowlab.rng import CounterRng
+from flowlab.rng import CounterRng, derive_seed
 from flowlab.samplers import generate
 
 
@@ -186,6 +189,119 @@ class TestTrain:
     def test_empty_dataset(self):
         with pytest.raises(InvalidConfigError):
             train(mlp_init([4, 1], 0, seed=0), [], TrainConfig())
+
+
+def _reference_train(weights, biases, x0, cond, epochs, batch, lr, seed):
+    """The per-batch training loop as it stood before the flat parameter
+    vector: one normal and one uniform draw per batch, a list of gradients
+    and Adam on each parameter array. Returns the losses and the parameters."""
+    weights, biases = [w.copy() for w in weights], [b.copy() for b in biases]
+    params = [a for pair in zip(weights, biases) for a in pair]
+
+    def forward(x, c, t):
+        n = x.shape[0]
+        c = np.broadcast_to(c, (n, cond.shape[1])) if c.ndim <= 1 else c
+        tcol = np.broadcast_to(np.asarray(t, dtype=np.float64), (n,))[:, None]
+        hs = [np.concatenate([x, c, tcol, 1.0 - tcol], axis=1)]
+        for l, (w, b) in enumerate(zip(weights, biases)):
+            z = hs[-1] @ w.T + b
+            hs.append(z if l == len(weights) - 1 else np.tanh(z))
+        return hs
+
+    n, d = x0.shape
+    eval_rng = CounterRng(derive_seed(seed, 101))
+    n_eval = min(n, 256)
+    eval_idx = np.minimum((eval_rng.uniform(n_eval) * n).astype(int), n - 1)
+    eval_x0, eval_cond = x0[eval_idx], cond[eval_idx]
+    eval_x1 = eval_rng.normal_array((n_eval, d))
+    eval_t = eval_rng.uniform(n_eval)
+    eval_xt = interp(eval_x0, eval_x1, eval_t[:, None])
+    eval_tgt = eval_x1 - eval_x0
+
+    def eval_loss():
+        return float(np.sum((forward(eval_xt, eval_cond, eval_t)[-1] - eval_tgt) ** 2)) / n_eval
+
+    rng = CounterRng(seed)
+    losses = [eval_loss()]
+    moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
+    step = 0
+    for _ in range(epochs):
+        perm = np.argsort(rng.uniform(n), kind="stable")
+        for lo in range(0, n, batch):
+            idx = perm[lo : lo + batch]
+            bx0, bcond = x0[idx], cond[idx]
+            bx1 = rng.normal_array((idx.size, d))
+            bt = rng.uniform(idx.size)
+            hs = forward(interp(bx0, bx1, bt[:, None]), bcond, bt)
+            resid = hs[-1] - (bx1 - bx0)
+            grads = [None] * len(params)
+            g = 2.0 * resid / idx.size
+            for l in range(len(weights) - 1, -1, -1):
+                grads[2 * l] = g.T @ hs[l]
+                grads[2 * l + 1] = g.sum(axis=0)
+                if l > 0:
+                    g = (g @ weights[l]) * (1.0 - hs[l] * hs[l])
+            step += 1
+            for (m, v), p, g in zip(moments, params, grads):
+                m *= 0.9
+                m += (1.0 - 0.9) * g
+                v *= 0.999
+                v += (1.0 - 0.999) * g * g
+                mhat = m / (1.0 - 0.9**step)
+                vhat = v / (1.0 - 0.999**step)
+                p -= lr * mhat / (np.sqrt(vhat) + 1e-8)
+            losses.append(eval_loss())
+    return losses, params
+
+
+class TestTrainMatchesPerBatchLoop:
+    """``train`` draws each epoch's words at once and runs Adam on one flat
+    vector; its loss curve and parameters equal the per-batch loop bit for bit."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        d=st.integers(1, 3), cond_dim=st.integers(0, 2), n=st.integers(1, 40),
+        batch=st.integers(1, 48), epochs=st.integers(1, 2),
+        lr=st.sampled_from([0.0, 1e-3, 3e-2]),
+        hidden=st.lists(st.integers(1, 6), min_size=1, max_size=2), seed=st.integers(0, 2**64 - 1),
+    )
+    @example(d=1, cond_dim=0, n=37, batch=8, epochs=2, lr=3e-2, hidden=[5], seed=1)  # n % batch
+    @example(d=2, cond_dim=1, n=12, batch=32, epochs=2, lr=1e-3, hidden=[4, 3], seed=2)  # n < batch
+    @example(d=3, cond_dim=2, n=20, batch=5, epochs=1, lr=0.0, hidden=[6], seed=3)  # lr = 0
+    def test_bit_identical(self, d, cond_dim, n, batch, epochs, lr, hidden, seed):
+        data = CounterRng(derive_seed(seed, 1)).normal_array((n, d + cond_dim))
+        x0, cond = data[:, :d], data[:, d:]
+        model = mlp_init([*hidden, d], cond_dim, seed)
+        want_losses, want_params = _reference_train(
+            model.weights, model.biases, x0, cond, epochs, batch, lr, seed)
+        pairs = [(x0[i], Condition(vector=cond[i])) for i in range(n)]
+        report = train(model, pairs, TrainConfig(epochs=epochs, batch_size=batch,
+                                                 learning_rate=lr, seed=seed))
+        assert [report.initial_loss] + report.losses == want_losses
+        for got, want in zip(model.parameters(), want_params):
+            assert got.tobytes() == want.tobytes()
+
+    def test_cli_train_known_answer(self, tmp_path):
+        # digests of the per-batch loop's outputs, numpy 2.4 and OpenBLAS on x86-64
+        assert cli_main(["train", "--out-dir", str(tmp_path), "--n", "100", "--epochs", "2",
+                         "--batch", "32", "--lr", "0.01", "--widths", "8,6", "--seed", "3"]) == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("model.bin", "loss_curve.csv")}
+        assert digests == {
+            "model.bin": "268accbe071faed3d5f1fcdc8a5a344a381077e8f0c0e3d1e0ce265fd34e47ef",
+            "loss_curve.csv": "615598a9203496fff51d517f2b7a49e463a9adb3c23d8fd488938ed445760a5f",
+        }
+
+    def test_arrays_taken_before_training_hold_the_trained_values(self):
+        model = mlp_init([6, 1], condition_dim=0, seed=1)
+        taken = model.weights + model.biases + model.parameters()
+        before = [a.copy() for a in taken]
+        train(model, _gaussian_pairs(1.0, 1.0, 32, seed=2),
+              TrainConfig(epochs=2, batch_size=8, learning_rate=1e-2, seed=4))
+        for a, old, new in zip(taken, before, model.weights + model.biases + model.parameters()):
+            assert np.shares_memory(a, model.params)
+            assert a.tobytes() == new.tobytes()
+            assert not np.array_equal(a, old)
 
 
 class TestSerialization:

@@ -153,3 +153,18 @@ def test_keyed_streams_match_the_reference_after_earlier_draws():
     for row, seed in enumerate(seeds):
         assert np.array_equal(normals[row].ravel(), _reference_normals(seed, 8, 100))
         assert np.array_equal(uniforms[row], _reference_uniforms(seed, 208, 6))
+
+
+@pytest.mark.parametrize("keys", [[1], [0, 7, 2**64 - 1]])
+def test_keyed_uniform_without_n_gives_one_draw_per_stream(keys):
+    keyed = CounterRng(keys)
+    keyed.standard_normal(3)
+    got = keyed.uniform()
+    assert got.shape == (len(keys),)
+    for row, key in zip(got, keys):
+        alone = CounterRng(key)
+        alone.standard_normal(3)
+        want = alone.uniform()
+        assert isinstance(want, float)
+        assert row == want
+    assert keyed.words_consumed == 7
