@@ -37,10 +37,6 @@ class GaussianSpec:
     def __post_init__(self):
         mean = np.array(self.mean, dtype=np.float64, copy=True).ravel()
         cov = np.array(self.cov, dtype=np.float64, copy=True)
-        mean.setflags(write=False)
-        cov.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
         if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
             raise InvalidConfigError("mean and covariance must be finite")
         d = mean.size
@@ -52,14 +48,23 @@ class GaussianSpec:
         elif cov.ndim == 2:
             if cov.shape != (d, d):
                 raise ShapeMismatchError(f"cov shape {cov.shape} does not match dim {d}")
-            if not np.allclose(cov, cov.T):
+            # relative to the matrix's own scale: an absolute floor would pass
+            # any asymmetry in a matrix of small entries
+            if np.abs(cov - cov.T).max(initial=0.0) > 1e-8 * np.abs(cov).max(initial=0.0):
                 raise InvalidConfigError("covariance must be symmetric")
+            # cholesky and eigh read the lower triangle: mirror it, so that
+            # every use sees that matrix (an exactly symmetric one keeps its bytes)
+            cov = np.where(np.tri(d, dtype=bool), cov, cov.T)
             try:
                 np.linalg.cholesky(cov)
             except np.linalg.LinAlgError as exc:
                 raise InvalidConfigError("covariance is not positive definite") from exc
         else:
             raise ShapeMismatchError("cov must be a vector (diagonal) or a matrix")
+        mean.setflags(write=False)
+        cov.setflags(write=False)
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "cov", cov)
 
     @classmethod
     def isotropic(cls, mean, var: float, dim: int | None = None) -> "GaussianSpec":
@@ -85,14 +90,54 @@ class GaussianSpec:
         return np.linalg.cholesky(self.cov)
 
 
+def _is_tall(x: np.ndarray) -> bool:
+    """True for states with more rows (the product of the leading axes)
+    than coordinates: those take the column path of ``_by_column``."""
+    return x.ndim > 1 and x.size > x.shape[-1] ** 2
+
+
+def _by_column(x: np.ndarray, chain, out: np.ndarray) -> np.ndarray:
+    """Apply ``chain``, a sequence of (binary ufunc, (dim,) vector) pairs, to
+    the tall state ``x`` of shape (..., dim), one coordinate column at a
+    time: column j of ``out`` becomes ``ufunc_k(... ufunc_1(x[..., j], v_1[j])
+    ..., v_k[j])``. ``out`` is C-contiguous with x's shape, and may be x
+    itself when x is C-contiguous.
+
+    Every element goes through the same IEEE operations in the same order as
+    the broadcast expression, so the bits are the same; numpy runs dim loops
+    over the rows instead of one short loop of length dim per row.
+    """
+    dim = x.shape[-1]
+    # a view for contiguous input and for 2-D slices; a copy otherwise
+    rows, out_rows = x.reshape(-1, dim), out.reshape(-1, dim)
+    for j in range(dim):
+        src, col = rows[:, j], out_rows[:, j]
+        for ufunc, vector in chain:
+            ufunc(src, vector[j], out=col)
+            src = col
+    return out
+
+
 def marginal_velocity(spec: GaussianSpec, x: np.ndarray, t: float) -> np.ndarray:
-    """Exact marginal velocity at points ``x`` of shape (..., dim)."""
+    """Exact marginal velocity at points ``x`` of shape (..., dim).
+
+    A diagonal spec on a tall ``x`` (more rows than ``dim``; see
+    ``_is_tall``) is evaluated one coordinate column at a time; 1-D states
+    and short arrays take the broadcast expression. Both paths give the same
+    bits."""
     t = float(t)
     if not 0.0 <= t <= 1.0:
         raise InvalidConfigError(f"t={t} outside [0, 1]")
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != spec.dim:
         raise ShapeMismatchError(f"x last axis {x.shape[-1]} != spec dim {spec.dim}")
+    if spec.is_diagonal and _is_tall(x):
+        # at t = 1 the gain is exactly 1 and (1 - t) mu exactly zero, so the
+        # chain gives x - mu bit for bit there too
+        shift = (1.0 - t) * spec.mean
+        gain = (t - (1.0 - t) * spec.cov) / ((1.0 - t) ** 2 * spec.cov + t * t)
+        chain = ((np.subtract, shift), (np.multiply, gain), (np.subtract, spec.mean))
+        return _by_column(x, chain, np.empty(x.shape))
     if t == 1.0:
         return x - spec.mean
     centered = x - (1.0 - t) * spec.mean
@@ -192,11 +237,17 @@ def mc_conditional_velocity(
 
 
 def sample_array(spec: GaussianSpec, n: int, rng: CounterRng) -> np.ndarray:
-    """n iid draws as an (n, dim) array, via Cholesky transform."""
+    """n iid draws as an (n, dim) array, via Cholesky transform.
+
+    A diagonal spec scales and shifts the draws in place, one coordinate
+    column at a time, when n > dim, and by the broadcast expression
+    otherwise; both paths give the same bits."""
     if n < 1:
         raise InvalidConfigError(f"need n >= 1 samples, got {n}")
     z = rng.normal_array((int(n), spec.dim))
     if spec.is_diagonal:
+        if _is_tall(z):
+            return _by_column(z, ((np.multiply, np.sqrt(spec.cov)), (np.add, spec.mean)), z)
         return spec.mean + z * np.sqrt(spec.cov)
     return spec.mean + z @ spec.scale_tril().T
 

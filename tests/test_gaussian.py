@@ -41,6 +41,31 @@ class TestGaussianSpec:
         with pytest.raises(ShapeMismatchError):
             GaussianSpec(mean=np.zeros(2), cov=np.ones(3))
 
+    def test_asymmetry_is_judged_against_the_matrix_scale(self):
+        # an absolute tolerance of 1e-8 would pass this matrix, whose lower
+        # triangle (what cholesky and eigh read) is diagonal
+        with pytest.raises(InvalidConfigError, match="symmetric"):
+            GaussianSpec(mean=np.zeros(2), cov=np.array([[1e-9, 9e-9], [0.0, 1e-9]]))
+
+    def test_tiny_symmetric_covariance_accepted(self):
+        cov = 1e-9 * np.array([[1.0, 0.5], [0.5, 1.0]])
+        spec = GaussianSpec(mean=np.array([0.3, -0.2]), cov=cov)
+        assert spec.cov.tobytes() == cov.tobytes()
+        x = np.array([0.3, -0.2])
+        a, o = _velocity_affine(spec, [0.5])
+        # V is a small difference of O(1) terms here, so compare at their scale
+        np.testing.assert_allclose(a[0] @ x + o[0], marginal_velocity(spec, x, 0.5), atol=1e-12)
+
+    def test_stores_the_lower_triangle_mirrored(self):
+        low = np.array([[2.0, 0.0, 0.0], [0.3, 1.0, 0.0], [-0.1, 0.2, 1.5]])
+        sym = low + np.tril(low, -1).T
+        nudged = sym.copy()
+        nudged[0, 1] = np.nextafter(sym[0, 1], 1.0)
+        nudged[1, 2] *= 1.0 + 1e-12
+        spec = GaussianSpec(mean=np.zeros(3), cov=nudged)
+        assert np.array_equal(spec.cov, sym)
+        assert GaussianSpec(mean=np.zeros(3), cov=sym).cov.tobytes() == sym.tobytes()
+
 
 class TestMarginalVelocity:
     def test_vanishes_by_symmetry_at_half(self):
@@ -93,6 +118,64 @@ def gaussian_specs(draw):
         low = np.array(entries).reshape(dim, dim)
         cov = low @ low.T + 0.1 * np.eye(dim)
     return GaussianSpec(mean=mean, cov=cov)
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+# How a tall state of (rows, dim) values is laid out in memory
+_LAYOUTS = {
+    "rows": lambda base, rows: base[:rows],
+    "strided rows": lambda base, rows: base[::2],
+    "fortran": lambda base, rows: np.asfortranarray(base[:rows]),
+    "(k, n, dim)": lambda base, rows: base.reshape(2, rows, -1),
+    "strided (k, n, dim)": lambda base, rows: base.reshape(2, rows, -1)[:, ::2],
+}
+
+
+@st.composite
+def diagonal_specs(draw, max_dim=5):
+    dim = draw(st.integers(1, max_dim))
+    mean = draw(st.lists(_coords, min_size=dim, max_size=dim))
+    cov = draw(st.lists(st.floats(1e-3, 4.0), min_size=dim, max_size=dim))
+    return GaussianSpec(mean=np.array(mean), cov=np.array(cov))
+
+
+class TestColumnPath:
+    """Tall states (more rows than dim) take the column-at-a-time path of a
+    diagonal spec; the bits must be those of the per-row broadcast path."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(spec=diagonal_specs(), rows=st.integers(1, 300), t=_times,
+           layout=st.sampled_from(sorted(_LAYOUTS)), seed=st.integers(0, 2**32))
+    def test_batched_equals_stacked_rows(self, spec, rows, t, layout, seed):
+        base = 2.0 * CounterRng(seed).normal_array((2 * rows, spec.dim))
+        base[0, 0], base[-1, -1] = 0.0, -0.0  # signed zeros, the t = 1 edge
+        x = _LAYOUTS[layout](base, rows)
+        batched = marginal_velocity(spec, x, t)
+        looped = np.stack([marginal_velocity(spec, row, t) for row in x.reshape(-1, spec.dim)])
+        assert batched.shape == x.shape
+        assert np.array_equal(_bits(batched), _bits(looped.reshape(x.shape)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(spec=diagonal_specs(), n=st.integers(1, 300), seed=st.integers(0, 2**32),
+           keyed=st.booleans())
+    def test_sample_array_equals_the_broadcast_expression(self, spec, n, seed, keyed):
+        def rng():
+            return CounterRng(list(range(seed, seed + n)) if keyed else seed)
+
+        expected = spec.mean + rng().normal_array((n, spec.dim)) * np.sqrt(spec.cov)
+        assert np.array_equal(_bits(sample_array(spec, n, rng())), _bits(expected))
+
+    def test_input_is_left_alone(self):
+        spec = GaussianSpec(mean=np.array([1.0, -2.0]), cov=np.array([0.5, 2.0]))
+        x = CounterRng(3).normal_array((50, 2))
+        x.setflags(write=False)
+        before = x.copy()
+        for t in (0.0, 0.4, 1.0):
+            marginal_velocity(spec, x, t)
+        assert np.array_equal(x, before)
 
 
 class TestVelocityAffine:
