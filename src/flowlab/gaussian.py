@@ -131,19 +131,18 @@ def marginal_velocity(spec: GaussianSpec, x: np.ndarray, t: float) -> np.ndarray
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != spec.dim:
         raise ShapeMismatchError(f"x last axis {x.shape[-1]} != spec dim {spec.dim}")
-    if spec.is_diagonal and _is_tall(x):
-        # at t = 1 the gain is exactly 1 and (1 - t) mu exactly zero, so the
-        # chain gives x - mu bit for bit there too
+    if spec.is_diagonal:
+        # at t = 1 the gain is exactly 1 and (1 - t) mu exactly zero, so both
+        # paths give x - mu bit for bit there
         shift = (1.0 - t) * spec.mean
         gain = (t - (1.0 - t) * spec.cov) / ((1.0 - t) ** 2 * spec.cov + t * t)
-        chain = ((np.subtract, shift), (np.multiply, gain), (np.subtract, spec.mean))
-        return _by_column(x, chain, np.empty(x.shape))
+        if _is_tall(x):
+            chain = ((np.subtract, shift), (np.multiply, gain), (np.subtract, spec.mean))
+            return _by_column(x, chain, np.empty(x.shape))
+        return gain * (x - shift) - spec.mean
     if t == 1.0:
         return x - spec.mean
     centered = x - (1.0 - t) * spec.mean
-    if spec.is_diagonal:
-        s_t = (1.0 - t) ** 2 * spec.cov + t * t
-        return (t - (1.0 - t) * spec.cov) / s_t * centered - spec.mean
     sigma = spec.cov_matrix()
     s_t = (1.0 - t) ** 2 * sigma + t * t * np.eye(spec.dim)
     m = t * np.eye(spec.dim) - (1.0 - t) * sigma
@@ -246,9 +245,10 @@ def sample_array(spec: GaussianSpec, n: int, rng: CounterRng) -> np.ndarray:
         raise InvalidConfigError(f"need n >= 1 samples, got {n}")
     z = rng.normal_array((int(n), spec.dim))
     if spec.is_diagonal:
+        scale = np.sqrt(spec.cov)
         if _is_tall(z):
-            return _by_column(z, ((np.multiply, np.sqrt(spec.cov)), (np.add, spec.mean)), z)
-        return spec.mean + z * np.sqrt(spec.cov)
+            return _by_column(z, ((np.multiply, scale), (np.add, spec.mean)), z)
+        return spec.mean + z * scale
     return spec.mean + z @ spec.scale_tril().T
 
 

@@ -30,6 +30,10 @@ from flowlab.rng import CounterRng
 from flowlab.samplers import generate
 
 
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
 class TestGaussianSpec:
     def test_non_spd_rejected(self):
         with pytest.raises(InvalidConfigError):
@@ -80,6 +84,16 @@ class TestMarginalVelocity:
         out = marginal_velocity(spec2, np.array([2.0, 0.0]), 1.0)
         assert np.allclose(out, [0.5, -1.5])
 
+    def test_limit_at_t_one_is_x_minus_mean_bit_for_bit(self):
+        # signed zeros in the mean and the state: the diagonal formula's
+        # shift and gain are exactly 0 and 1 at t = 1
+        spec = GaussianSpec(mean=np.array([0.0, -0.0, 1.5, -2.0]),
+                            cov=np.array([0.5, 2.0, 1.0, 3.0]))
+        x = np.array([[0.0, -0.0, 0.0, -0.0], [-0.0, 0.0, 2.5, -1.0]] * 3)
+        for state in (x[0], x[1], x):
+            assert np.array_equal(_bits(marginal_velocity(spec, state, 1.0)),
+                                  _bits(state - spec.mean))
+
     def test_value_at_t_zero_is_negated_state(self):
         # E[x1 - x0 | x0 = x] = -x since the endpoints are independent
         spec = GaussianSpec(mean=np.array([0.4, -1.0]), cov=np.array([0.5, 2.0]))
@@ -118,10 +132,6 @@ def gaussian_specs(draw):
         low = np.array(entries).reshape(dim, dim)
         cov = low @ low.T + 0.1 * np.eye(dim)
     return GaussianSpec(mean=mean, cov=cov)
-
-
-def _bits(a: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(a).view(np.uint64)
 
 
 # How a tall state of (rows, dim) values is laid out in memory
