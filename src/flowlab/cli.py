@@ -3,6 +3,8 @@
 Subcommands: train, generate, edit, avedit, ablation, oracle-check, report.
 Options can come from a config file (INI-style, one section per subcommand;
 see docs/config.md) with explicit command-line flags taking precedence.
+Each option is declared once, in the ``_SUBCOMMANDS`` table: its flag, its
+config key, its default and, through the default, its type.
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
 
@@ -10,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import os
 import sys
 from pathlib import Path
 
@@ -68,116 +71,44 @@ def _parse_spec(text: str, dim: int) -> GaussianSpec:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="flowlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, (summary, _, options) in _SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=summary)
         p.add_argument("--config", help="INI config file; flags override its values")
-        p.add_argument("--out-dir", help="output directory")
-
-    def sweep_flags(p):
-        p.add_argument("--plot", action="store_true", default=None, help="also write SVG plots")
-        p.add_argument("--analytic", nargs=2, metavar=("SRC", "TAR"),
-                       help="Gaussian pair, e.g. src=0,1 tar=2,1")
-        p.add_argument("--dim", type=int, help="state dimension for analytic specs")
-        p.add_argument("--T", type=int, help="denoising step count")
-        p.add_argument("--skip", type=int, help="steps skipped from pure noise (n_max = T - skip)")
-        p.add_argument("--n-max", type=int, help="editing start index (overrides --skip)")
-        p.add_argument("--cfg-scale", type=float, help="guidance scale (1 = off)")
-        p.add_argument("--seeds", type=int, help="number of sweep seeds (0..N-1)")
-
-    p = sub.add_parser("edit", help="single-modality editing sweep")
-    common(p)
-    sweep_flags(p)
-    p.add_argument("--mode", choices=("edit", "target"), help="sequence mode")
-    p.add_argument("--noise", choices=("random", "estimated"), help="noise mode")
-
-    p = sub.add_parser("ablation", help="2x2 sequence/noise ablation (runs all four cells)")
-    common(p)
-    sweep_flags(p)
-
-    p = sub.add_parser("generate", help="transport noise draws through a field")
-    common(p)
-    p.add_argument("--analytic", help="Gaussian spec, e.g. spec=2,1")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--T", type=int)
-    p.add_argument("--n", type=int, help="number of samples")
-    p.add_argument("--seed", type=int)
-
-    p = sub.add_parser("train", help="train the joint audio-visual toy model")
-    common(p)
-    p.add_argument("--out", help="model file path (default out_dir/model.bin)")
-    p.add_argument("--n", type=int, help="dataset size")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--widths", help="hidden widths, comma separated")
-    p.add_argument("--seed", type=int)
-
-    p = sub.add_parser("avedit", help="dual-modality class-swap editing sweep")
-    common(p)
-    p.add_argument("--model", help="trained joint model file")
-    p.add_argument("--T", type=int)
-    p.add_argument("--skip", type=int)
-    p.add_argument("--n-max", type=int)
-    p.add_argument("--seeds", type=int)
-    p.add_argument("--src-class", type=int)
-    p.add_argument("--tar-class", type=int)
-
-    p = sub.add_parser("oracle-check", help="closed form vs Monte Carlo velocities")
-    common(p)
-    p.add_argument("--n", type=int, help="Monte Carlo sample count per probe")
-    p.add_argument("--seed", type=int)
-
-    p = sub.add_parser("report", help="re-summarize a per-seed CSV")
-    common(p)
-    p.add_argument("--from", dest="from_csv", help="edits.csv to summarize")
-
+        for key, (default, help_text) in options.items():
+            flag = "--from" if key == "from_csv" else "--" + key.replace("_", "-")
+            kind = _kind(key, default)
+            if kind is bool:
+                p.add_argument(flag, dest=key, action="store_true", default=None, help=help_text)
+            elif kind is tuple:
+                p.add_argument(flag, dest=key, nargs=len(default), help=help_text)
+            else:
+                p.add_argument(flag, dest=key, type=kind if kind in (int, float) else str,
+                               help=help_text)
     return parser
 
 
-_DEFAULTS: dict[str, dict] = {
-    "edit": {
-        "analytic": ("src=0,1", "tar=2,1"), "dim": 2, "T": 20, "skip": 6, "n_max": None,
-        "mode": "target", "noise": "estimated", "cfg_scale": 1.0, "seeds": 100,
-        "out_dir": "runs/edit", "plot": False,
-    },
-    "ablation": {
-        "analytic": ("src=0,1", "tar=2,1"), "dim": 2, "T": 20, "skip": 6, "n_max": None,
-        "cfg_scale": 1.0, "seeds": 100, "out_dir": "runs/ablation", "plot": False,
-    },
-    "generate": {
-        "analytic": "spec=2,1", "dim": 2, "T": 200, "n": 10000, "seed": 0,
-        "out_dir": "runs/generate",
-    },
-    "train": {
-        "out": None, "n": 2048, "epochs": 160, "batch": 96, "lr": 3e-3, "widths": "48,48",
-        "seed": 0, "out_dir": "runs/train",
-    },
-    "avedit": {
-        "model": None, "T": 40, "skip": 12, "n_max": None, "seeds": 50,
-        "src_class": 0, "tar_class": 1, "out_dir": "runs/avedit",
-    },
-    "oracle-check": {"n": 200000, "seed": 0, "out_dir": "runs/oracle-check"},
-    "report": {"from_csv": None, "out_dir": "runs/report"},
-}
+def _kind(key: str, default) -> type:
+    """An option's value type: its default's, except n_max, the one unset
+    key that holds a number (the other unset keys hold text)."""
+    return int if key == "n_max" else type(default)
 
-_BOOL_KEYS = ("plot",)
-# Keys whose default is unset but whose value is a number; the other keys
-# take the type of their default, and unset ones stay text.
-_NUMERIC_UNSET_KEYS = {"n_max": int}
+
+def _defaults(command: str) -> dict:
+    return {key: default for key, (default, _) in _SUBCOMMANDS[command][2].items()}
 
 
 def _coerce(key: str, raw: str, default):
-    if key in _BOOL_KEYS:
+    kind = _kind(key, default)
+    if kind is bool:
         value = configparser.ConfigParser.BOOLEAN_STATES.get(raw.strip().lower())
         if value is None:
             raise InvalidConfigError(f"{key} = {raw!r}: expected 1/0, yes/no, true/false or on/off")
         return value
-    if key == "analytic" and isinstance(default, tuple):
+    if kind is tuple:
         parts = raw.split()
-        if len(parts) != 2:
-            raise InvalidConfigError(f"analytic expects two specs, got {raw!r}")
+        if len(parts) != len(default):
+            raise InvalidConfigError(f"{key} expects two specs, got {raw!r}")
         return tuple(parts)
-    kind = _NUMERIC_UNSET_KEYS.get(key, type(default))
     if kind not in (int, float):
         return raw
     try:
@@ -189,25 +120,24 @@ def _coerce(key: str, raw: str, default):
 def _resolve_options(args: argparse.Namespace) -> dict:
     """Merge defaults, config-file section values, and explicit flags."""
     command = args.command
-    options = dict(_DEFAULTS[command])
-    if getattr(args, "config", None):
-        cfg_path = Path(args.config)
-        if not cfg_path.exists():
-            raise InvalidConfigError(f"config file {cfg_path} does not exist")
+    defaults = _defaults(command)
+    options = dict(defaults)
+    if args.config:
         ini = configparser.ConfigParser(interpolation=None)
         ini.optionxform = str  # keys are case sensitive (T vs t)
         try:
-            ini.read(cfg_path, encoding="utf-8")
+            with open(args.config, encoding="utf-8") as fh:
+                ini.read_file(fh)
         except (configparser.Error, UnicodeDecodeError) as exc:
-            raise InvalidConfigError(f"config file {cfg_path} is not valid INI: {exc}") from None
+            raise InvalidConfigError(f"config file {args.config} is not valid INI: {exc}") from None
         if ini.has_section(command):
             for key, raw in ini.items(command):
                 key = key.replace("-", "_")
-                if key not in options:
+                if key not in defaults:
                     raise InvalidConfigError(f"unknown config key {key!r} for {command}")
-                options[key] = _coerce(key, raw, _DEFAULTS[command][key])
-    for key, default in _DEFAULTS[command].items():
-        flag_value = getattr(args, key, None)
+                options[key] = _coerce(key, raw, defaults[key])
+    for key in defaults:
+        flag_value = getattr(args, key)
         if flag_value is not None:
             options[key] = tuple(flag_value) if isinstance(flag_value, list) else flag_value
     return options
@@ -293,7 +223,7 @@ def _cmd_train(options: dict, config: ExperimentConfig) -> int:
         f"{i},{format_num(v)}" for i, v in enumerate(report.losses)
     ]
     (out_dir / "loss_curve.csv").write_text("\n".join(curve) + "\n")
-    files = [str(model_path.name), "dataset.csv", "loss_curve.csv"]
+    files = [os.path.relpath(model_path, out_dir), "dataset.csv", "loss_curve.csv"]
     print(
         f"trained model -> {model_path} (eval loss {format_num(report.initial_loss)} -> "
         f"{format_num(report.final_loss)})"
@@ -356,14 +286,68 @@ def _cmd_report(options: dict, config: ExperimentConfig) -> int:
     return 0
 
 
-_COMMANDS = {
-    "edit": _cmd_edit,
-    "ablation": _cmd_ablation,
-    "generate": _cmd_generate,
-    "train": _cmd_train,
-    "avedit": _cmd_avedit,
-    "oracle-check": _cmd_oracle_check,
-    "report": _cmd_report,
+_SWEEP_OPTIONS = {
+    "analytic": (("src=0,1", "tar=2,1"), "Gaussian pair, e.g. src=0,1 tar=2,1"),
+    "dim": (2, "state dimension for analytic specs"),
+    "T": (20, "denoising step count"),
+    "skip": (6, "steps skipped from pure noise (n_max = T - skip)"),
+    "n_max": (None, "editing start index (overrides --skip)"),
+    "cfg_scale": (1.0, "guidance scale (1 = off)"),
+    "seeds": (100, "number of sweep seeds (0..N-1)"),
+    "plot": (False, "also write SVG plots"),
+}
+
+# subcommand: (summary, handler, {key: (default, help)}). Each key is a config
+# key and the flag --key (dashes for underscores; --from for from_csv). The
+# default fixes the type: a bool is a switch, a tuple takes that many words.
+_SUBCOMMANDS = {
+    "edit": ("single-modality editing sweep", _cmd_edit, {
+        **_SWEEP_OPTIONS,
+        "mode": ("target", "sequence mode: edit or target"),
+        "noise": ("estimated", "noise mode: random or estimated"),
+        "out_dir": ("runs/edit", "output directory"),
+    }),
+    "ablation": ("2x2 sequence/noise ablation (runs all four cells)", _cmd_ablation, {
+        **_SWEEP_OPTIONS,
+        "out_dir": ("runs/ablation", "output directory"),
+    }),
+    "generate": ("transport noise draws through a field", _cmd_generate, {
+        "analytic": ("spec=2,1", "Gaussian spec, e.g. spec=2,1"),
+        "dim": (2, "state dimension"),
+        "T": (200, "step count"),
+        "n": (10000, "number of samples"),
+        "seed": (0, "RNG seed"),
+        "out_dir": ("runs/generate", "output directory"),
+    }),
+    "train": ("train the joint audio-visual toy model", _cmd_train, {
+        "out": (None, "model file path (default out_dir/model.bin)"),
+        "n": (2048, "dataset size"),
+        "epochs": (160, "training epochs"),
+        "batch": (96, "batch size"),
+        "lr": (3e-3, "Adam learning rate"),
+        "widths": ("48,48", "hidden widths, comma separated"),
+        "seed": (0, "RNG seed"),
+        "out_dir": ("runs/train", "output directory"),
+    }),
+    "avedit": ("dual-modality class-swap editing sweep", _cmd_avedit, {
+        "model": (None, "trained joint model file"),
+        "T": (40, "denoising step count"),
+        "skip": (12, "steps skipped from pure noise (n_max = T - skip)"),
+        "n_max": (None, "editing start index (overrides --skip)"),
+        "seeds": (50, "number of sweep seeds (0..N-1)"),
+        "src_class": (0, "source class"),
+        "tar_class": (1, "target class"),
+        "out_dir": ("runs/avedit", "output directory"),
+    }),
+    "oracle-check": ("closed form vs Monte Carlo velocities", _cmd_oracle_check, {
+        "n": (200000, "Monte Carlo sample count per probe"),
+        "seed": (0, "RNG seed"),
+        "out_dir": ("runs/oracle-check", "output directory"),
+    }),
+    "report": ("re-summarize a per-seed CSV", _cmd_report, {
+        "from_csv": (None, "edits.csv to summarize"),
+        "out_dir": ("runs/report", "output directory"),
+    }),
 }
 
 
@@ -379,7 +363,7 @@ def cli_main(argv: list[str] | None = None) -> int:
         # every non-finite value ends in a typed error below, so numpy's own
         # overflow and invalid-value warnings would only repeat it
         with np.errstate(over="ignore", invalid="ignore"):
-            return _COMMANDS[args.command](options, config)
+            return _SUBCOMMANDS[args.command][1](options, config)
     except _CONFIG_ERRORS as exc:
         print(f"flowlab: config error: {exc}", file=sys.stderr)
         return 2

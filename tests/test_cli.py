@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import flowlab
-from flowlab.cli import cli_main
+from flowlab.cli import _build_parser, _defaults, _experiment_config, _resolve_options, cli_main
 from flowlab.gaussian import GaussianSpec
 from flowlab.harness import format_num, run_generate_sweep, write_samples_csv
 from flowlab.mlp import mlp_init, save_model
@@ -261,6 +261,15 @@ class TestConfigFile:
     def test_missing_config_file(self, tmp_path):
         assert run_cli("edit", "--config", str(tmp_path / "nope.cfg")) == 2
 
+    def test_config_path_that_cannot_be_opened(self, tmp_path, capsys):
+        # configparser's read() skips such a path; the run must not fall back to the defaults
+        out = tmp_path / "o"
+        code = run_cli("generate", "--config", str(tmp_path), "--n", "10", "--T", "4",
+                       "--out-dir", str(out))
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_n_max_from_file_is_an_integer(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("[edit]\nseeds = 3\nT = 20\nn_max = 14\n")
@@ -319,6 +328,101 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("[generate]\nplot = 1\n")
         assert run_cli("generate", "--config", str(cfg), "--out-dir", str(tmp_path / "o")) == 2
+
+
+# Each subcommand's flags and config keys; a dropped or renamed one must fail.
+FLAGS = {
+    "edit": ["--T", "--analytic", "--cfg-scale", "--config", "--dim", "--mode", "--n-max",
+             "--noise", "--out-dir", "--plot", "--seeds", "--skip"],
+    "ablation": ["--T", "--analytic", "--cfg-scale", "--config", "--dim", "--n-max", "--out-dir",
+                 "--plot", "--seeds", "--skip"],
+    "generate": ["--T", "--analytic", "--config", "--dim", "--n", "--out-dir", "--seed"],
+    "train": ["--batch", "--config", "--epochs", "--lr", "--n", "--out", "--out-dir", "--seed",
+              "--widths"],
+    "avedit": ["--T", "--config", "--model", "--n-max", "--out-dir", "--seeds", "--skip",
+               "--src-class", "--tar-class"],
+    "oracle-check": ["--config", "--n", "--out-dir", "--seed"],
+    "report": ["--config", "--from", "--out-dir"],
+}
+CONFIG_KEYS = {
+    "edit": ["T", "analytic", "cfg_scale", "dim", "mode", "n_max", "noise", "out_dir", "plot",
+             "seeds", "skip"],
+    "ablation": ["T", "analytic", "cfg_scale", "dim", "n_max", "out_dir", "plot", "seeds", "skip"],
+    "generate": ["T", "analytic", "dim", "n", "out_dir", "seed"],
+    "train": ["batch", "epochs", "lr", "n", "out", "out_dir", "seed", "widths"],
+    "avedit": ["T", "model", "n_max", "out_dir", "seeds", "skip", "src_class", "tar_class"],
+    "oracle-check": ["n", "out_dir", "seed"],
+    "report": ["from_csv", "out_dir"],
+}
+# key: (flag, flag words, config-file text, resolved value), each value off its default
+OTHER_VALUES = {
+    "T": ("--T", ["7"], "7", 7),
+    "analytic": ("--analytic", ["src=1,1", "tar=3,1"], "src=1,1 tar=3,1", ("src=1,1", "tar=3,1")),
+    "batch": ("--batch", ["8"], "8", 8),
+    "cfg_scale": ("--cfg-scale", ["1.5"], "1.5", 1.5),
+    "dim": ("--dim", ["3"], "3", 3),
+    "epochs": ("--epochs", ["2"], "2", 2),
+    "from_csv": ("--from", ["a/edits.csv"], "a/edits.csv", "a/edits.csv"),
+    "lr": ("--lr", ["0.01"], "0.01", 0.01),
+    "mode": ("--mode", ["edit"], "edit", "edit"),
+    "model": ("--model", ["a/m.bin"], "a/m.bin", "a/m.bin"),
+    "n": ("--n", ["64"], "64", 64),
+    "n_max": ("--n-max", ["5"], "5", 5),
+    "noise": ("--noise", ["random"], "random", "random"),
+    "out": ("--out", ["a/m.bin"], "a/m.bin", "a/m.bin"),
+    "out_dir": ("--out-dir", ["a"], "a", "a"),
+    "plot": ("--plot", [], "yes", True),
+    "seed": ("--seed", ["5"], "5", 5),
+    "seeds": ("--seeds", ["3"], "3", 3),
+    "skip": ("--skip", ["2"], "2", 2),
+    "src_class": ("--src-class", ["2"], "2", 2),
+    "tar_class": ("--tar-class", ["0"], "0", 0),
+    "widths": ("--widths", ["8,8"], "8,8", "8,8"),
+}
+GENERATE_ANALYTIC = ("--analytic", ["spec=1,3"], "spec=1,3", "spec=1,3")
+
+
+def _resolved(argv):
+    args = _build_parser().parse_args(argv)
+    options = _resolve_options(args)
+    return options, _experiment_config(args.command, options).config_hash()
+
+
+class TestFlagFileParity:
+    @pytest.mark.parametrize("command", sorted(FLAGS))
+    def test_flags_and_keys_are_unchanged(self, command):
+        subparsers = _build_parser()._subparsers._group_actions[0].choices
+        flags = {flag for action in subparsers[command]._actions for flag in action.option_strings}
+        assert sorted(flags - {"-h", "--help"}) == FLAGS[command]
+        assert sorted(_defaults(command)) == CONFIG_KEYS[command]
+
+    @pytest.mark.parametrize("command, key", [
+        (command, key) for command, keys in sorted(CONFIG_KEYS.items()) for key in keys
+    ])
+    def test_flag_and_file_resolve_alike(self, tmp_path, command, key):
+        other = GENERATE_ANALYTIC if (command, key) == ("generate", "analytic") else OTHER_VALUES[key]
+        flag, words, text, value = other
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[{command}]\n{key} = {text}\n")
+        from_flag = _resolved([command, flag, *words])
+        from_file = _resolved([command, "--config", str(cfg)])
+        assert from_flag == from_file
+        assert from_flag[0][key] == value != _defaults(command)[key]
+        assert type(from_flag[0][key]) is type(value)
+
+    @pytest.mark.parametrize("key, message", [
+        ("mode", "unknown sequence_mode 'sideways'"),
+        ("noise", "unknown noise_mode 'sideways'"),
+    ])
+    def test_bad_mode_gives_one_error_from_flag_and_file(self, tmp_path, key, message, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[edit]\n{key} = sideways\n")
+        out = tmp_path / "o"
+        assert run_cli("edit", f"--{key}", "sideways", "--seeds", "2", "--out-dir", str(out)) == 2
+        from_flag = capsys.readouterr().err
+        assert run_cli("edit", "--config", str(cfg), "--seeds", "2", "--out-dir", str(out)) == 2
+        assert capsys.readouterr().err == from_flag == f"flowlab: config error: {message}\n"
+        assert not out.exists()
 
 
 class TestGenerateCommand:
@@ -429,6 +533,17 @@ class TestTrainAveditReport:
         bad.write_bytes(b"experiment,seq_mode\n\xff\xfe,target\n")
         assert run_cli("report", "--from", str(bad), "--out-dir", str(tmp_path / "o")) == 2
         assert "UTF-8" in capsys.readouterr().err
+
+    def test_manifest_lists_model_written_elsewhere(self, tmp_path):
+        model = tmp_path / "elsewhere" / "m.bin"
+        model.parent.mkdir()
+        run_dir = tmp_path / "run"
+        assert run_cli("train", "--n", "64", "--epochs", "1", "--widths", "8",
+                       "--out", str(model), "--out-dir", str(run_dir)) == 0
+        outputs = json.loads((run_dir / "manifest.json").read_text())["outputs"]
+        assert len(outputs) == 3
+        assert all((run_dir / name).is_file() for name in outputs)
+        assert model.resolve() in {(run_dir / name).resolve() for name in outputs}
 
     def test_avedit_without_model_is_config_error(self, tmp_path):
         assert run_cli("avedit", "--out-dir", str(tmp_path)) == 2

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flowlab.cli import _DEFAULTS, _edit_config
+from flowlab.cli import _defaults, _edit_config
 from flowlab.core import Condition, TensorState, estimate_noise, step_target
 from flowlab.errors import InvalidConfigError, NumericalError, ShapeMismatchError
 from flowlab.gaussian import (
@@ -77,10 +77,10 @@ class TestEditConfig:
     def test_paper_defaults(self):
         # the CLI's step budgets: 20 steps with 6 skipped from noise for
         # single-modality edits, 40 with 12 skipped for audio-visual ones
-        sync = _edit_config(_DEFAULTS["edit"], "target", "estimated")
+        sync = _edit_config(_defaults("edit"), "target", "estimated")
         assert (sync.T, sync.n_max) == (20, 14)
         assert sync.times[sync.n_max] == pytest.approx(0.7)
-        av = _edit_config(_DEFAULTS["avedit"], "target", "estimated")
+        av = _edit_config(_defaults("avedit"), "target", "estimated")
         assert (av.T, av.n_max) == (40, 28)
 
 
