@@ -4,8 +4,10 @@ Subcommands: train, generate, edit, avedit, ablation, oracle-check, report.
 Options can come from a config file (INI-style, one section per subcommand;
 see docs/config.md) with explicit command-line flags taking precedence.
 Each option is declared once, in the ``_SUBCOMMANDS`` table: its flag, its
-config key, its default and, through the default, its type.
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+config key, its default and, through the default, its type. Each run writes
+its outputs and a ``manifest.json`` into ``out_dir``. Exit codes: 0 success,
+2 configuration error (an unusable output location exits 2 before any
+work), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -28,13 +30,13 @@ from .errors import (
 )
 from .gaussian import GaussianSpec
 from .harness import (
-    ExperimentConfig,
-    RunManifest,
+    _write_csv,
+    avedit_reports,
     bias_curve_plot,
+    config_hash,
     default_av_params,
     emit_report,
     format_num,
-    mean_stderr,
     run_ablation,
     run_avedit_sweep,
     run_edit_sweep,
@@ -45,10 +47,10 @@ from .harness import (
     train_av_model,
     trajectory_plot,
     write_avedit_csv,
+    write_manifest,
     write_per_seed_csv,
     write_samples_csv,
 )
-from .metrics import MetricReport
 from .mlp import MlpDualField, load_model, save_model
 from .samplers import EditConfig
 
@@ -140,14 +142,23 @@ def _resolve_options(args: argparse.Namespace) -> dict:
         flag_value = getattr(args, key)
         if flag_value is not None:
             options[key] = tuple(flag_value) if isinstance(flag_value, list) else flag_value
+    if options.get("seeds", 1) < 1:
+        raise InvalidConfigError("seed list must be non-empty")
     return options
 
 
-def _experiment_config(command: str, options: dict) -> ExperimentConfig:
-    params = {}
-    for key, value in options.items():
-        params[key] = " ".join(value) if isinstance(value, tuple) else value
-    return ExperimentConfig(kind=command, params=params)
+def _check_output(options: dict) -> None:
+    """Fail, creating nothing, when the outputs could not be written:
+    ``out_dir`` is a file or lies under one, or ``train``'s ``out`` is a
+    directory or has no directory to go in once ``out_dir`` is made."""
+    out_dir = Path(os.path.abspath(options["out_dir"]))
+    found = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not found.is_dir():
+        raise InvalidConfigError(f"out_dir {options['out_dir']}: {found} is not a directory")
+    if options.get("out"):
+        out = Path(os.path.abspath(options["out"]))
+        if out.is_dir() or not (out.parent.is_dir() or out.parent in (out_dir, *out_dir.parents)):
+            raise InvalidConfigError(f"out {options['out']}: not a file path in a directory")
 
 
 def _edit_config(options: dict, sequence_mode: str, noise_mode: str) -> EditConfig:
@@ -158,51 +169,35 @@ def _edit_config(options: dict, sequence_mode: str, noise_mode: str) -> EditConf
     )
 
 
-def _finish(out_dir, config: ExperimentConfig, files: list[str]) -> None:
-    manifest = RunManifest(config_hash=config.config_hash(), outputs=sorted(files))
-    manifest.write(Path(out_dir))
-
-
-def _cmd_edit(options: dict, config: ExperimentConfig) -> int:
-    src = _parse_spec(options["analytic"][0], options["dim"])
-    tar = _parse_spec(options["analytic"][1], options["dim"])
+# Each handler runs its subcommand into out_dir and returns the names of the
+# files it wrote there and its exit code; cli_main then writes the manifest.
+def _cmd_edit(options: dict, out_dir: Path) -> tuple[list[str], int]:
+    src, tar = (_parse_spec(text, options["dim"]) for text in options["analytic"])
     cfg = _edit_config(options, options["mode"], options["noise"])
-    seeds = list(range(options["seeds"]))
-    runs = run_edit_sweep(src, tar, seeds, cfg)
-    out_dir = Path(options["out_dir"])
+    runs = run_edit_sweep(src, tar, list(range(options["seeds"])), cfg)
     files = [write_per_seed_csv(runs, cfg, out_dir, "edit")]
     plots = [("trajectories.svg", trajectory_plot(runs, cfg))] if options["plot"] else None
     files += emit_report(sweep_reports(runs, tar, cfg, "edit"), out_dir, options["plot"], plots)
-    _finish(out_dir, config, files)
-    return 0
+    return files, 0
 
 
-def _cmd_ablation(options: dict, config: ExperimentConfig) -> int:
-    src = _parse_spec(options["analytic"][0], options["dim"])
-    tar = _parse_spec(options["analytic"][1], options["dim"])
+def _cmd_ablation(options: dict, out_dir: Path) -> tuple[list[str], int]:
+    src, tar = (_parse_spec(text, options["dim"]) for text in options["analytic"])
     base = _edit_config(options, "target", "estimated")
     seeds = list(range(options["seeds"]))
     reports = run_ablation(src, tar, seeds, base.T, base.n_max, base.cfg_scale)
-    out_dir = Path(options["out_dir"])
-    plots = None
-    if options["plot"]:
-        plots = [("bias_vs_tmax.svg", bias_curve_plot(src, tar))]
-    files = emit_report(reports, out_dir, options["plot"], plots)
-    _finish(out_dir, config, files)
-    return 0
+    plots = [("bias_vs_tmax.svg", bias_curve_plot(src, tar))] if options["plot"] else None
+    return emit_report(reports, out_dir, options["plot"], plots), 0
 
 
-def _cmd_generate(options: dict, config: ExperimentConfig) -> int:
+def _cmd_generate(options: dict, out_dir: Path) -> tuple[list[str], int]:
     spec = _parse_spec(options["analytic"], options["dim"])
     samples, reports = run_generate_sweep(spec, options["n"], options["T"], options["seed"])
-    out_dir = Path(options["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    files = [write_samples_csv(samples, out_dir)] + emit_report(reports, out_dir, False, None)
-    _finish(out_dir, config, files)
-    return 0
+    return [write_samples_csv(samples, out_dir)] + emit_report(reports, out_dir, False, None), 0
 
 
-def _cmd_train(options: dict, config: ExperimentConfig) -> int:
+def _cmd_train(options: dict, out_dir: Path) -> tuple[list[str], int]:
     params = default_av_params()
     try:
         widths = tuple(int(w) for w in str(options["widths"]).split(","))
@@ -214,76 +209,53 @@ def _cmd_train(options: dict, config: ExperimentConfig) -> int:
         params, n_samples=options["n"], widths=widths, epochs=options["epochs"],
         batch_size=options["batch"], learning_rate=options["lr"], seed=options["seed"],
     )
-    out_dir = Path(options["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     model_path = Path(options["out"]) if options["out"] else out_dir / "model.bin"
     save_model(field2.model, model_path)
     dataset.to_csv(out_dir / "dataset.csv")
-    curve = ["step,eval_loss"] + [
-        f"{i},{format_num(v)}" for i, v in enumerate(report.losses)
-    ]
-    (out_dir / "loss_curve.csv").write_text("\n".join(curve) + "\n")
-    files = [os.path.relpath(model_path, out_dir), "dataset.csv", "loss_curve.csv"]
+    curve = ([i, format_num(v)] for i, v in enumerate(report.losses))
     print(
         f"trained model -> {model_path} (eval loss {format_num(report.initial_loss)} -> "
         f"{format_num(report.final_loss)})"
     )
-    _finish(out_dir, config, files)
-    return 0
+    return [os.path.relpath(model_path, out_dir), "dataset.csv",
+            _write_csv(out_dir, "loss_curve.csv", ["step", "eval_loss"], curve)], 0
 
 
-def _cmd_avedit(options: dict, config: ExperimentConfig) -> int:
-    params = default_av_params()
-    if options["model"]:
-        model = load_model(options["model"])
-        field2 = MlpDualField(model, params.video_dim, params.audio_dim)
-    else:
+def _cmd_avedit(options: dict, out_dir: Path) -> tuple[list[str], int]:
+    if not options["model"]:
         raise InvalidConfigError("avedit requires --model (train one with `flowlab train`)")
+    params = default_av_params()
+    field2 = MlpDualField(load_model(options["model"]), params.video_dim, params.audio_dim)
     cfg = _edit_config(options, "target", "estimated")
-    seeds = list(range(options["seeds"]))
-    runs = run_avedit_sweep(field2, params, seeds, cfg,
+    runs = run_avedit_sweep(field2, params, list(range(options["seeds"])), cfg,
                             src_class=options["src_class"], tar_class=options["tar_class"])
-    out_dir = Path(options["out_dir"])
     files = [write_avedit_csv(runs, cfg, out_dir)]
-    echo = {"experiment": "avedit", "seq_mode": cfg.sequence_mode, "noise_mode": cfg.noise_mode,
-            "T": cfg.T, "n_max": cfg.n_max, "seed_count": len(runs)}
-    sig = np.array([r.target_sigmas for r in runs])
-    m, se = mean_stderr(sig)
-    reports = [
-        MetricReport("class_swap_success_rate", float(np.mean(sig <= 3.0)), config=echo),
-        MetricReport("target_sigmas", m, aux={"stderr": se}, config=echo),
-    ]
-    files += emit_report(reports, out_dir, False, None)
-    _finish(out_dir, config, files)
-    return 0
+    return files + emit_report(avedit_reports(runs, cfg), out_dir, False, None), 0
 
 
-def _cmd_oracle_check(options: dict, config: ExperimentConfig) -> int:
+def _cmd_oracle_check(options: dict, out_dir: Path) -> tuple[list[str], int]:
     rows, ok = run_oracle_check(n=options["n"], seed=options["seed"])
-    out_dir = Path(options["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
+    # Written by hand, not through csv.writer: its vector fields are quoted
+    # although csv.writer would leave a space-separated field unquoted.
     header = ["dim", "t", "x", "closed", "mc", "stderr", "max_z", "ess", "agree"]
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(f'"{row[h]}"' if h in ("x", "closed", "mc", "stderr") else str(row[h])
                               for h in header))
     (out_dir / "oracle_check.csv").write_text("\n".join(lines) + "\n")
-    _finish(out_dir, config, ["oracle_check.csv"])
     if not ok:
         print("oracle check FAILED: closed form and Monte Carlo disagree", file=sys.stderr)
-        return 3
+        return ["oracle_check.csv"], 3
     print(f"oracle check passed on {len(rows)} probes")
-    return 0
+    return ["oracle_check.csv"], 0
 
 
-def _cmd_report(options: dict, config: ExperimentConfig) -> int:
+def _cmd_report(options: dict, out_dir: Path) -> tuple[list[str], int]:
     if not options["from_csv"]:
         raise InvalidConfigError("report requires --from pointing at an edits.csv")
-    reports = summarize_per_seed_csv(options["from_csv"])
-    out_dir = Path(options["out_dir"])
-    files = emit_report(reports, out_dir, False, None)
-    _finish(out_dir, config, files)
-    return 0
+    return emit_report(summarize_per_seed_csv(options["from_csv"]), out_dir, False, None), 0
 
 
 _SWEEP_OPTIONS = {
@@ -359,11 +331,13 @@ def cli_main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         options = _resolve_options(args)
-        config = _experiment_config(args.command, options)
+        _check_output(options)
         # every non-finite value ends in a typed error below, so numpy's own
         # overflow and invalid-value warnings would only repeat it
         with np.errstate(over="ignore", invalid="ignore"):
-            return _SUBCOMMANDS[args.command][1](options, config)
+            files, code = _SUBCOMMANDS[args.command][1](options, Path(options["out_dir"]))
+        write_manifest(options["out_dir"], config_hash(args.command, options), files)
+        return code
     except _CONFIG_ERRORS as exc:
         print(f"flowlab: config error: {exc}", file=sys.stderr)
         return 2

@@ -12,12 +12,10 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
 import time
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import ClassVar
 
 import numpy as np
 
@@ -44,11 +42,20 @@ SUMMARY_COLUMNS = (
     "experiment", "seq_mode", "noise_mode", "T", "n_max", "seed_count", "metric", "mean", "stderr",
 )
 
-# The edits.csv columns summarize_per_seed_csv reads.
-PER_SEED_COLUMNS = (
-    "experiment", "seq_mode", "noise_mode", "T", "n_max",
-    "structure_distance", "residual_norm", "smoothness_source",
+# The summary.csv columns a report's config echo fills.
+_ECHO_COLUMNS = SUMMARY_COLUMNS[:6]
+
+# Each per-seed metric of an edit sweep: (summary.csv metric, the edits.csv
+# column and EditRun field it averages), in edits.csv column order. Reports
+# list them in metric-name order.
+PER_SEED_METRICS = (
+    ("structure_distance", "structure_distance"),
+    ("bias_norm", "residual_norm"),
+    ("smoothness", "smoothness_source"),
 )
+
+# The edits.csv columns summarize_per_seed_csv reads.
+PER_SEED_COLUMNS = SUMMARY_COLUMNS[:5] + tuple(column for _, column in PER_SEED_METRICS)
 
 ABLATION_CELLS = (
     ("edit", "random"),
@@ -94,65 +101,52 @@ def write_samples_csv(samples: np.ndarray, out_dir) -> str:
     return "samples.csv"
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Resolved experiment: the subcommand kind plus a flat parameter map.
+def _write_csv(out_dir, name: str, header, rows) -> str:
+    """Write ``header`` and ``rows`` to ``out_dir/name`` through csv.writer,
+    making ``out_dir`` first. Returns ``name``."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with open(out_dir / name, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    return name
 
-    The canonical form (sorted ``key=value`` lines prefixed by the kind) is
-    what gets hashed into the manifest, so semantically identical configs
-    share a hash regardless of file formatting.
+
+# Keys that name where a run writes, not what it computes.
+OUTPUT_KEYS = frozenset({"out_dir", "out"})
+
+
+def config_hash(kind: str, options: dict) -> str:
+    """SHA-256 of a resolved configuration: ``kind=<kind>``, then one sorted
+    ``key=value`` line per option, a tuple value joined with spaces.
 
     The hash names what was computed, not where it was written: ``None``
-    values and the output-location keys in ``OUTPUT_KEYS`` (``out_dir`` for
-    every subcommand, ``out`` for ``train``'s model path) are left out of
-    the canonical form. Input paths (``avedit``'s ``model``, ``report``'s
-    ``from_csv``) still enter it, since the path is what names the input,
-    and so does ``plot``, since it changes which files ``edit`` and
-    ``ablation`` write. docs/config.md covers the config-file side."""
-
-    OUTPUT_KEYS: ClassVar[frozenset] = frozenset({"out_dir", "out"})
-
-    kind: str
-    params: dict
-
-    def __post_init__(self):
-        seeds = self.params.get("seeds", 1)
-        if seeds is None or seeds < 1:
-            raise InvalidConfigError("seed list must be non-empty")
-
-    def canonical(self) -> str:
-        lines = [f"kind={self.kind}"]
-        for key in sorted(self.params):
-            value = self.params[key]
-            if value is None or key in self.OUTPUT_KEYS:
-                continue
-            lines.append(f"{key}={value}")
-        return "\n".join(lines) + "\n"
-
-    def config_hash(self) -> str:
-        return hashlib.sha256(self.canonical().encode()).hexdigest()
+    values and the ``OUTPUT_KEYS`` (``out_dir``, ``train``'s model path
+    ``out``) are left out; input paths and ``plot`` stay in. docs/config.md
+    says what enters it and why."""
+    lines = [f"kind={kind}"]
+    for key in sorted(options):
+        value = options[key]
+        if value is None or key in OUTPUT_KEYS:
+            continue
+        lines.append(f"{key}={' '.join(value) if isinstance(value, tuple) else value}")
+    return hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
 
 
-@dataclass
-class RunManifest:
-    config_hash: str
-    tool_version: str = __version__
-    rng_algorithm: str = RNG_ALGORITHM
-    outputs: list[str] = dc_field(default_factory=list)
-    created_utc: str = ""
-
-    def write(self, out_dir: Path) -> Path:
-        path = Path(out_dir) / "manifest.json"
-        payload = {
-            "config_hash": self.config_hash,
-            "tool_version": self.tool_version,
-            "rng_algorithm": self.rng_algorithm,
-            "outputs": self.outputs,
-            "created_utc": self.created_utc
-            or time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        }
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        return path
+def write_manifest(out_dir, digest: str, files: list[str]) -> None:
+    """Write ``manifest.json``: the config hash, tool version, RNG algorithm,
+    the sorted output names and the creation time (the one field that is not
+    byte-stable)."""
+    payload = {
+        "config_hash": digest,
+        "tool_version": __version__,
+        "rng_algorithm": RNG_ALGORITHM,
+        "outputs": sorted(files),
+        "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+    }
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    (Path(out_dir) / "manifest.json").write_text(text)
 
 
 def pair_field(
@@ -171,10 +165,12 @@ def pair_field(
 
 @dataclass
 class EditRun:
+    """One seed of an edit sweep; metric fields are named by edits.csv column."""
+
     seed: int
     output: np.ndarray
-    structure: float
-    residual: np.ndarray
+    structure_distance: float
+    residual_norm: float
     smoothness_source: float
     trajectory: object
 
@@ -210,8 +206,8 @@ def run_edit_sweep(
             EditRun(
                 seed=seed,
                 output=out,
-                structure=structure_distance(x_src, out),
-                residual=out - ideal,
+                structure_distance=structure_distance(x_src, out),
+                residual_norm=float(np.linalg.norm(out - ideal)),
                 smoothness_source=smoothness(traj) if len(traj.steps) >= 3 else 0.0,
                 trajectory=traj,
             )
@@ -243,6 +239,20 @@ def _fitted_w2(mean: np.ndarray, cov: np.ndarray, n: int, spec: GaussianSpec) ->
     return w2_gaussian(fitted, spec)
 
 
+def _sweep_echo(experiment: str, cfg: EditConfig, seed_count: int) -> dict:
+    return dict(zip(_ECHO_COLUMNS, (experiment, cfg.sequence_mode, cfg.noise_mode, cfg.T,
+                                    cfg.n_max, seed_count)))
+
+
+def _seed_reports(echo: dict, metrics) -> list[MetricReport]:
+    """One seed mean with its standard error per ``(metric, values)`` pair."""
+    reports = []
+    for name, values in metrics:
+        m, se = mean_stderr(values)
+        reports.append(MetricReport(name, m, aux={"stderr": se}, config=echo))
+    return reports
+
+
 def sweep_reports(
     runs: list[EditRun], tar_spec: GaussianSpec, cfg: EditConfig, experiment: str
 ) -> list[MetricReport]:
@@ -253,23 +263,15 @@ def sweep_reports(
     reported without a standard error. A sweep with no more seeds than
     state dimensions (one seed included) has no covariance to fit, so it
     reports no ``fitted_w2``."""
-    config_echo = {
-        "experiment": experiment, "seq_mode": cfg.sequence_mode, "noise_mode": cfg.noise_mode,
-        "T": cfg.T, "n_max": cfg.n_max, "seed_count": len(runs),
-    }
+    echo = _sweep_echo(experiment, cfg, len(runs))
     reports = []
     outputs = np.stack([r.output for r in runs])
     if outputs.shape[0] > outputs.shape[1]:
         w2 = _fitted_w2(*empirical_moments(outputs), outputs.shape[0], tar_spec)
-        reports.append(MetricReport("fitted_w2", w2, config=config_echo))
-    for name, values in (
-        ("bias_norm", [float(np.linalg.norm(r.residual)) for r in runs]),
-        ("smoothness", [r.smoothness_source for r in runs]),
-        ("structure_distance", [r.structure for r in runs]),
-    ):
-        m, se = mean_stderr(np.array(values))
-        reports.append(MetricReport(name, m, aux={"stderr": se}, config=config_echo))
-    return reports
+        reports.append(MetricReport("fitted_w2", w2, config=echo))
+    return reports + _seed_reports(echo, [
+        (metric, [getattr(r, column) for r in runs]) for metric, column in sorted(PER_SEED_METRICS)
+    ])
 
 
 def run_ablation(
@@ -353,50 +355,27 @@ def emit_report(
     Returns the written file names, in write order."""
     if not reports:
         raise InvalidConfigError("no reports to emit")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    files = []
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SUMMARY_COLUMNS)
-    for rep in reports:
-        cfg = rep.config
-        writer.writerow(
-            [
-                cfg.get("experiment", ""), cfg.get("seq_mode", ""), cfg.get("noise_mode", ""),
-                cfg.get("T", ""), cfg.get("n_max", ""), cfg.get("seed_count", ""),
-                rep.name, format_num(rep.value), format_num(rep.aux.get("stderr", 0.0)),
-            ]
-        )
-    (out_dir / "summary.csv").write_text(buf.getvalue())
-    files.append("summary.csv")
-    if plot and plots:
-        for name, svg_text in plots:
-            (out_dir / name).write_text(svg_text)
-            files.append(name)
+    files = [_write_csv(out_dir, "summary.csv", SUMMARY_COLUMNS, (
+        [*(rep.config.get(key, "") for key in _ECHO_COLUMNS),
+         rep.name, format_num(rep.value), format_num(rep.aux.get("stderr", 0.0))]
+        for rep in reports
+    ))]
+    for name, svg_text in plots if plot and plots else ():
+        (Path(out_dir) / name).write_text(svg_text)
+        files.append(name)
     return files
 
 
 def write_per_seed_csv(runs: list[EditRun], cfg: EditConfig, out_dir, experiment: str) -> str:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    dim = runs[0].output.size
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["experiment", "seq_mode", "noise_mode", "T", "n_max", "seed"]
-        + [f"out_{j}" for j in range(dim)]
-        + ["structure_distance", "residual_norm", "smoothness_source"]
-    )
-    for r in runs:
-        writer.writerow(
-            [experiment, cfg.sequence_mode, cfg.noise_mode, cfg.T, cfg.n_max, r.seed]
-            + [format_num(v) for v in r.output]
-            + [format_num(r.structure), format_num(float(np.linalg.norm(r.residual))),
-               format_num(r.smoothness_source)]
-        )
-    (out_dir / "edits.csv").write_text(buf.getvalue())
-    return "edits.csv"
+    """Write ``edits.csv``: one row per run, its metrics in PER_SEED_METRICS order."""
+    metrics = PER_SEED_COLUMNS[5:]
+    header = [*PER_SEED_COLUMNS[:5], "seed", *(f"out_{j}" for j in range(runs[0].output.size)),
+              *metrics]
+    return _write_csv(out_dir, "edits.csv", header, (
+        [experiment, cfg.sequence_mode, cfg.noise_mode, cfg.T, cfg.n_max, r.seed,
+         *map(format_num, r.output), *(format_num(getattr(r, column)) for column in metrics)]
+        for r in runs
+    ))
 
 
 def summarize_per_seed_csv(path) -> list[MetricReport]:
@@ -414,27 +393,19 @@ def summarize_per_seed_csv(path) -> list[MetricReport]:
         raise InvalidConfigError(f"no rows in {path}")
     groups: dict[tuple, list[dict]] = {}
     for row in rows:
-        key = (row["experiment"], row["seq_mode"], row["noise_mode"], row["T"], row["n_max"])
-        groups.setdefault(key, []).append(row)
+        groups.setdefault(tuple(row[c] for c in PER_SEED_COLUMNS[:5]), []).append(row)
     reports = []
     for key, grp in sorted(groups.items()):
-        config_echo = {
-            "experiment": key[0], "seq_mode": key[1], "noise_mode": key[2],
-            "T": key[3], "n_max": key[4], "seed_count": len(grp),
-        }
-        for metric, column in (
-            ("bias_norm", "residual_norm"),
-            ("smoothness", "smoothness_source"),
-            ("structure_distance", "structure_distance"),
-        ):
+        metrics = []
+        for metric, column in sorted(PER_SEED_METRICS):
             try:
                 values = np.array([float(r[column]) for r in grp])
             except ValueError:
                 raise InvalidConfigError(f"{path}: non-numeric {column} value") from None
             if not np.isfinite(values).all():
                 raise InvalidConfigError(f"{path}: non-finite {column} value")
-            m, se = mean_stderr(values)
-            reports.append(MetricReport(metric, m, aux={"stderr": se}, config=config_echo))
+            metrics.append((metric, values))
+        reports += _seed_reports(dict(zip(_ECHO_COLUMNS, (*key, len(grp)))), metrics)
     return reports
 
 
@@ -555,26 +526,24 @@ def run_avedit_sweep(
 
 
 def write_avedit_csv(runs: list[AvEditRun], cfg: EditConfig, out_dir) -> str:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    dv, da = runs[0].video_out.size, runs[0].audio_out.size
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["T", "n_max", "seed"]
-        + [f"video_out_{j}" for j in range(dv)]
-        + [f"audio_out_{j}" for j in range(da)]
-        + ["target_sigmas"]
-    )
-    for r in runs:
-        writer.writerow(
-            [cfg.T, cfg.n_max, r.seed]
-            + [format_num(v) for v in r.video_out]
-            + [format_num(v) for v in r.audio_out]
-            + [format_num(r.target_sigmas)]
-        )
-    (out_dir / "avedits.csv").write_text(buf.getvalue())
-    return "avedits.csv"
+    """Write ``avedits.csv``: one row per run, outputs and ``target_sigmas``."""
+    header = ["T", "n_max", "seed", *(f"video_out_{j}" for j in range(runs[0].video_out.size)),
+              *(f"audio_out_{j}" for j in range(runs[0].audio_out.size)), "target_sigmas"]
+    return _write_csv(out_dir, "avedits.csv", header, (
+        [cfg.T, cfg.n_max, r.seed, *map(format_num, r.video_out), *map(format_num, r.audio_out),
+         format_num(r.target_sigmas)]
+        for r in runs
+    ))
+
+
+def avedit_reports(runs: list[AvEditRun], cfg: EditConfig) -> list[MetricReport]:
+    """The share of class swaps that succeeded, i.e. ended within 3
+    within-class standard deviations of the target mean (reported without a
+    standard error), and the seed mean of ``target_sigmas``."""
+    echo = _sweep_echo("avedit", cfg, len(runs))
+    sigmas = np.array([r.target_sigmas for r in runs])
+    return [MetricReport("class_swap_success_rate", float(np.mean(sigmas <= 3.0)), config=echo),
+            *_seed_reports(echo, [("target_sigmas", sigmas)])]
 
 
 def run_generate_sweep(
@@ -587,19 +556,11 @@ def run_generate_sweep(
     rng = CounterRng(derive_seed(seed, 3))
     samples = generate(field, rng.normal_array((n, spec.dim)), c_src, T)
     mean, cov = empirical_moments(samples)
-    config_echo = {"experiment": "generate", "T": T, "seed_count": 1}
+    echo = {"experiment": "generate", "T": T, "seed_count": 1}
     reports = []
     if n > spec.dim:
-        w2 = _fitted_w2(mean, cov, n, spec)
-        reports.append(MetricReport("fitted_w2", w2, config=config_echo))
-    reports += [
-        MetricReport(
-            "mean_abs_error", float(np.max(np.abs(mean - spec.mean))), config=config_echo
-        ),
-        MetricReport(
-            "cov_abs_error",
-            float(np.max(np.abs(cov - spec.cov_matrix()))),
-            config=config_echo,
-        ),
+        reports.append(MetricReport("fitted_w2", _fitted_w2(mean, cov, n, spec), config=echo))
+    return samples, reports + [
+        MetricReport("mean_abs_error", float(np.max(np.abs(mean - spec.mean))), config=echo),
+        MetricReport("cov_abs_error", float(np.max(np.abs(cov - spec.cov_matrix()))), config=echo),
     ]
-    return samples, reports

@@ -9,22 +9,28 @@ tar=2,0.25``: ``edit --noise random`` (edit_random), ``--mode edit
 --seeds 16 --plot`` at its default pair; ``generate``; ``train --n 256
 --epochs 3``; ``avedit`` at the defaults and at ``--skip 0`` on that model;
 ``report --from edit20/edits.csv``; ``oracle-check --seed 0``. Manifests are
-not hashed: they hold the creation time.
+not hashed, since they hold the creation time; instead each run's manifest
+``outputs`` must equal RECORDED_OUTPUTS, and its ``config_hash`` must equal
+RECORDED_HASHES for the 9 runs whose hash holds no input path (``avedit``,
+``avedit_skip0`` and ``report`` hash a path under OUT_DIR).
 
 Run: ``PYTHONPATH=src python tests/cli_matrix.py [OUT_DIR]`` (point
 PYTHONPATH at another checkout's ``src`` to check that one). It runs the
 matrix in process through ``cli_main``, in OUT_DIR or a temporary
 directory, prints each file's digest with a mark where it differs from
-RECORDED, and exits 1 if any differs. RECORDED was taken with numpy 2.4 and
+RECORDED, then each manifest that differs from its record, and exits 1 if
+any differs. RECORDED was taken with numpy 2.4 and
 OpenBLAS on x86-64; the ``train`` files and the ``avedit`` files that use
 its model may differ under another BLAS build, which rounds the MLP's
 matrix products differently (as noted in ``tests/test_mlp.py``).
-``tests/test_cli_matrix.py`` asserts the same digests under pytest.
+``tests/test_cli_matrix.py`` asserts the same digests and manifests under
+pytest.
 """
 
 import contextlib
 import hashlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -79,6 +85,33 @@ RECORDED = {
     "train/model.bin": "c2ac24b50a160ee4f205aad0ac9c201312d7867b10d3fad89b7505564841e9f5",
 }
 
+RECORDED_OUTPUTS = {
+    "edit20": ["edits.csv", "summary.csv", "trajectories.svg"],
+    "edit_random": ["edits.csv", "summary.csv"],
+    "edit_mode": ["edits.csv", "summary.csv"],
+    "edit_mode_rand": ["edits.csv", "summary.csv", "trajectories.svg"],
+    "edit_cfg": ["edits.csv", "summary.csv"],
+    "ablation": ["bias_vs_tmax.svg", "summary.csv"],
+    "generate": ["samples.csv", "summary.csv"],
+    "train": ["dataset.csv", "loss_curve.csv", "model.bin"],
+    "avedit": ["avedits.csv", "summary.csv"],
+    "avedit_skip0": ["avedits.csv", "summary.csv"],
+    "report": ["summary.csv"],
+    "oracle": ["oracle_check.csv"],
+}
+
+RECORDED_HASHES = {
+    "edit20": "f9873d30b9c12ab3984824df76485f0dce5ec30363af7caef8266cb446c20a15",
+    "edit_random": "20850fa203bdd62946f494696d33cfa97c7abd3d79c353059aef448e9d521747",
+    "edit_mode": "27173572e46a4d299ff01fa9fc454e57ea8b3758e328d8eb8c38149a7017c015",
+    "edit_mode_rand": "31d6a6c9e479882ee9e1d9858f0e36917cae2bcdab52e3d43840b9b91b519cef",
+    "edit_cfg": "0c31e0ad19d050dd5bb7e32353d6c29c6117fc212a6c02a188a2be62b3d08a69",
+    "ablation": "095542fe5e34afac7a1e78876a865b1cfd4a35777e0a2c53f7adbe3ba0a37608",
+    "generate": "75f7ab7d9f72307a9b14e0585b0838619a38faca7efda9c0a79581298ed7938f",
+    "train": "5ec88f51bf462893f4d6380d0b685d06755413c60de8ea22a74165cc78e9ace2",
+    "oracle": "f966442e2c05bfa30b96318a3a2d437f05950ec803a612140e681f9f86370b82",
+}
+
 
 def run_matrix(out: Path) -> dict[str, int]:
     """Run the 12 CLI calls into ``out``, one directory each; returns each
@@ -101,15 +134,30 @@ def digests(out: Path) -> dict[str, str]:
     }
 
 
+def manifest_fields(out: Path) -> tuple[dict[str, list[str]], dict[str, str]]:
+    """Each run's manifest ``outputs``, and the ``config_hash`` of each run
+    that RECORDED_HASHES holds."""
+    manifests = {name: json.loads((out / name / "manifest.json").read_text()) for name, _ in RUNS}
+    outputs = {name: m["outputs"] for name, m in manifests.items()}
+    return outputs, {name: manifests[name]["config_hash"] for name in RECORDED_HASHES}
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(tmp)
         codes = run_matrix(out)
         found = digests(out)
+        outputs, hashes = manifest_fields(out)
     for name in sorted(set(found) | set(RECORDED)):
         mark = "" if found.get(name) == RECORDED.get(name) else "  DIFFERS"
         print(f"{name} {found.get(name, 'missing')}{mark}")
+    for name, _ in RUNS:
+        if outputs[name] != RECORDED_OUTPUTS[name]:
+            print(f"{name}/manifest.json outputs {outputs[name]}  DIFFERS")
+        if name in hashes and hashes[name] != RECORDED_HASHES[name]:
+            print(f"{name}/manifest.json config_hash {hashes[name]}  DIFFERS")
     failed = {name: code for name, code in codes.items() if code}
     if failed:
         print(f"nonzero exit codes: {failed}")
-    sys.exit(0 if found == RECORDED and not failed else 1)
+    same = found == RECORDED and (outputs, hashes) == (RECORDED_OUTPUTS, RECORDED_HASHES)
+    sys.exit(0 if same and not failed else 1)

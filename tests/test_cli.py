@@ -12,9 +12,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import flowlab
-from flowlab.cli import _build_parser, _defaults, _experiment_config, _resolve_options, cli_main
+from flowlab import cli
+from flowlab.cli import _build_parser, _defaults, _resolve_options, cli_main
 from flowlab.gaussian import GaussianSpec
-from flowlab.harness import format_num, run_generate_sweep, write_samples_csv
+from flowlab.harness import config_hash, format_num, run_generate_sweep, write_samples_csv
 from flowlab.mlp import mlp_init, save_model
 
 
@@ -51,8 +52,14 @@ class TestArgumentHandling:
 
     @pytest.mark.parametrize("seeds", ["0", "-3"])
     def test_no_seeds_exits_2(self, tmp_path, seeds, capsys):
-        assert run_cli("edit", "--seeds", seeds, "--out-dir", str(tmp_path)) == 2
-        assert "config error" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[edit]\nseeds = {seeds}\n")
+        out = tmp_path / "o"
+        for argv in (["edit", "--seeds", seeds], ["edit", "--config", str(cfg)],
+                     ["avedit", "--seeds", seeds]):
+            assert run_cli(*argv, "--out-dir", str(out)) == 2
+            assert capsys.readouterr().err == "flowlab: config error: seed list must be non-empty\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["generate", "train", "avedit", "oracle-check", "report"])
     def test_plot_only_where_it_writes_a_plot(self, command, capsys):
@@ -101,6 +108,50 @@ class TestArgumentHandling:
         cfg.write_text("[ablation]\nmode = edit\n")
         assert run_cli("ablation", "--config", str(cfg), "--out-dir", str(tmp_path / "o")) == 2
         assert "unknown config key 'mode'" in capsys.readouterr().err
+
+
+# The first call of each subcommand's handler that does real work.
+WORK = {
+    "edit": "run_edit_sweep", "ablation": "run_ablation", "generate": "run_generate_sweep",
+    "train": "train_av_model", "avedit": "load_model", "oracle-check": "run_oracle_check",
+    "report": "summarize_per_seed_csv",
+}
+
+
+class TestOutputLocation:
+    """An output location that cannot be written exits 2 before any work."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("work ran before the output location was checked")
+
+        for name in WORK.values():
+            monkeypatch.setattr(cli, name, fail)
+
+    @pytest.mark.parametrize("command", sorted(WORK))
+    @pytest.mark.parametrize("below", [False, True])
+    def test_out_dir_file_exits_2_before_work(self, tmp_path, no_work, command, below, capsys):
+        blocker = tmp_path / "afile"
+        blocker.write_text("file, not a directory")
+        out_dir = blocker / "sub" if below else blocker
+        assert run_cli(command, "--out-dir", str(out_dir)) == 2
+        assert "config error: out_dir" in capsys.readouterr().err
+        assert blocker.read_text() == "file, not a directory"
+
+    @pytest.mark.parametrize("out", ["missing/m.bin", "adir"])
+    def test_train_out_without_a_file_place_exits_2(self, tmp_path, no_work, out, capsys):
+        (tmp_path / "adir").mkdir()
+        run_dir = tmp_path / "run"
+        assert run_cli("train", "--out", str(tmp_path / out), "--out-dir", str(run_dir)) == 2
+        assert "config error: out" in capsys.readouterr().err
+        assert not run_dir.exists() and not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("model", ["new/run/m.bin", "new/m.bin"])
+    def test_train_out_may_go_where_out_dir_is_made(self, tmp_path, model):
+        assert run_cli("train", "--n", "64", "--epochs", "1", "--widths", "8",
+                       "--out", str(tmp_path / model), "--out-dir", str(tmp_path / "new/run")) == 0
+        assert (tmp_path / model).is_file()
 
 
 class TestEditCommand:
@@ -385,7 +436,7 @@ GENERATE_ANALYTIC = ("--analytic", ["spec=1,3"], "spec=1,3", "spec=1,3")
 def _resolved(argv):
     args = _build_parser().parse_args(argv)
     options = _resolve_options(args)
-    return options, _experiment_config(args.command, options).config_hash()
+    return options, config_hash(args.command, options)
 
 
 class TestFlagFileParity:

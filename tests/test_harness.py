@@ -11,9 +11,10 @@ from flowlab import harness
 from flowlab.harness import (
     ABLATION_CELLS,
     ORACLE_MAX_Z,
-    ExperimentConfig,
-    RunManifest,
+    AvEditRun,
+    avedit_reports,
     bias_curve_plot,
+    config_hash,
     default_av_params,
     emit_report,
     run_ablation,
@@ -25,6 +26,7 @@ from flowlab.harness import (
     sweep_reports,
     train_av_model,
     trajectory_plot,
+    write_manifest,
     write_per_seed_csv,
 )
 from flowlab.metrics import empirical_moments
@@ -44,34 +46,36 @@ def cell_value(reports, seq, noise, metric):
 
 
 class TestExperimentConfig:
+    """config_hash of a resolved experiment configuration."""
+
     def test_hash_tracks_semantic_content_only(self):
-        a = ExperimentConfig("edit", {"T": 20, "seeds": 10})
-        b = ExperimentConfig("edit", {"seeds": 10, "T": 20})  # key order irrelevant
-        c = ExperimentConfig("edit", {"T": 21, "seeds": 10})
-        assert a.config_hash() == b.config_hash()
-        assert a.config_hash() != c.config_hash()
+        a = config_hash("edit", {"T": 20, "seeds": 10})
+        b = config_hash("edit", {"seeds": 10, "T": 20})  # key order irrelevant
+        assert a == b
+        assert a != config_hash("edit", {"T": 21, "seeds": 10})
+        assert a != config_hash("ablation", {"T": 20, "seeds": 10})
+        # a tuple value hashes as its words joined with spaces
+        pair = config_hash("edit", {"analytic": ("src=0,1", "tar=2,1")})
+        assert pair == config_hash("edit", {"analytic": "src=0,1 tar=2,1"})
 
     def test_hash_ignores_output_locations(self):
         def edit_hash(**changes):
             params = {"T": 20, "seeds": 10, "plot": False, "out_dir": "runs/a", **changes}
-            return ExperimentConfig("edit", params).config_hash()
+            return config_hash("edit", params)
 
         assert edit_hash() == edit_hash(out_dir="elsewhere/b")
+        assert edit_hash() == edit_hash(n_max=None)
         assert edit_hash() != edit_hash(seeds=11)
         assert edit_hash() != edit_hash(T=21)
         train = {"n": 2048, "epochs": 160, "seed": 0, "out_dir": "runs/train"}
-        t1 = ExperimentConfig("train", {**train, "out": "one/model.bin"})
-        t2 = ExperimentConfig("train", {**train, "out": "two/model.bin"})
-        assert t1.config_hash() == t2.config_hash()
+        t1 = config_hash("train", {**train, "out": "one/model.bin"})
+        t2 = config_hash("train", {**train, "out": "two/model.bin"})
+        assert t1 == t2
 
     def test_hash_keeps_input_paths(self):
-        a = ExperimentConfig("avedit", {"model": "a.bin", "seeds": 5})
-        b = ExperimentConfig("avedit", {"model": "b.bin", "seeds": 5})
-        assert a.config_hash() != b.config_hash()
-
-    def test_empty_seed_list_rejected(self):
-        with pytest.raises(InvalidConfigError):
-            ExperimentConfig("edit", {"seeds": 0})
+        a = config_hash("avedit", {"model": "a.bin", "seeds": 5})
+        b = config_hash("avedit", {"model": "b.bin", "seeds": 5})
+        assert a != b
 
 
 class TestEditSweep:
@@ -85,7 +89,7 @@ class TestEditSweep:
     def test_identity_flag(self):
         cfg = EditConfig(T=10, n_max=7, sequence_mode="target", noise_mode="estimated")
         runs = run_edit_sweep(SRC, TAR, list(range(4)), cfg, identity=True)
-        assert all(r.structure < 1e-9 for r in runs)
+        assert all(r.structure_distance < 1e-9 for r in runs)
 
     def test_reports_cover_the_metric_set(self):
         cfg = EditConfig(T=10, n_max=7, sequence_mode="edit", noise_mode="random")
@@ -233,14 +237,13 @@ class TestOracleCheckRunner:
 
 class TestManifest:
     def test_writes_required_fields(self, tmp_path):
-        cfg = ExperimentConfig("edit", {"T": 10, "seeds": 2})
-        manifest = RunManifest(config_hash=cfg.config_hash(), outputs=["summary.csv"])
-        path = manifest.write(tmp_path)
-        payload = json.loads(path.read_text())
-        assert payload["config_hash"] == cfg.config_hash()
+        digest = config_hash("edit", {"T": 10, "seeds": 2})
+        write_manifest(tmp_path, digest, ["summary.csv", "edits.csv"])
+        payload = json.loads((tmp_path / "manifest.json").read_text())
+        assert payload["config_hash"] == digest
         assert payload["rng_algorithm"]
         assert payload["tool_version"]
-        assert payload["outputs"] == ["summary.csv"]
+        assert payload["outputs"] == ["edits.csv", "summary.csv"]
         assert payload["created_utc"]
 
 
@@ -333,6 +336,25 @@ class TestAvEditSweep:
         with pytest.raises(InvalidConfigError, match="class"):
             run_avedit_sweep(_analytic_av_field(params), params, [0], EditConfig(T=4, n_max=2),
                              *classes)
+
+
+class TestAveditReports:
+    def test_success_rate_and_sigma_stderr(self):
+        sigmas = [1.0, 3.0, 3.5, 5.0]
+        runs = [AvEditRun(seed=k, video_out=np.zeros(2), audio_out=np.zeros(1), target_sigmas=s)
+                for k, s in enumerate(sigmas)]
+        cfg = EditConfig(T=40, n_max=28)
+        rate, sig = avedit_reports(runs, cfg)
+        # exactly 3.0 counts as a success: 1.0 and 3.0 of the four
+        assert (rate.name, rate.value, rate.aux) == ("class_swap_success_rate", 0.5, {})
+        assert sig.name == "target_sigmas"
+        assert sig.value == 3.125
+        # squared deviations from 3.125 sum to 8.1875 over 3 degrees of freedom
+        assert sig.aux["stderr"] == pytest.approx(math.sqrt(8.1875 / 3) / 2, rel=1e-12)
+        assert rate.config == sig.config == {
+            "experiment": "avedit", "seq_mode": "target", "noise_mode": "estimated",
+            "T": 40, "n_max": 28, "seed_count": 4,
+        }
 
 
 def test_bias_curve_plot_is_svg():
