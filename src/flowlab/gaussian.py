@@ -10,10 +10,24 @@ E[x1 - x0 | x_t = x] has the closed form
 
 with the exact limit V(x, 1) = x - mu. Everything here accepts diagonal
 covariances (stored as a 1-D vector) or full SPD matrices.
+
+V is affine in x, V(x, t) = A_t x + o_t, and a spec owns its coefficients.
+It computes the eigenbasis (lambda, Q) of its covariance once, at
+construction; then A_t = Q diag(g_t) Q^T with g_t = (t - (1-t) lambda) /
+((1-t)^2 lambda + t^2), and o_t = -(1-t) A_t mu - mu. ``marginal_velocity``
+evaluates a full spec as ``x @ A_t.T + o_t``, and a diagonal one from its
+per-coordinate (shift, gain). Each spec memoises those coefficients per
+time, in at most ``_MEMO_CAP`` entries: a sampler steps along a few fixed
+times, seed after seed, so nearly every call is a hit. A full memo is
+emptied before the next entry goes in. Concurrent samplers may share a
+spec: an entry is a pure function of the spec and t, its arrays are
+read-only, a lookup is one atomic dict read, and stores are serialised by
+one lock, so a race at worst computes the same bits twice.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +39,11 @@ from .errors import (
     ShapeMismatchError,
 )
 from .rng import CounterRng
+
+# Most distinct times a spec memoises velocity coefficients for; a sweep
+# steps along at most T + 1 times, seed after seed
+_MEMO_CAP = 512
+_MEMO_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -56,15 +75,19 @@ class GaussianSpec:
             # every use sees that matrix (an exactly symmetric one keeps its bytes)
             cov = np.where(np.tri(d, dtype=bool), cov, cov.T)
             try:
-                np.linalg.cholesky(cov)
+                tril = np.linalg.cholesky(cov)
             except np.linalg.LinAlgError as exc:
                 raise InvalidConfigError("covariance is not positive definite") from exc
+            object.__setattr__(self, "_tril", _read_only(tril))
         else:
             raise ShapeMismatchError("cov must be a vector (diagonal) or a matrix")
-        mean.setflags(write=False)
-        cov.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
+        object.__setattr__(self, "mean", _read_only(mean))
+        object.__setattr__(self, "cov", _read_only(cov))
+        # plain attributes, not fields: repr, == and dataclasses.replace see
+        # only mean and cov, and a replaced spec starts with an empty memo
+        lam, q = np.linalg.eigh(self.cov_matrix())
+        object.__setattr__(self, "_eig", (_read_only(lam), _read_only(q)))
+        object.__setattr__(self, "_memo", {})
 
     @classmethod
     def isotropic(cls, mean, var: float, dim: int | None = None) -> "GaussianSpec":
@@ -87,7 +110,32 @@ class GaussianSpec:
     def scale_tril(self) -> np.ndarray:
         if self.is_diagonal:
             return np.diag(np.sqrt(self.cov))
-        return np.linalg.cholesky(self.cov)
+        return self._tril  # the factor that validated the covariance
+
+    def _velocity_coefficients(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """The memoised coefficients of V(., t), 0 <= t < 1 for a full spec:
+        (shift, gain) of ``gain * (x - shift) - mean`` for a diagonal spec,
+        (A_t, o_t) of ``x @ A_t.T + o_t`` for a full one."""
+        coefficients = self._memo.get(t)
+        if coefficients is None:
+            if self.is_diagonal:
+                coefficients = ((1.0 - t) * self.mean,
+                                (t - (1.0 - t) * self.cov) / ((1.0 - t) ** 2 * self.cov + t * t))
+            else:
+                a, o = _velocity_affine(self, t)
+                coefficients = (a[0], o[0])
+            for array in coefficients:
+                _read_only(array)
+            with _MEMO_LOCK:
+                if len(self._memo) >= _MEMO_CAP:
+                    self._memo.clear()
+                self._memo[t] = coefficients
+        return coefficients
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 def _is_tall(x: np.ndarray) -> bool:
@@ -124,7 +172,8 @@ def marginal_velocity(spec: GaussianSpec, x: np.ndarray, t: float) -> np.ndarray
     A diagonal spec on a tall ``x`` (more rows than ``dim``; see
     ``_is_tall``) is evaluated one coordinate column at a time; 1-D states
     and short arrays take the broadcast expression. Both paths give the same
-    bits."""
+    bits. A full spec is evaluated as ``x @ A_t.T + o_t``, and exactly as
+    ``x - mu`` at t = 1."""
     t = float(t)
     if not 0.0 <= t <= 1.0:
         raise InvalidConfigError(f"t={t} outside [0, 1]")
@@ -134,20 +183,15 @@ def marginal_velocity(spec: GaussianSpec, x: np.ndarray, t: float) -> np.ndarray
     if spec.is_diagonal:
         # at t = 1 the gain is exactly 1 and (1 - t) mu exactly zero, so both
         # paths give x - mu bit for bit there
-        shift = (1.0 - t) * spec.mean
-        gain = (t - (1.0 - t) * spec.cov) / ((1.0 - t) ** 2 * spec.cov + t * t)
+        shift, gain = spec._velocity_coefficients(t)
         if _is_tall(x):
             chain = ((np.subtract, shift), (np.multiply, gain), (np.subtract, spec.mean))
             return _by_column(x, chain, np.empty(x.shape))
         return gain * (x - shift) - spec.mean
     if t == 1.0:
         return x - spec.mean
-    centered = x - (1.0 - t) * spec.mean
-    sigma = spec.cov_matrix()
-    s_t = (1.0 - t) ** 2 * sigma + t * t * np.eye(spec.dim)
-    m = t * np.eye(spec.dim) - (1.0 - t) * sigma
-    y = np.linalg.solve(s_t, centered[..., None])[..., 0]
-    return y @ m.T - spec.mean
+    a, o = spec._velocity_coefficients(t)
+    return x @ a.T + o
 
 
 def _velocity_affine(spec: GaussianSpec, t) -> tuple[np.ndarray, np.ndarray]:
@@ -156,14 +200,15 @@ def _velocity_affine(spec: GaussianSpec, t) -> tuple[np.ndarray, np.ndarray]:
 
     A_t = (t I - (1-t) Sigma) S_t^{-1} and o_t = -(1-t) A_t mu - mu. Both
     factors of A_t are functions of Sigma, so A_t is built in Sigma's
-    eigenbasis, one path for diagonal and full covariances. At t = 1, A is
+    eigenbasis, which the spec computed once, one path for diagonal and full
+    covariances. At t = 1, A is
     exactly I and o exactly -mu. Returns arrays of shapes (n, dim, dim) and
     (n, dim).
     """
     t = np.asarray(t, dtype=np.float64).ravel()
     if np.any((t < 0.0) | (t > 1.0)):
         raise InvalidConfigError("times must lie in [0, 1]")
-    lam, q = np.linalg.eigh(spec.cov_matrix())
+    lam, q = spec._eig
     # gain[m, k]: A's eigenvalue m at time k; (dim, n) keeps the elementwise
     # work running along the times
     lam = lam[:, None]

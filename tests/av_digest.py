@@ -6,12 +6,18 @@ cfg scale {0, 1, 1.5, 3} x {with, without} source audio, with 1-4 rows,
 keyed generators on odd seeds and T 2-24. The digest hashes each call's
 output shapes and bytes, ``words_consumed`` and ``normal_draws``.
 
+The calls are hashed into three digests, one per field: ``diagonal``,
+``full`` (the full-covariance field) and ``mlp``. A change to one kind of
+field then moves only its own digest, and the other two keep pinning
+their calls bit for bit.
+
 Run: ``PYTHONPATH=src python tests/av_digest.py`` (point PYTHONPATH at
 another checkout's ``src`` to digest that one). It prints the call count
-and the digest and exits 1 if the digest differs from RECORDED, which was
-taken with numpy 2.4 and OpenBLAS on x86-64; other BLAS builds may round
-the MLP differently. ``tests/test_av_digest.py`` asserts the same digest
-under pytest.
+and the three digests and exits 1, naming each part that moved, if any
+digest differs from RECORDED. RECORDED was taken with numpy 2.4 and
+OpenBLAS on x86-64; other BLAS builds may round the MLP and the
+full-covariance field differently. ``tests/test_av_digest.py`` asserts the
+same digests under pytest.
 """
 
 import hashlib
@@ -25,7 +31,11 @@ from flowlab.mlp import MlpDualField, mlp_init
 from flowlab.rng import CounterRng
 from flowlab.samplers import EditConfig, omniedit_av
 
-RECORDED = "e32f6701fee78499a7d11d2b7667697ddf0493a899dc3969b2fc549f706069c5"
+RECORDED = {
+    "diagonal": "0e3032f2b22e7a6de7cc8d3c0155d05389dce5882da978ca42d82f6cd05834b6",
+    "full": "d6f07b25160a653187cbe044afe769b52e186667747cc8b7355a9cbe23f15b21",
+    "mlp": "72d90c2b41bb5543c5ec52671e4199412767f0785952f6ee471ce291dbf10cdd",
+}
 
 C0, C1, NULL = Condition.one_hot(0, 2), Condition.one_hot(1, 2), Condition.null(2)
 
@@ -45,11 +55,13 @@ def analytic(full: bool) -> AnalyticDualField:
     return AnalyticDualField(video, audio)
 
 
-def digest() -> tuple[int, str]:
-    fields = [analytic(False), analytic(True), MlpDualField(mlp_init((16, 3), 2, 5), 2, 1)]
-    h, calls = hashlib.sha256(), 0
+def digest() -> tuple[int, dict[str, str]]:
+    fields = {"diagonal": analytic(False), "full": analytic(True),
+              "mlp": MlpDualField(mlp_init((16, 3), 2, 5), 2, 1)}
+    hashes, calls = {part: hashlib.sha256() for part in fields}, 0
     for seed in range(34):
-        for field in fields:
+        for part, field in fields.items():
+            h = hashes[part]
             for scale in (0.0, 1.0, 1.5, 3.0):
                 for with_audio in (True, False):
                     rows = 1 + seed % 4
@@ -71,10 +83,15 @@ def digest() -> tuple[int, str]:
                         h.update(np.ascontiguousarray(a).tobytes())
                     h.update(f"{rng.words_consumed},{rng.normal_draws}".encode())
                     calls += 1
-    return calls, h.hexdigest()
+    return calls, {part: h.hexdigest() for part, h in hashes.items()}
 
 
 if __name__ == "__main__":
-    calls, hexdigest = digest()
-    print(calls, hexdigest)
-    sys.exit(0 if hexdigest == RECORDED else 1)
+    calls, digests = digest()
+    print(calls, "calls")
+    for part, hexdigest in digests.items():
+        print(part, hexdigest)
+    moved = [part for part in RECORDED if digests[part] != RECORDED[part]]
+    if moved:
+        print("moved:", ", ".join(moved))
+    sys.exit(1 if moved else 0)

@@ -1,5 +1,7 @@
-"""The 816-call ``omniedit_av`` digest of ``av_digest.py``, as a test: the
-MLP dual field it covers runs the same forward pass as training."""
+"""The 816-call ``omniedit_av`` digests of ``av_digest.py``, one per field
+(diagonal, full covariance, MLP), as a test: the MLP dual field it covers
+runs the same forward pass as training. A failure shows which digest
+moved."""
 
 from av_digest import RECORDED, digest
 
