@@ -85,6 +85,12 @@ class Condition:
         if self.is_null and np.any(self.vector != 0.0):
             raise InvalidConfigError("null condition must have an all-zero vector")
 
+    def __eq__(self, other):
+        # by value: the generated __eq__ would compare the vectors' truth value
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.is_null == other.is_null and np.array_equal(self.vector, other.vector)
+
     @classmethod
     def null(cls, dim: int) -> "Condition":
         return cls(vector=np.zeros(int(dim)), is_null=True)

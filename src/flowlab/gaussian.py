@@ -89,11 +89,19 @@ class GaussianSpec:
         object.__setattr__(self, "_eig", (_read_only(lam), _read_only(q)))
         object.__setattr__(self, "_memo", {})
 
+    def __eq__(self, other):
+        # by value: the generated __eq__ would compare the arrays' truth value
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return np.array_equal(self.mean, other.mean) and np.array_equal(self.cov, other.cov)
+
     @classmethod
     def isotropic(cls, mean, var: float, dim: int | None = None) -> "GaussianSpec":
         mean = np.atleast_1d(np.asarray(mean, dtype=np.float64))
         if dim is not None and mean.size == 1:
             mean = np.full(int(dim), float(mean[0]))
+        elif dim is not None and mean.size != int(dim):
+            raise ShapeMismatchError(f"mean has size {mean.size}, dim is {dim}")
         return cls(mean=mean, cov=np.full(mean.size, float(var)))
 
     @property

@@ -14,6 +14,19 @@ Four entry points:
   ``omniedit_sync`` on the joint state concat(video, audio); without, the
   audio is pre-denoised to t_max, then stepped by Euler beside the video.
 
+``flowedit`` and ``omniedit_sync`` share one step loop, ``_edit``: the
+draws, evaluations, guidance, checks, noise re-estimate and records are
+common, and ``EditConfig.sequence_mode`` decides three lines only. The
+edit sequence starts at the clean source, evaluates the target at
+x + x_src_t - src and steps by Euler on v_tar - v_src; the target sequence
+starts at the noised source, evaluates the target at its own state and
+steps by ``step_target``. Each editor passes its own starting noise: none
+for ``flowedit`` (drawn at the first step), the t=0 estimate or a draw for
+``omniedit_sync``. ``omniedit_av``'s missing-audio path is one loop from
+T down to 1: above n_max the video noise is redrawn and the target video
+is the noised source; from n_max the video follows ``step_target``, and
+both audio streams take Euler steps throughout.
+
 States go in and come out as plain float64 arrays of shape
 (..., state_dim), leading axes acting as batch axes; ``omniedit_av``
 returns its (video, audio) pair as a ``DualState`` of two arrays. No
@@ -176,6 +189,38 @@ def generate(field: VelocityField, x1: np.ndarray, c: Condition, T: int) -> np.n
     return x
 
 
+def _edit(field: VelocityField, src: np.ndarray, src_cond: Condition, target_velocity,
+          cfg: EditConfig, rng: CounterRng, eps: np.ndarray | None, record: bool):
+    """The editing loop of ``flowedit`` and ``omniedit_sync``, steps n_max..1
+    from the noise ``eps`` (``None``: drawn at the first step). The
+    sequence mode decides three lines: where the state starts, which target
+    state is evaluated, and the update."""
+    target = cfg.sequence_mode == "target"
+    times = cfg.times
+    x = interp(src, eps, float(times[cfg.n_max])) if target else src
+    traj = Trajectory()
+    for i in range(cfg.n_max, 0, -1):
+        t_i, t_prev = float(times[i]), float(times[i - 1])
+        if eps is None or cfg.noise_mode == "random":
+            eps = rng.normal_array(src.shape)
+        x_src_t = interp(src, eps, t_i)
+        x_tar_t = x if target else x + x_src_t - src
+        v_src = _checked(i, t_i, field.velocity(x_src_t, src_cond, t_i))
+        v_tar = target_velocity(i, x_tar_t, t=t_i)
+        if cfg.noise_mode == "estimated":
+            eps = estimate_noise(x_src_t, v_src, t_i)
+        if record:
+            traj.steps.append(
+                StepRecord(t=t_i, x_src=x_src_t.copy(), x_main=x_tar_t.copy(),
+                           eps=eps.copy(), v_src=v_src.copy(), v_tar=v_tar.copy())
+            )
+        if target:
+            x = step_target(x, x_src_t, interp(src, eps, t_prev), v_tar, v_src, t_i, t_prev)
+        else:
+            x = euler(x, v_tar - v_src, t_i, t_prev)
+    return (x, traj) if record else x
+
+
 def flowedit(
     field: VelocityField,
     x_src: np.ndarray,
@@ -192,32 +237,13 @@ def flowedit(
     from a fresh Gaussian (``random``) or from the running noise estimate
     (``estimated``). The implied target state is edit + noisy_src - src.
     """
+    if c_src is None or c_tar is None:
+        raise InvalidConfigError("source and target conditions are required")
     if cfg.sequence_mode != "edit":
         raise InvalidConfigError("flowedit requires sequence_mode='edit'")
-    rng = _resolve_rng(cfg, rng)
-    times = cfg.times
     src = np.asarray(x_src, dtype=np.float64)
-    target_velocity = _guided(cfg, field, c_tar)
-    x_edit = src
-    eps = None
-    traj = Trajectory()
-    for i in range(cfg.n_max, 0, -1):
-        t_i, t_prev = float(times[i]), float(times[i - 1])
-        if eps is None or cfg.noise_mode == "random":
-            eps = rng.normal_array(src.shape)
-        x_src_t = interp(src, eps, t_i)
-        x_tar_t = x_edit + x_src_t - src
-        v_src = _checked(i, t_i, field.velocity(x_src_t, c_src, t_i))
-        v_tar = target_velocity(i, x_tar_t, t=t_i)
-        if cfg.noise_mode == "estimated":
-            eps = estimate_noise(x_src_t, v_src, t_i)
-        if record:
-            traj.steps.append(
-                StepRecord(t=t_i, x_src=x_src_t.copy(), x_main=x_tar_t.copy(),
-                           eps=eps.copy(), v_src=v_src.copy(), v_tar=v_tar.copy())
-            )
-        x_edit = euler(x_edit, v_tar - v_src, t_i, t_prev)
-    return (x_edit, traj) if record else x_edit
+    return _edit(field, src, c_src, _guided(cfg, field, c_tar), cfg, _resolve_rng(cfg, rng),
+                 None, record)
 
 
 def omniedit_sync(
@@ -249,35 +275,12 @@ def omniedit_sync(
         return cond if c_prompt is None else cond.concat(c_prompt)
 
     src_cond = combined(c_src if c_src is not None else Condition.null(c_tar.dim))
-    tar_cond = combined(c_tar)
-    target_velocity = _guided(cfg, field, tar_cond)
-    times = cfg.times
     src = np.asarray(x_src, dtype=np.float64)
-
     if c_src is None:
         eps = rng.normal_array(src.shape)
     else:
         eps = estimate_noise(src, _checked(cfg.n_max, 0.0, field.velocity(src, src_cond, 0.0)), 0.0)
-    x_tar = interp(src, eps, float(times[cfg.n_max]))
-
-    traj = Trajectory()
-    for i in range(cfg.n_max, 0, -1):
-        t_i, t_prev = float(times[i]), float(times[i - 1])
-        if cfg.noise_mode == "random":
-            eps = rng.normal_array(src.shape)
-        x_src_t = interp(src, eps, t_i)
-        v_src = _checked(i, t_i, field.velocity(x_src_t, src_cond, t_i))
-        v_tar = target_velocity(i, x_tar, t=t_i)
-        if cfg.noise_mode == "estimated":
-            eps = estimate_noise(x_src_t, v_src, t_i)
-        x_src_prev = interp(src, eps, t_prev)
-        if record:
-            traj.steps.append(
-                StepRecord(t=t_i, x_src=x_src_t.copy(), x_main=x_tar.copy(),
-                           eps=eps.copy(), v_src=v_src.copy(), v_tar=v_tar.copy())
-            )
-        x_tar = step_target(x_tar, x_src_t, x_src_prev, v_tar, v_src, t_i, t_prev)
-    return (x_tar, traj) if record else x_tar
+    return _edit(field, src, src_cond, _guided(cfg, field, combined(c_tar)), cfg, rng, eps, record)
 
 
 def omniedit_av(
@@ -325,28 +328,20 @@ def omniedit_av(
     target_velocity = _guided(cfg, joint, c_tar)
     # the pre-steps feed both audio streams the same noised source video
     a_src_t = a_tar_t = rng.normal_array((*src.shape[:-1], field2.audio_dim))
-    eps_video = None
-    for i in range(cfg.T, cfg.n_max, -1):
+    eps = None
+    for i in range(cfg.T, 0, -1):
         t_i, t_prev = float(times[i]), float(times[i - 1])
-        eps_video = rng.normal_array(src.shape)
-        x_t = interp(src, eps_video, t_i)
-        v_src = _checked(i, t_i, joint.velocity(pair(x_t, a_src_t), c_src, t_i))
-        v_tar = target_velocity(i, pair(x_t, a_tar_t), t=t_i)
-        a_src_t = euler(a_src_t, v_src[..., v:], t_i, t_prev)
-        a_tar_t = euler(a_tar_t, v_tar[..., v:], t_i, t_prev)
-    if eps_video is None:  # n_max == T: no pre-steps ran
-        eps_video = rng.normal_array(src.shape)
-    x_tar = interp(src, eps_video, float(times[cfg.n_max]))
-
-    for i in range(cfg.n_max, 0, -1):
-        t_i, t_prev = float(times[i]), float(times[i - 1])
-        x_src_t = interp(src, eps_video, t_i)
+        if eps is None or i > cfg.n_max:
+            eps = rng.normal_array(src.shape)
+        x_src_t = interp(src, eps, t_i)
+        if i >= cfg.n_max:  # the target video starts at the noised source at t_max
+            x_tar = x_src_t
         v_src = _checked(i, t_i, joint.velocity(pair(x_src_t, a_src_t), c_src, t_i))
         v_tar = target_velocity(i, pair(x_tar, a_tar_t), t=t_i)
-        eps_video = estimate_noise(x_src_t, v_src[..., :v], t_i)
-        x_src_prev = interp(src, eps_video, t_prev)
-        x_tar = step_target(x_tar, x_src_t, x_src_prev, v_tar[..., :v], v_src[..., :v], t_i, t_prev)
+        if i <= cfg.n_max:
+            eps = estimate_noise(x_src_t, v_src[..., :v], t_i)
+            x_tar = step_target(x_tar, x_src_t, interp(src, eps, t_prev),
+                                v_tar[..., :v], v_src[..., :v], t_i, t_prev)
         a_src_t = euler(a_src_t, v_src[..., v:], t_i, t_prev)
         a_tar_t = euler(a_tar_t, v_tar[..., v:], t_i, t_prev)
-
     return DualState(video=x_tar, audio=a_tar_t)

@@ -50,6 +50,15 @@ class TestCondition:
         assert not c.is_null
         assert Condition.null(1).concat(Condition.null(2)).is_null
 
+    def test_equality_is_by_value(self):
+        assert Condition.one_hot(0, 2) == Condition.one_hot(0, 2)
+        assert Condition(vector=[0.5, -1.0]) == Condition(vector=np.array([0.5, -1.0]))
+        assert Condition.one_hot(0, 2) != Condition.one_hot(1, 2)
+        assert Condition.one_hot(0, 2) != Condition.one_hot(0, 3)
+        assert Condition.null(2) != Condition(vector=np.zeros(2))
+        assert Condition.null(2) == Condition.null(2)
+        assert Condition.one_hot(0, 2) != (0.0, 1.0)
+
 
 class TestInterpolate:
     def test_scalar_case(self):

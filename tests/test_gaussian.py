@@ -63,6 +63,24 @@ class TestGaussianSpec:
         with pytest.raises(ShapeMismatchError):
             GaussianSpec(mean=np.zeros(2), cov=np.ones(3))
 
+    def test_isotropic_rejects_a_dim_its_mean_disagrees_with(self):
+        with pytest.raises(ShapeMismatchError):
+            GaussianSpec.isotropic([1.0, 2.0], 1.0, dim=3)
+        assert GaussianSpec.isotropic([1.0, 2.0], 1.0, dim=2).dim == 2
+        assert GaussianSpec.isotropic(1.0, 1.0, dim=3).mean.tolist() == [1.0, 1.0, 1.0]
+
+    def test_equality_is_by_value(self):
+        full = [[1.0, 0.3], [0.3, 2.0]]
+        assert GaussianSpec(mean=[0.0, 1.0], cov=[1.0, 2.0]) == GaussianSpec(mean=[0.0, 1.0],
+                                                                            cov=[1.0, 2.0])
+        assert GaussianSpec(mean=[0.0, 1.0], cov=full) == GaussianSpec(mean=[0.0, 1.0], cov=full)
+        assert GaussianSpec(mean=[0.0, 1.0], cov=[1.0, 2.0]) != GaussianSpec(mean=[0.0, 1.5],
+                                                                            cov=[1.0, 2.0])
+        # the same distribution stored diagonally and as a matrix are two specs
+        assert GaussianSpec(mean=[0.0, 1.0], cov=[1.0, 2.0]) != GaussianSpec(
+            mean=[0.0, 1.0], cov=np.diag([1.0, 2.0]))
+        assert GaussianSpec(mean=[0.0, 1.0], cov=[1.0, 2.0]) != ([0.0, 1.0], [1.0, 2.0])
+
     def test_asymmetry_is_judged_against_the_matrix_scale(self):
         # an absolute tolerance of 1e-8 would pass this matrix, whose lower
         # triangle (what cholesky and eigh read) is diagonal
@@ -350,10 +368,10 @@ class TestColumnPath:
         assert not any(thread.is_alive() for thread in threads)
         assert wrong == []
 
-    @pytest.mark.parametrize("cov", [np.array([2.0]), np.array([[2.0]])])
+    @pytest.mark.parametrize("cov", [np.array([0.5, 2.0]), np.array([[0.5, 0.2], [0.2, 2.0]])])
     def test_repr_and_eq_see_only_mean_and_cov(self, cov):
-        used, fresh = GaussianSpec(mean=[0.5], cov=cov), GaussianSpec(mean=[0.5], cov=cov)
-        marginal_velocity(used, np.array([0.1]), 0.3)
+        used, fresh = GaussianSpec(mean=[0.5, -1.0], cov=cov), GaussianSpec(mean=[0.5, -1.0], cov=cov)
+        marginal_velocity(used, np.array([0.1, 0.2]), 0.3)
         assert used._memo and not fresh._memo
         assert repr(used) == repr(fresh) and used == fresh
         assert [f.name for f in dataclasses.fields(used)] == ["mean", "cov"]

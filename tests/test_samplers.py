@@ -188,6 +188,15 @@ class TestFlowEdit:
         with pytest.raises(InvalidConfigError):
             flowedit(field, np.array([0.0]), c_src, c_tar, EditConfig(sequence_mode="target"))
 
+    @pytest.mark.parametrize("scale", [1.0, 1.5])
+    def test_missing_condition(self, scale):
+        field, c_src, c_tar = pair_field(GaussianSpec.isotropic(0.0, 1.0, dim=2),
+                                         GaussianSpec.isotropic(2.0, 1.0, dim=2))
+        cfg = EditConfig(sequence_mode="edit", cfg_scale=scale)
+        for conditions in ((None, c_tar), (c_src, None), (None, None)):
+            with pytest.raises(InvalidConfigError):
+                flowedit(field, np.zeros(2), *conditions, cfg)
+
     def test_truncation_bias_matches_dense_oracle(self, shift_pair_1d):
         field, src, tar, c_src, c_tar = shift_pair_1d
         zero = TensorState.from_array([0.0])
@@ -216,6 +225,59 @@ class TestFlowEdit:
         rng = CounterRng(0)
         flowedit(field, np.array([0.1]), c_src, c_tar, cfg, rng=rng)
         assert rng.normal_draws == 1
+
+
+class _EstimateRng:
+    """An RNG stand-in whose every normal draw is the t=0 noise estimate of
+    ``x`` under ``c``: the starting noise ``omniedit_sync`` uses."""
+
+    def __init__(self, field, x, c):
+        self.eps = estimate_noise(x, field.velocity(x, c, 0.0), 0.0)
+
+    def normal_array(self, shape):
+        assert shape == self.eps.shape
+        return self.eps.copy()
+
+
+def _substitution_case(kind):
+    """A full-covariance 2-D Gaussian pair or an MLP, its two conditions and
+    a 3-row source state."""
+    if kind == "gaussian":
+        field, c_src, c_tar = pair_field(
+            GaussianSpec(mean=[0.0, 1.0], cov=[[1.0, 0.3], [0.3, 0.5]]),
+            GaussianSpec(mean=[2.0, -1.0], cov=[[0.4, -0.1], [-0.1, 0.9]]))
+    else:
+        field = MlpVelocityField(mlp_init([16, 16, 2], condition_dim=2, seed=5))
+        c_src, c_tar = Condition.one_hot(0, 2), Condition.one_hot(1, 2)
+    return field, c_src, c_tar, np.array([[0.3, -0.8], [1.1, 0.2], [-0.5, 0.4]])
+
+
+class TestTargetSequenceSubstitution:
+    """The paper's reformulation: the target sequence is the edit sequence
+    with its implied target state carried instead of the edit. Started from
+    the same noise and re-estimating it, the two editors agree up to
+    rounding; under redrawn noise the implied state does not telescope."""
+
+    @pytest.mark.parametrize("kind", ["gaussian", "mlp"])
+    @pytest.mark.parametrize("scale", [0.0, 1.0, 1.5])
+    @pytest.mark.parametrize("T, n_max", [(12, 8), (12, 12)])
+    def test_estimated_noise_editors_agree(self, kind, scale, T, n_max):
+        field, c_src, c_tar, x = _substitution_case(kind)
+        cfg = EditConfig(T=T, n_max=n_max, noise_mode="estimated", cfg_scale=scale)
+        edit_cfg = dataclasses.replace(cfg, sequence_mode="edit")
+        edit = flowedit(field, x, c_src, c_tar, edit_cfg, rng=_EstimateRng(field, x, c_src))
+        target = omniedit_sync(field, x, c_src, c_tar, cfg)
+        assert np.max(np.abs(edit - target)) <= 1e-12 * np.max(np.abs(target))
+
+    @pytest.mark.parametrize("kind", ["gaussian", "mlp"])
+    def test_random_noise_editors_differ(self, kind):
+        field, c_src, c_tar, x = _substitution_case(kind)
+        cfg = EditConfig(T=12, n_max=8, noise_mode="random", cfg_scale=1.5, seed=2)
+        edit_cfg = dataclasses.replace(cfg, sequence_mode="edit")
+        # the same seed: both editors see the same draw at every step
+        edit = flowedit(field, x, c_src, c_tar, edit_cfg)
+        target = omniedit_sync(field, x, c_src, c_tar, cfg)
+        assert np.max(np.abs(edit - target)) > 1e-3
 
 
 class TestOmniEditSync:
@@ -437,7 +499,7 @@ def _frozen_case(name):
 
 @pytest.mark.parametrize("name", sorted(_FROZEN))
 def test_frozen_editor_outputs(name):
-    np.testing.assert_allclose(_frozen_case(name), _FROZEN[name], rtol=1e-12, atol=0.0)
+    np.testing.assert_array_equal(_frozen_case(name), _FROZEN[name], strict=True)
 
 
 class _NanAt:
