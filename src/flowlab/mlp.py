@@ -4,7 +4,10 @@ The network maps concat(state, condition, (t, 1-t)) through tanh hidden
 layers to a velocity of the state's dimension, and is trained with Adam on
 the straight-path regression objective: batch mean of
 ``||model(x_t, c, t) - (x1 - x0)||^2`` with x1 drawn standard normal and t
-uniform. Everything is float64 numpy, single threaded and deterministic.
+uniform. Everything is float64 numpy and deterministic: the matrix products
+may run on BLAS threads, and no output bit depends on how many
+(``tests/test_cli_matrix.py`` runs the CLI's training and editing at one
+thread beside the default).
 
 Parameters live in one float64 vector, ``MlpModel.params``, laid out as the
 model file stores them: W0 (row-major, fan_out x fan_in), b0, W1, b1, ...
@@ -17,10 +20,21 @@ the epoch's n * (2d + 1) words: for each batch of b rows in order, 2*b*d
 words turned into its (b, d) normal endpoints (Box-Muller, row-major), then
 b words for its times. Word k is the same however the draws are batched, so
 this stream equals one normal and one uniform draw per batch.
+
+Each epoch's inputs are assembled at once, and a step does only the step's
+work: the forward and backward pass on a slice of those rows, the Adam
+update and the forward pass on the eval batch, whose inputs ``train``
+assembles once per call. Both passes call the private kernels directly
+(``_forward_cached``, and ``_backward``, the backprop that
+``batch_loss_and_grads`` also runs), so no step checks shapes or assembles
+inputs. The eval and batch passes stay two products: numpy sends a 1-row
+product to gemv, not gemm, so one stacked pass would change the bits of a
+1-row eval or batch.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -187,26 +201,33 @@ def batch_loss_and_grads(model: MlpModel, x, cond, t, target, out: np.ndarray | 
         raise InvalidConfigError("empty batch")
     if target.shape != (x.shape[0], model.state_dim):
         raise ShapeMismatchError(f"target shape {target.shape} does not match batch")
-    n = x.shape[0]
     hs = _forward_cached(model, _assemble_inputs(model, x, np.asarray(cond, dtype=np.float64), t))
-    resid = hs[-1] - target
-    loss = float(np.sum(resid**2)) / n
-
     out = np.empty_like(model.params) if out is None else out
     grads = _layer_views(out, model.layer_chain)
-    g = resid
+    return _backward(model, hs, target, grads), grads
+
+
+def _backward(model: MlpModel, hs: list[np.ndarray], target: np.ndarray,
+              grads: list[np.ndarray]) -> float:
+    """The batch mean of ||velocity - target||^2 for the layer outputs ``hs``
+    of ``_forward_cached``, with its gradient written into ``grads`` (the
+    per-parameter views of a params-layout vector). Overwrites hs[1:]."""
+    n = target.shape[0]
+    g = hs[-1]
+    g -= target
+    loss = float(np.add.reduce(np.square(g), axis=None)) / n
     g *= 2.0
     g /= n
     for l in range(len(model.weights) - 1, -1, -1):
         np.matmul(g.T, hs[l], out=grads[2 * l])
-        np.sum(g, axis=0, out=grads[2 * l + 1])
+        np.add.reduce(g, axis=0, out=grads[2 * l + 1])
         if l > 0:
             g = g @ model.weights[l]
             h = hs[l]  # not needed after this layer: becomes tanh' = 1 - h^2
             h *= h
             np.subtract(1.0, h, out=h)
             g *= h
-    return loss, grads
+    return loss
 
 
 def grad_check(model: MlpModel, sample, fd_step: float = 1e-5) -> float:
@@ -273,6 +294,11 @@ def train(model: MlpModel, dataset, config: TrainConfig) -> TrainReport:
     draws from a seed derived from config.seed), recorded every step so the
     curve is comparable across steps and constant when the learning rate is
     zero. Raises if the loss goes non-finite.
+
+    A step does only the step's work: the forward and backward pass on its
+    batch, a slice of the epoch's inputs, the Adam update and the forward
+    pass on the eval batch. The eval inputs and the gradient views are made
+    once per call, the epoch's inputs once per epoch.
     """
     if len(dataset) == 0:
         raise InvalidConfigError("empty dataset")
@@ -285,12 +311,14 @@ def train(model: MlpModel, dataset, config: TrainConfig) -> TrainReport:
     eval_x0, eval_cond = x0[eval_idx], cond[eval_idx]
     eval_x1 = eval_rng.normal_array((n_eval, d))
     eval_t = eval_rng.uniform(n_eval)
-    eval_xt = interp(eval_x0, eval_x1, eval_t[:, None])
+    eval_inputs = _assemble_inputs(model, interp(eval_x0, eval_x1, eval_t[:, None]), eval_cond,
+                                   eval_t)
     eval_tgt = eval_x1 - eval_x0
 
     def eval_loss() -> float:
-        pred = forward_array(model, eval_xt, eval_cond, eval_t)
-        return float(np.sum((pred - eval_tgt) ** 2)) / n_eval
+        err = _forward_cached(model, eval_inputs)[-1]
+        err -= eval_tgt
+        return float(np.add.reduce(np.square(err), axis=None)) / n_eval
 
     rng = CounterRng(config.seed)
     report = TrainReport()
@@ -299,18 +327,18 @@ def train(model: MlpModel, dataset, config: TrainConfig) -> TrainReport:
     params, batch = model.params, config.batch_size
     grad, m, v = np.empty_like(params), np.zeros_like(params), np.zeros_like(params)
     upd, buf = np.empty_like(params), np.empty_like(params)
+    grads = _layer_views(grad, model.layer_chain)
     step = 0
     for _ in range(config.epochs):
         perm = np.argsort(rng.uniform(n), kind="stable")
         x1, t = _epoch_draws(rng.uniform(n * (2 * d + 1)), n, d, batch)
-        ex0, econd = x0[perm], cond[perm]
-        xt = interp(ex0, x1, t[:, None])
+        ex0 = x0[perm]
+        inputs = _assemble_inputs(model, interp(ex0, x1, t[:, None]), cond[perm], t)
         target = x1 - ex0
         for lo in range(0, n, batch):
-            rows = slice(lo, lo + batch)
-            loss, _ = batch_loss_and_grads(model, xt[rows], econd[rows], t[rows], target[rows],
-                                           out=grad)
-            if not np.isfinite(loss):
+            loss = _backward(model, _forward_cached(model, inputs[lo : lo + batch]),
+                             target[lo : lo + batch], grads)
+            if not math.isfinite(loss):
                 raise TrainingDivergedError(f"non-finite training loss at step {step}")
             step += 1
             # Adam in the per-array expressions' operation order, so every

@@ -175,13 +175,19 @@ def _resolve_rng(cfg: EditConfig, rng: CounterRng | None) -> CounterRng:
     return rng if rng is not None else CounterRng(cfg.seed)
 
 
+def _state(field: VelocityField, x) -> np.ndarray:
+    """``x`` as a float64 array whose last axis is the field's state."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape[-1:] != (field.state_dim,):
+        raise ShapeMismatchError(f"state shape {x.shape} does not end in {field.state_dim}")
+    return x
+
+
 def generate(field: VelocityField, x1: np.ndarray, c: Condition, T: int) -> np.ndarray:
     """Integrate dx = V(x, c, t) dt from t=1 down to t=0 with explicit Euler
     over T uniform steps (T >= 2, checked as ``EditConfig`` checks it) and
     return the t=0 state."""
-    x = np.asarray(x1, dtype=np.float64)
-    if x.shape[-1:] != (field.state_dim,):
-        raise ShapeMismatchError(f"state shape {x.shape} does not end in {field.state_dim}")
+    x = _state(field, x1)
     times = EditConfig(T=T, n_max=T).times
     for i in range(T, 0, -1):
         t_i, t_prev = float(times[i]), float(times[i - 1])
@@ -241,7 +247,7 @@ def flowedit(
         raise InvalidConfigError("source and target conditions are required")
     if cfg.sequence_mode != "edit":
         raise InvalidConfigError("flowedit requires sequence_mode='edit'")
-    src = np.asarray(x_src, dtype=np.float64)
+    src = _state(field, x_src)
     return _edit(field, src, c_src, _guided(cfg, field, c_tar), cfg, _resolve_rng(cfg, rng),
                  None, record)
 
@@ -275,7 +281,7 @@ def omniedit_sync(
         return cond if c_prompt is None else cond.concat(c_prompt)
 
     src_cond = combined(c_src if c_src is not None else Condition.null(c_tar.dim))
-    src = np.asarray(x_src, dtype=np.float64)
+    src = _state(field, x_src)
     if c_src is None:
         eps = rng.normal_array(src.shape)
     else:

@@ -113,11 +113,11 @@ RECORDED_HASHES = {
 }
 
 
-def run_matrix(out: Path) -> dict[str, int]:
-    """Run the 12 CLI calls into ``out``, one directory each; returns each
-    run's exit code. Their stdout is swallowed."""
+def run_matrix(out: Path, runs=RUNS) -> dict[str, int]:
+    """Run the CLI calls of ``runs`` (all 12 by default) into ``out``, one
+    directory each; returns each run's exit code. Their stdout is swallowed."""
     codes = {}
-    for name, argv in RUNS:
+    for name, argv in runs:
         argv = [a.format(out=out) for a in argv]
         with contextlib.redirect_stdout(io.StringIO()):
             codes[name] = cli_main([argv[0], "--out-dir", str(out / name), *argv[1:]])

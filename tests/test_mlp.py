@@ -268,6 +268,10 @@ class TestTrainMatchesPerBatchLoop:
     @example(d=1, cond_dim=0, n=37, batch=8, epochs=2, lr=3e-2, hidden=[5], seed=1)  # n % batch
     @example(d=2, cond_dim=1, n=12, batch=32, epochs=2, lr=1e-3, hidden=[4, 3], seed=2)  # n < batch
     @example(d=3, cond_dim=2, n=20, batch=5, epochs=1, lr=0.0, hidden=[6], seed=3)  # lr = 0
+    @example(d=2, cond_dim=1, n=1, batch=4, epochs=2, lr=3e-2, hidden=[3], seed=4)  # 1-row passes
+    @example(d=1, cond_dim=2, n=17, batch=8, epochs=2, lr=3e-2, hidden=[5], seed=5)  # 1-row tail
+    # the benchmark's shape class: n_eval = 256 < n, width 48, a ragged last batch
+    @example(d=3, cond_dim=2, n=300, batch=96, epochs=2, lr=3e-3, hidden=[48], seed=6)
     def test_bit_identical(self, d, cond_dim, n, batch, epochs, lr, hidden, seed):
         data = CounterRng(derive_seed(seed, 1)).normal_array((n, d + cond_dim))
         x0, cond = data[:, :d], data[:, d:]

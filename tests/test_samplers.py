@@ -188,6 +188,12 @@ class TestFlowEdit:
         with pytest.raises(InvalidConfigError):
             flowedit(field, np.array([0.0]), c_src, c_tar, EditConfig(sequence_mode="target"))
 
+    @pytest.mark.parametrize("x", [np.float64(0.5), np.zeros((3, 2))], ids=["scalar", "wrong-dim"])
+    def test_state_must_end_in_field_dim(self, shift_pair_1d, x):
+        field, _, _, c_src, c_tar = shift_pair_1d
+        with pytest.raises(ShapeMismatchError):
+            flowedit(field, x, c_src, c_tar, EditConfig(sequence_mode="edit"))
+
     @pytest.mark.parametrize("scale", [1.0, 1.5])
     def test_missing_condition(self, scale):
         field, c_src, c_tar = pair_field(GaussianSpec.isotropic(0.0, 1.0, dim=2),
@@ -298,6 +304,13 @@ class TestOmniEditSync:
         field, _, _, c_src, c_tar = shift_pair_1d
         with pytest.raises(InvalidConfigError):
             omniedit_sync(field, np.array([0.0]), c_src, c_tar, EditConfig(sequence_mode="edit"))
+
+    @pytest.mark.parametrize("source_condition", [True, False], ids=["c_src", "no-c_src"])
+    @pytest.mark.parametrize("x", [np.float64(0.5), np.zeros((3, 2))], ids=["scalar", "wrong-dim"])
+    def test_state_must_end_in_field_dim(self, shift_pair_1d, x, source_condition):
+        field, _, _, c_src, c_tar = shift_pair_1d
+        with pytest.raises(ShapeMismatchError):
+            omniedit_sync(field, x, c_src if source_condition else None, c_tar, EditConfig())
 
     def test_rng_draw_accounting(self, shift_pair_1d):
         field, _, _, c_src, c_tar = shift_pair_1d
