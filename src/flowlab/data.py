@@ -87,11 +87,10 @@ class CoupledAvDataset:
         return np.concatenate([self.video, self.audio], axis=1)
 
     def joint_pairs(self) -> list[tuple[np.ndarray, Condition]]:
-        """(joint row, one-hot class condition) pairs, the input of ``train``."""
-        return [
-            (row, Condition.one_hot(int(k), self.num_classes))
-            for row, k in zip(self.joint_states(), self.labels)
-        ]
+        """(joint row, one-hot class condition) pairs, the input of ``train``.
+        The rows of one class share one (frozen, read-only) ``Condition``."""
+        conditions = [Condition.one_hot(k, self.num_classes) for k in range(self.num_classes)]
+        return [(row, conditions[int(k)]) for row, k in zip(self.joint_states(), self.labels)]
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:

@@ -22,26 +22,32 @@ as 1, 2, 3", SC 2011). Every draw then has a leading axis of length k, and
 row r is bit for bit what a generator on ``seeds[r]`` alone would give for
 the same sequence of calls. This lets a whole seed sweep run as one batched
 sampler call.
+
+``CounterRng.normal_steps(steps, shape)`` makes ``steps`` successive
+``normal_array(shape)`` draws in one call, stacked on a new leading axis:
+an editor draws every step's noise up front with it, and row s is bit for
+bit the s-th of ``steps`` separate calls, on one stream or keyed.
+
+A negative draw count raises ``InvalidConfigError`` before any counter
+moves; a count of 0 draws nothing.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeMismatchError
+from .errors import InvalidConfigError, ShapeMismatchError
 
 RNG_ALGORITHM = "splitmix64-boxmuller/1"
 
 _U64 = (1 << 64) - 1
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
+_GOLDEN_INT, _MIX1_INT, _MIX2_INT = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_GOLDEN, _MIX1, _MIX2 = np.uint64(_GOLDEN_INT), np.uint64(_MIX1_INT), np.uint64(_MIX2_INT)
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    # SplitMix64 finalizer, in place on an array (a scalar just rebinds).
-    # The multiplies wrap mod 2**64 by design: silently on a uint64 array,
-    # with an overflow warning on a scalar unless the caller ignores it.
+    # SplitMix64 finalizer, in place on a uint64 array; the multiplies wrap
+    # mod 2**64 by design.
     z ^= z >> np.uint64(30)
     z *= _MIX1
     z ^= z >> np.uint64(27)
@@ -54,11 +60,14 @@ def derive_seed(seed: int, tag: int) -> int:
     """Derive an independent stream seed from (seed, tag).
 
     Used wherever one experiment seed must feed several non-overlapping
-    streams (data draws vs. sampler noise, per-seed sweep entries).
+    streams (data draws vs. sampler noise, per-seed sweep entries). The
+    SplitMix64 finalizer of ``seed * golden + tag * mix2 + 1``, all mod
+    2**64, in Python integers.
     """
-    with np.errstate(over="ignore"):
-        z = np.uint64(int(seed) & _U64) * _GOLDEN + np.uint64(int(tag) & _U64) * _MIX2 + np.uint64(1)
-        return int(_mix64(z))
+    z = ((int(seed) & _U64) * _GOLDEN_INT + (int(tag) & _U64) * _MIX2_INT + 1) & _U64
+    z = ((z ^ (z >> 30)) * _MIX1_INT) & _U64
+    z = ((z ^ (z >> 27)) * _MIX2_INT) & _U64
+    return z ^ (z >> 31)
 
 
 def box_muller(u: np.ndarray) -> np.ndarray:
@@ -71,6 +80,13 @@ def box_muller(u: np.ndarray) -> np.ndarray:
     np.cos(angle, out=angle)
     z *= angle
     return z
+
+
+def _count(n: int) -> int:
+    """A draw count, checked before any counter moves."""
+    if n < 0:
+        raise InvalidConfigError(f"draw count must be >= 0, got {n}")
+    return n
 
 
 class CounterRng:
@@ -114,7 +130,7 @@ class CounterRng:
         """Uniform draws in (0, 1], shape (n,), keyed (k, n). With n None,
         one word per stream: a float, keyed shape (k,) (row r is the float
         a generator on ``seeds[r]`` alone gives)."""
-        u = self._uniforms(1 if n is None else n)
+        u = self._uniforms(1 if n is None else _count(n))
         if n is not None:
             return u
         return float(u[0]) if u.ndim == 1 else u[:, 0]
@@ -122,16 +138,34 @@ class CounterRng:
     def standard_normal(self, n: int) -> np.ndarray:
         """n standard normal draws (two words each, Box-Muller cosine branch);
         keyed: shape (k, n)."""
-        self.normal_draws += n
+        self.normal_draws += _count(n)
         return box_muller(self._uniforms(2 * n))
+
+    def _shape(self, shape: tuple[int, ...] | int) -> tuple[int, ...]:
+        # a draw's shape as a tuple: no negative axis, keyed led by the k streams
+        shape = (shape,) if isinstance(shape, int) else tuple(shape)
+        if any(n < 0 for n in shape):
+            raise InvalidConfigError(f"shape {shape} has a negative axis")
+        streams = self._key.shape[:1]  # () for one stream, (k,) keyed
+        if shape[: len(streams)] != streams:
+            raise ShapeMismatchError(f"shape {shape} does not lead with the {streams[0]} streams")
+        return shape
 
     def normal_array(self, shape: tuple[int, ...] | int) -> np.ndarray:
         """Standard normals reshaped to ``shape`` (row-major draw order).
 
         Keyed, the leading axis of ``shape`` must be k: each stream fills
         its own row with ``shape[1:]``."""
-        shape = (shape,) if isinstance(shape, int) else tuple(shape)
-        streams = self._key.shape[:1]  # () for one stream, (k,) keyed
-        if shape[: len(streams)] != streams:
-            raise ShapeMismatchError(f"shape {shape} does not lead with the {streams[0]} streams")
-        return self.standard_normal(int(np.prod(shape[len(streams) :], dtype=int))).reshape(shape)
+        shape = self._shape(shape)
+        lead = len(self._key.shape[:1])
+        return self.standard_normal(int(np.prod(shape[lead:], dtype=int))).reshape(shape)
+
+    def normal_steps(self, steps: int, shape: tuple[int, ...] | int) -> np.ndarray:
+        """``steps`` successive ``normal_array(shape)`` draws in one call,
+        stacked on a new leading axis: row s is bit for bit the s-th of
+        ``steps`` separate calls, and the same words are consumed. Keyed,
+        each stream draws its ``steps`` rows in one ``normal_array`` call
+        and the step axis is moved to the front."""
+        shape = self._shape(shape)
+        lead = len(self._key.shape[:1])
+        return self.normal_array((*shape[:lead], steps, *shape[lead:])).swapaxes(0, lead)

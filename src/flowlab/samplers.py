@@ -27,6 +27,13 @@ T down to 1: above n_max the video noise is redrawn and the target video
 is the noised source; from n_max the video follows ``step_target``, and
 both audio streams take Euler steps throughout.
 
+Noise is drawn up front, before an editor's step loop, with
+``CounterRng.normal_steps``: the ``random`` mode's n_max per-step rows in
+one call, ``flowedit``'s one starting row under ``estimated`` noise, and
+the missing-audio path's max(T - n_max, 1) pre-step video rows in one call
+after its audio draw. The rows and the words consumed are those of one
+draw per step, but a call that raises partway has consumed them all.
+
 States go in and come out as plain float64 arrays of shape
 (..., state_dim), leading axes acting as batch axes; ``omniedit_av``
 returns its (video, audio) pair as a ``DualState`` of two arrays. No
@@ -198,17 +205,27 @@ def generate(field: VelocityField, x1: np.ndarray, c: Condition, T: int) -> np.n
 def _edit(field: VelocityField, src: np.ndarray, src_cond: Condition, target_velocity,
           cfg: EditConfig, rng: CounterRng, eps: np.ndarray | None, record: bool):
     """The editing loop of ``flowedit`` and ``omniedit_sync``, steps n_max..1
-    from the noise ``eps`` (``None``: drawn at the first step). The
+    from the noise ``eps`` (``None``: drawn for the first step). The
     sequence mode decides three lines: where the state starts, which target
-    state is evaluated, and the update."""
+    state is evaluated, and the update.
+
+    Every draw is made before the loop, in one ``normal_steps`` call: the
+    ``random`` mode's n_max rows, one per step, or the one starting row of
+    ``eps=None``. So a call that raises at some step has still consumed
+    every row's words."""
     target = cfg.sequence_mode == "target"
     times = cfg.times
+    noise = None
+    if cfg.noise_mode == "random":
+        noise = rng.normal_steps(cfg.n_max, src.shape)
+    elif eps is None:
+        eps = rng.normal_steps(1, src.shape)[0]
     x = interp(src, eps, float(times[cfg.n_max])) if target else src
     traj = Trajectory()
     for i in range(cfg.n_max, 0, -1):
         t_i, t_prev = float(times[i]), float(times[i - 1])
-        if eps is None or cfg.noise_mode == "random":
-            eps = rng.normal_array(src.shape)
+        if noise is not None:
+            eps = noise[cfg.n_max - i]
         x_src_t = interp(src, eps, t_i)
         x_tar_t = x if target else x + x_src_t - src
         v_src = _checked(i, t_i, field.velocity(x_src_t, src_cond, t_i))
@@ -306,7 +323,9 @@ def omniedit_av(
     source audio missing, both audio streams start from one shared Gaussian
     draw and are pre-denoised from t=1 down to t_max (fresh video noise each
     pre-step), then advanced by plain Euler while the video follows the
-    target-sequence rule.
+    target-sequence rule. The audio draw and then every pre-step's video
+    noise, max(T - n_max, 1) rows in one call, are drawn before the loop,
+    so a call that raises partway has consumed all of their words.
     """
     if c_src is None or c_tar is None:
         raise InvalidConfigError("source and target prompts are required")
@@ -334,11 +353,12 @@ def omniedit_av(
     target_velocity = _guided(cfg, joint, c_tar)
     # the pre-steps feed both audio streams the same noised source video
     a_src_t = a_tar_t = rng.normal_array((*src.shape[:-1], field2.audio_dim))
-    eps = None
+    # video noise for steps T..n_max+1, and for step T when n_max = T
+    pre = rng.normal_steps(max(cfg.T - cfg.n_max, 1), src.shape)
     for i in range(cfg.T, 0, -1):
         t_i, t_prev = float(times[i]), float(times[i - 1])
-        if eps is None or i > cfg.n_max:
-            eps = rng.normal_array(src.shape)
+        if cfg.T - i < len(pre):
+            eps = pre[cfg.T - i]
         x_src_t = interp(src, eps, t_i)
         if i >= cfg.n_max:  # the target video starts at the noised source at t_max
             x_tar = x_src_t

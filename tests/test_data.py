@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from flowlab.core import Condition
 from flowlab.data import AvSynthParams, CoupledAvDataset, synth_av_dataset
 from flowlab.errors import InvalidConfigError, ShapeMismatchError
 
@@ -71,6 +72,18 @@ def test_joint_pairs_concatenate_modalities():
     assert np.array_equal(state[: ds.video_dim], ds.video[0])
     assert np.array_equal(state[ds.video_dim :], ds.audio[0])
     assert cond.dim == 2 and cond.vector[ds.labels[0]] == 1.0
+
+
+def test_joint_pairs_equal_the_per_row_construction():
+    ds = synth_av_dataset(params(), 64, seed=11)
+    pairs = ds.joint_pairs()
+    assert len(pairs) == 64
+    for (state, cond), row, k in zip(pairs, ds.joint_states(), ds.labels):
+        assert np.array_equal(state, row)
+        assert cond == Condition.one_hot(int(k), ds.num_classes)
+        assert not cond.vector.flags.writeable
+    # one shared condition per class
+    assert len({id(cond) for _, cond in pairs}) == len(set(ds.labels.tolist()))
 
 
 _HEADER = "video_0,video_1,audio_0,class\n"

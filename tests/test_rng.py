@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flowlab.errors import ShapeMismatchError
+from flowlab.errors import InvalidConfigError, ShapeMismatchError
 from flowlab.rng import RNG_ALGORITHM, CounterRng, derive_seed
 
 
@@ -94,10 +94,63 @@ def test_keyed_rows_equal_scalar_streams(keys, calls):
         assert keyed.normal_draws == rng.normal_draws
 
 
+@settings(max_examples=200, deadline=None)
+@given(key=st.one_of(_keys, st.lists(_keys, min_size=1, max_size=4)), before=st.integers(0, 5),
+       steps=st.integers(0, 6), rest=st.lists(st.integers(0, 3), max_size=2))
+def test_normal_steps_equal_successive_normal_array_calls(key, before, steps, rest):
+    shape = (*([len(key)] if isinstance(key, list) else []), *rest)
+    stacked, split = CounterRng(key), CounterRng(key)
+    stacked.standard_normal(before)
+    split.standard_normal(before)
+    rows = stacked.normal_steps(steps, shape)
+    expected = np.stack([split.normal_array(shape) for _ in range(steps)]) if steps else None
+    assert rows.shape == (steps, *shape)
+    if steps:
+        assert np.array_equal(rows, expected)
+    assert stacked.words_consumed == split.words_consumed
+    assert stacked.normal_draws == split.normal_draws
+    # the streams continue where the separate calls left them
+    assert np.array_equal(stacked.uniform(3), split.uniform(3))
+
+
+@pytest.mark.parametrize("key", [4, [4, 5]], ids=["one", "keyed"])
+@pytest.mark.parametrize("draw", [
+    lambda rng, k: rng.standard_normal(-2),
+    lambda rng, k: rng.uniform(-3),
+    lambda rng, k: rng.normal_array((*k, 2, -1)),
+    lambda rng, k: rng.normal_array((*k, -1, -2)),
+    lambda rng, k: rng.normal_steps(-1, (*k, 2)),
+    lambda rng, k: rng.normal_steps(2, (*k, -2)),
+], ids=["standard_normal", "uniform", "normal_array", "normal_array-two-negative",
+        "normal_steps-steps", "normal_steps-shape"])
+def test_negative_counts_raise_before_any_counter_moves(key, draw):
+    rng = CounterRng(key)
+    rng.standard_normal(3)
+    streams = [2] if isinstance(key, list) else []
+    with pytest.raises(InvalidConfigError):
+        draw(rng, streams)
+    assert (rng.words_consumed, rng.normal_draws) == (6, 3)
+    fresh = CounterRng(key)
+    fresh.standard_normal(3)
+    assert np.array_equal(rng.standard_normal(3), fresh.standard_normal(3))
+
+
+@pytest.mark.parametrize("key", [4, [4, 5]], ids=["one", "keyed"])
+def test_zero_counts_draw_nothing(key):
+    rng, streams = CounterRng(key), [2] if isinstance(key, list) else []
+    assert rng.standard_normal(0).shape == (*streams, 0)
+    assert rng.uniform(0).shape == (*streams, 0)
+    assert rng.normal_array((*streams, 0, 3)).shape == (*streams, 0, 3)
+    assert rng.normal_steps(0, (*streams, 3)).shape == (0, *streams, 3)
+    assert (rng.words_consumed, rng.normal_draws) == (0, 0)
+
+
 def test_keyed_draws_lead_with_the_streams():
     keyed = CounterRng([1, 2, 3])
     with pytest.raises(ShapeMismatchError):
         keyed.normal_array((2, 4))
+    with pytest.raises(ShapeMismatchError):
+        keyed.normal_steps(3, ())
     with pytest.raises(ShapeMismatchError):
         CounterRng([[1, 2]])
 
@@ -168,3 +221,34 @@ def test_keyed_uniform_without_n_gives_one_draw_per_stream(keys):
         assert isinstance(want, float)
         assert row == want
     assert keyed.words_consumed == 7
+
+
+def _reference_derive_seed(seed: int, tag: int) -> int:
+    z = ((seed & _MASK) * 0x9E3779B97F4A7C15 + (tag & _MASK) * 0x94D049BB133111EB + 1) & _MASK
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
+# derive_seed's values as the uint64 numpy formula computed them
+_DERIVED = [
+    ((0, 0), 6238072747940578789),
+    ((3, 1), 10446861865677985753),
+    ((3, 2), 6151422684309660899),
+    ((2**64 - 1, 7), 16286852480909901930),
+    ((-3, 5), 303395123931207606),
+    ((12345, 1000), 3156474376675551387),
+    ((2**70 + 9, 2**65 + 1), 3042401026210708777),
+]
+
+
+@pytest.mark.parametrize("args, value", _DERIVED, ids=[str(a) for a, _ in _DERIVED])
+def test_derive_seed_known_answers(args, value):
+    assert derive_seed(*args) == value
+    assert type(derive_seed(*args)) is int
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(-2**70, 2**70), tag=st.integers(-2**70, 2**70))
+def test_derive_seed_matches_the_integer_reference(seed, tag):
+    assert derive_seed(seed, tag) == _reference_derive_seed(seed, tag)

@@ -240,9 +240,9 @@ class _EstimateRng:
     def __init__(self, field, x, c):
         self.eps = estimate_noise(x, field.velocity(x, c, 0.0), 0.0)
 
-    def normal_array(self, shape):
+    def normal_steps(self, steps, shape):
         assert shape == self.eps.shape
-        return self.eps.copy()
+        return np.stack([self.eps] * steps)
 
 
 def _substitution_case(kind):
@@ -805,3 +805,86 @@ class TestPairedAvIsJointTargetSequence:
         out = omniedit_av(field2, video, audio, c0, c1, cfg)
         want = omniedit_sync(joint, np.concatenate([video, audio], axis=-1), c0, c1, cfg)
         assert np.array_equal(np.concatenate([out.video, out.audio], axis=-1), want)
+
+
+def _diagonal_pair():
+    return pair_field(GaussianSpec(mean=[0.0, 1.0], cov=[1.0, 0.5]),
+                      GaussianSpec(mean=[2.0, -1.0], cov=[0.4, 0.9]))
+
+
+def _random_arm(editor, field, x, c_src, c_tar, cfg, **kwargs):
+    """``editor`` under the random noise mode, in its own sequence mode."""
+    sequence_mode = "edit" if editor is flowedit else "target"
+    cfg = dataclasses.replace(cfg, sequence_mode=sequence_mode, noise_mode="random")
+    return editor(field, x, c_src, c_tar, cfg, **kwargs)
+
+
+class TestOneDrawPerCall:
+    """Every editor call draws its noise up front: the per-step rows of the
+    random arms and of the missing-audio pre-steps come from one
+    ``normal_steps`` call, with the words and the bits of one draw per
+    step."""
+
+    @pytest.mark.parametrize("editor", [flowedit, omniedit_sync])
+    def test_random_steps_use_successive_draws(self, editor):
+        field, c_src, c_tar = _diagonal_pair()
+        x, cfg = np.array([[0.3, -0.8], [1.1, 0.2]]), EditConfig(T=12, n_max=8, seed=4)
+        _, traj = _random_arm(editor, field, x, c_src, c_tar, cfg, record=True)
+        rng = CounterRng(4)
+        for step in traj.steps:
+            assert np.array_equal(step.eps, rng.normal_array(x.shape))
+
+    @settings(max_examples=60, deadline=None)
+    @given(editor=st.sampled_from([flowedit, omniedit_sync]), T=st.integers(2, 16),
+           data=st.data(), seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5),
+           scale=st.sampled_from([0.0, 1.0, 1.5]))
+    def test_keyed_random_arm_rows_equal_one_seed_calls(self, editor, T, data, seeds, scale):
+        field, c_src, c_tar = _diagonal_pair()
+        cfg = EditConfig(T=T, n_max=data.draw(st.integers(1, T)), cfg_scale=scale)
+        x = CounterRng(derive_seed(seeds[0], 5)).normal_array((len(seeds), 2))
+        batched = _random_arm(editor, field, x, c_src, c_tar, cfg, rng=CounterRng(seeds))
+        looped = [_random_arm(editor, field, x[r], c_src, c_tar, cfg, rng=CounterRng(seed))
+                  for r, seed in enumerate(seeds)]
+        assert np.array_equal(batched, np.stack(looped))
+
+    @pytest.mark.parametrize("T, n_max", [(12, 8), (12, 12), (5, 1)])
+    def test_words_per_call_in_closed_form(self, T, n_max):
+        field, c_src, c_tar = _diagonal_pair()
+        x = np.array([[0.3, -0.8], [1.1, 0.2], [-0.5, 0.4]])
+        size = x.size
+        base = EditConfig(T=T, n_max=n_max)
+        cases = [
+            ("edit", "random", flowedit, 2 * n_max * size),
+            ("target", "random", omniedit_sync, 2 * n_max * size),
+            ("edit", "estimated", flowedit, 2 * size),
+            ("target", "estimated", omniedit_sync, 0),
+        ]
+        for sequence_mode, noise_mode, editor, words in cases:
+            rng = CounterRng(3)
+            cfg = dataclasses.replace(base, sequence_mode=sequence_mode, noise_mode=noise_mode)
+            editor(field, x, c_src, c_tar, cfg, rng=rng)
+            assert rng.words_consumed == words, (sequence_mode, noise_mode)
+        field2, c0, c1 = dual_field()
+        rng = CounterRng(3)
+        omniedit_av(field2, x[:, :2], None, c0, c1, base, rng=rng)
+        assert rng.words_consumed == 2 * (3 * 1 + max(T - n_max, 1) * size)
+
+    def test_one_rng_call_per_editor_call(self, monkeypatch):
+        calls = []
+        draw = CounterRng.standard_normal
+
+        def counted(self, n):
+            calls.append(n)
+            return draw(self, n)
+
+        monkeypatch.setattr(CounterRng, "standard_normal", counted)
+        field, c_src, c_tar = _diagonal_pair()
+        x, cfg = np.array([[0.3, -0.8], [1.1, 0.2]]), EditConfig(T=20, n_max=14)
+        for editor in (flowedit, omniedit_sync):
+            calls.clear()
+            _random_arm(editor, field, x, c_src, c_tar, cfg, rng=CounterRng(1))
+            assert calls == [14 * x.size], editor.__name__
+        field2, c0, c1 = dual_field()
+        calls.clear()
+        omniedit_av(field2, x, None, c0, c1, cfg, rng=CounterRng(1))
+        assert calls == [2, 6 * x.size]  # the audio, then the video of the 6 pre-steps
