@@ -866,7 +866,7 @@ class TestOneDrawPerCall:
             assert rng.words_consumed == words, (sequence_mode, noise_mode)
         field2, c0, c1 = dual_field()
         rng = CounterRng(3)
-        omniedit_av(field2, x[:, :2], None, c0, c1, base, rng=rng)
+        omniedit_av(field2, x, None, c0, c1, base, rng=rng)
         assert rng.words_consumed == 2 * (3 * 1 + max(T - n_max, 1) * size)
 
     def test_one_rng_call_per_editor_call(self, monkeypatch):
