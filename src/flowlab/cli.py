@@ -51,7 +51,7 @@ from .harness import (
     write_per_seed_csv,
     write_samples_csv,
 )
-from .mlp import MlpDualField, load_model, save_model
+from .mlp import MlpVelocityField, load_model, save_model
 from .samplers import EditConfig
 
 _CONFIG_ERRORS = (InvalidConfigError, ShapeMismatchError, ModelFormatError, OSError)
@@ -205,13 +205,13 @@ def _cmd_train(options: dict, out_dir: Path) -> tuple[list[str], int]:
         raise InvalidConfigError(
             f"widths = {options['widths']!r}; expected comma-separated integers"
         ) from None
-    field2, report, dataset = train_av_model(
+    field, report, dataset = train_av_model(
         params, n_samples=options["n"], widths=widths, epochs=options["epochs"],
         batch_size=options["batch"], learning_rate=options["lr"], seed=options["seed"],
     )
     out_dir.mkdir(parents=True, exist_ok=True)
     model_path = Path(options["out"]) if options["out"] else out_dir / "model.bin"
-    save_model(field2.model, model_path)
+    save_model(field.model, model_path)
     dataset.to_csv(out_dir / "dataset.csv")
     curve = ([i, format_num(v)] for i, v in enumerate(report.losses))
     print(
@@ -226,9 +226,9 @@ def _cmd_avedit(options: dict, out_dir: Path) -> tuple[list[str], int]:
     if not options["model"]:
         raise InvalidConfigError("avedit requires --model (train one with `flowlab train`)")
     params = default_av_params()
-    field2 = MlpDualField(load_model(options["model"]), params.video_dim, params.audio_dim)
+    field = MlpVelocityField(load_model(options["model"]))
     cfg = _edit_config(options, "target", "estimated")
-    runs = run_avedit_sweep(field2, params, list(range(options["seeds"])), cfg,
+    runs = run_avedit_sweep(field, params, list(range(options["seeds"])), cfg,
                             src_class=options["src_class"], tar_class=options["tar_class"])
     files = [write_avedit_csv(runs, cfg, out_dir)]
     return files + emit_report(avedit_reports(runs, cfg), out_dir, False, None), 0

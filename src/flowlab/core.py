@@ -1,4 +1,4 @@
-"""Rectified-flow building blocks: conditions, the field protocols and the
+"""Rectified-flow building blocks: conditions, the field protocol and the
 interpolation/velocity arithmetic every sampler is made of.
 
 States are plain float64 arrays whose last axis is the state dimension;
@@ -121,21 +121,6 @@ class VelocityField(Protocol):
 
     def velocity(self, x: np.ndarray, condition: Condition, t: float) -> np.ndarray:
         """Velocity for points ``x`` of shape (..., state_dim)."""
-        ...
-
-
-@runtime_checkable
-class DualVelocityField(Protocol):
-    """Joint field over a (video, audio) state pair; one invocation returns
-    both modality velocities."""
-
-    video_dim: int
-    audio_dim: int
-    condition_dim: int
-
-    def velocities(
-        self, video: np.ndarray, audio: np.ndarray, condition: Condition, t: float
-    ) -> tuple[np.ndarray, np.ndarray]:
         ...
 
 

@@ -392,6 +392,9 @@ class AnalyticDualField:
 
     Mirrors a dual-stream backbone: one call returns both modality
     velocities; the toy coupling is that both streams share the prompt.
+    No editor takes it (``omniedit_av`` evaluates one joint
+    ``VelocityField``); it remains because ``benchmarks/tracing.py`` traces
+    its ``velocities`` by name, and goes when the benchmark drops that entry.
     """
 
     def __init__(self, video_field: GaussianConditionalField, audio_field: GaussianConditionalField):

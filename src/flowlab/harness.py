@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import Condition, TensorState
+from .core import Condition, TensorState, VelocityField
 from .errors import InvalidConfigError, NumericalError
 from .gaussian import (
     GaussianConditionalField,
@@ -33,7 +33,7 @@ from .gaussian import (
 )
 from .data import AvSynthParams, CoupledAvDataset, synth_av_dataset
 from .metrics import MetricReport, empirical_moments, smoothness, structure_distance, truncation_bias
-from .mlp import MlpDualField, TrainConfig, TrainReport, mlp_init, train
+from .mlp import MlpVelocityField, TrainConfig, TrainReport, mlp_init, train
 from .rng import RNG_ALGORITHM, CounterRng, derive_seed
 from .samplers import EditConfig, flowedit, generate, omniedit_av, omniedit_sync
 from .svgplot import line_plot
@@ -460,8 +460,9 @@ def train_av_model(
     batch_size: int = 96,
     learning_rate: float = 3e-3,
     seed: int = 0,
-) -> tuple[MlpDualField, "TrainReport", "CoupledAvDataset"]:
-    """Synthesize a coupled AV dataset and fit a joint velocity model on it."""
+) -> tuple[MlpVelocityField, "TrainReport", "CoupledAvDataset"]:
+    """Synthesize a coupled AV dataset and fit a velocity model on the joint
+    (video, audio) state to it."""
     dataset = synth_av_dataset(params, n_samples, seed=derive_seed(seed, 7))
     joint_dim = params.video_dim + params.audio_dim
     model = mlp_init([*widths, joint_dim], condition_dim=params.num_classes, seed=seed)
@@ -470,7 +471,7 @@ def train_av_model(
         dataset.joint_pairs(),
         TrainConfig(epochs=epochs, batch_size=batch_size, learning_rate=learning_rate, seed=seed),
     )
-    return MlpDualField(model, params.video_dim, params.audio_dim), report, dataset
+    return MlpVelocityField(model), report, dataset
 
 
 @dataclass
@@ -482,7 +483,7 @@ class AvEditRun:
 
 
 def run_avedit_sweep(
-    field2,
+    field: VelocityField,
     params: "AvSynthParams",
     seeds: list[int],
     edit_cfg: EditConfig,
@@ -495,7 +496,9 @@ def run_avedit_sweep(
     ``derive_seed(seeds[r], 1)`` and its sampler noise from
     ``derive_seed(seeds[r], 2)``, so it is the edit a one-seed sweep gives.
     ``target_sigmas`` is the video output's distance to the target-class
-    mean in units of the within-class standard deviation."""
+    mean in units of the within-class standard deviation. ``field`` is a
+    velocity field on the joint state concat(video, audio) of ``params``.
+    """
     for name, k in (("src_class", src_class), ("tar_class", tar_class)):
         if not 0 <= k < params.num_classes:
             raise InvalidConfigError(f"{name}={k} outside 0..{params.num_classes - 1}")
@@ -511,7 +514,7 @@ def run_avedit_sweep(
         + params.noise_scale * data_rng.normal_array((n, params.audio_dim))
     )
     out = omniedit_av(
-        field2, v, a,
+        field, params.video_dim, v, a,
         Condition.one_hot(src_class, params.num_classes),
         Condition.one_hot(tar_class, params.num_classes),
         edit_cfg,

@@ -442,7 +442,12 @@ class MlpVelocityField:
 
 
 class MlpDualField:
-    """One joint model over concat(video, audio) split into two velocities."""
+    """One joint model over concat(video, audio) split into two velocities.
+
+    No editor takes it (``omniedit_av`` evaluates ``MlpVelocityField`` on the
+    joint state); it remains because ``benchmarks/tracing.py`` traces its
+    ``velocities`` by name, and goes when the benchmark drops that entry.
+    """
 
     def __init__(self, model: MlpModel, video_dim: int, audio_dim: int):
         if model.state_dim != video_dim + audio_dim:

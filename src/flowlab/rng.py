@@ -34,6 +34,8 @@ moves; a count of 0 draws nothing.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import InvalidConfigError, ShapeMismatchError
@@ -158,7 +160,8 @@ class CounterRng:
         its own row with ``shape[1:]``."""
         shape = self._shape(shape)
         lead = len(self._key.shape[:1])
-        return self.standard_normal(int(np.prod(shape[lead:], dtype=int))).reshape(shape)
+        # Python ints, so that a numpy-integer axis leaves the counters ints
+        return self.standard_normal(math.prod(map(int, shape[lead:]))).reshape(shape)
 
     def normal_steps(self, steps: int, shape: tuple[int, ...] | int) -> np.ndarray:
         """``steps`` successive ``normal_array(shape)`` draws in one call,

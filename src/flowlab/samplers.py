@@ -10,9 +10,10 @@ Four entry points:
   sequence; noise is re-estimated from the source velocity each step
   instead of redrawn (the ``random`` noise mode keeps redrawing, as the
   ablation arm).
-* ``omniedit_av``    -- the dual-modality variant: with source audio it is
-  ``omniedit_sync`` on the joint state concat(video, audio); without, the
-  audio is pre-denoised to t_max, then stepped by Euler beside the video.
+* ``omniedit_av``    -- the dual-modality variant, on one ``VelocityField``
+  over the joint state concat(video, audio) split at ``video_dim``: with
+  source audio it is ``omniedit_sync`` on that state; without, the audio is
+  pre-denoised to t_max, then stepped by Euler beside the video.
 
 ``flowedit`` and ``omniedit_sync`` share one step loop, ``_edit``: the
 draws, evaluations, guidance, checks, noise re-estimate and records are
@@ -59,7 +60,6 @@ import numpy as np
 
 from .core import (
     Condition,
-    DualVelocityField,
     VelocityField,
     estimate_noise,
     euler,
@@ -162,20 +162,6 @@ def _guided(cfg: EditConfig, field: VelocityField, c: Condition):
     null, s = Condition.null(c.dim), cfg.cfg_scale
     return lambda step, x, t: _checked(
         step, t, guided(field.velocity(x, c, t), field.velocity(x, null, t), s))
-
-
-class _JointField:
-    """A dual field seen as one velocity field on concat(video, audio); each
-    evaluation is one ``field2.velocities`` call."""
-
-    def __init__(self, field2: DualVelocityField):
-        self.field2 = field2
-        self.state_dim = field2.video_dim + field2.audio_dim
-        self.condition_dim = field2.condition_dim
-
-    def velocity(self, x: np.ndarray, condition: Condition, t: float) -> np.ndarray:
-        v = self.field2.video_dim
-        return np.concatenate(self.field2.velocities(x[..., :v], x[..., v:], condition, t), axis=-1)
 
 
 def _resolve_rng(cfg: EditConfig, rng: CounterRng | None) -> CounterRng:
@@ -307,7 +293,8 @@ def omniedit_sync(
 
 
 def omniedit_av(
-    field2: DualVelocityField,
+    field: VelocityField,
+    video_dim: int,
     x_src: np.ndarray,
     a_src: np.ndarray | None,
     c_src: Condition,
@@ -317,15 +304,19 @@ def omniedit_av(
 ) -> DualState:
     """Target-sequence editing of a coupled (video, audio) state pair.
 
-    With source audio present, this is ``omniedit_sync`` on the joint state
-    concat(video, audio): both modality noises are estimated from one joint
-    t=0 evaluation and both modalities follow the target-sequence rule. With
-    source audio missing, both audio streams start from one shared Gaussian
-    draw and are pre-denoised from t=1 down to t_max (fresh video noise each
-    pre-step), then advanced by plain Euler while the video follows the
-    target-sequence rule. The audio draw and then every pre-step's video
-    noise, max(T - n_max, 1) rows in one call, are drawn before the loop,
-    so a call that raises partway has consumed all of their words.
+    ``field`` is one velocity field on the joint state concat(video, audio):
+    its first ``video_dim`` coordinates are the video, the remaining
+    ``field.state_dim - video_dim`` the audio. With source audio present,
+    this is ``omniedit_sync`` on that joint state: both modality noises are
+    estimated from one joint t=0 evaluation and both modalities follow the
+    target-sequence rule. With source audio missing, both audio streams
+    start from one shared Gaussian draw and are pre-denoised from t=1 down
+    to t_max (fresh video noise each pre-step), then advanced by plain Euler
+    while the video follows the target-sequence rule; every evaluation is
+    one ``field.velocity`` call on the concatenated states. The audio draw
+    and then every pre-step's video noise, max(T - n_max, 1) rows in one
+    call, are drawn before the loop, so a call that raises partway has
+    consumed all of their words.
     """
     if c_src is None or c_tar is None:
         raise InvalidConfigError("source and target prompts are required")
@@ -333,26 +324,28 @@ def omniedit_av(
         raise InvalidConfigError("omniedit_av requires sequence_mode='target'")
     if cfg.noise_mode != "estimated":
         raise InvalidConfigError("the dual-modality editor implements estimated noise only")
+    v = video_dim
+    if not 1 <= v < field.state_dim:
+        raise ShapeMismatchError(
+            f"video_dim {v} outside 1..{field.state_dim - 1} (field state_dim {field.state_dim})")
     src = np.asarray(x_src, dtype=np.float64)
-    aud = None if a_src is None else np.asarray(a_src, dtype=np.float64)
-    v = field2.video_dim
     if src.shape[-1:] != (v,):
-        raise ShapeMismatchError(f"video shape {src.shape} does not end in {v}")
-    if aud is not None and aud.shape != (*src.shape[:-1], field2.audio_dim):
-        raise ShapeMismatchError(f"audio shape {aud.shape} does not match video shape {src.shape}")
-    joint = _JointField(field2)
-
-    def pair(video, audio):
-        return np.concatenate([video, audio], axis=-1)
+        raise ShapeMismatchError(f"video shape {src.shape} does not end in video_dim {v}")
+    audio_shape = (*src.shape[:-1], field.state_dim - v)
+    aud = None if a_src is None else np.asarray(a_src, dtype=np.float64)
+    if aud is not None and aud.shape != audio_shape:
+        raise ShapeMismatchError(
+            f"audio shape {aud.shape} is not {audio_shape}: field state_dim "
+            f"{field.state_dim} less video_dim {v}")
 
     if aud is not None:
-        out = omniedit_sync(joint, pair(src, aud), c_src, c_tar, cfg, rng=rng)
+        out = omniedit_sync(field, np.concatenate([src, aud], axis=-1), c_src, c_tar, cfg, rng=rng)
         return DualState(video=out[..., :v], audio=out[..., v:])
 
     rng, times = _resolve_rng(cfg, rng), cfg.times
-    target_velocity = _guided(cfg, joint, c_tar)
+    target_velocity = _guided(cfg, field, c_tar)
     # the pre-steps feed both audio streams the same noised source video
-    a_src_t = a_tar_t = rng.normal_array((*src.shape[:-1], field2.audio_dim))
+    a_src_t = a_tar_t = rng.normal_array(audio_shape)
     # video noise for steps T..n_max+1, and for step T when n_max = T
     pre = rng.normal_steps(max(cfg.T - cfg.n_max, 1), src.shape)
     for i in range(cfg.T, 0, -1):
@@ -362,8 +355,9 @@ def omniedit_av(
         x_src_t = interp(src, eps, t_i)
         if i >= cfg.n_max:  # the target video starts at the noised source at t_max
             x_tar = x_src_t
-        v_src = _checked(i, t_i, joint.velocity(pair(x_src_t, a_src_t), c_src, t_i))
-        v_tar = target_velocity(i, pair(x_tar, a_tar_t), t=t_i)
+        v_src = _checked(i, t_i, field.velocity(
+            np.concatenate([x_src_t, a_src_t], axis=-1), c_src, t_i))
+        v_tar = target_velocity(i, np.concatenate([x_tar, a_tar_t], axis=-1), t=t_i)
         if i <= cfg.n_max:
             eps = estimate_noise(x_src_t, v_src[..., :v], t_i)
             x_tar = step_target(x_tar, x_src_t, interp(src, eps, t_prev),

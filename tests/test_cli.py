@@ -604,6 +604,23 @@ class TestTrainAveditReport:
         bad.write_bytes(b"NOTAMODEL")
         assert run_cli("avedit", "--model", str(bad), "--out-dir", str(tmp_path)) == 2
 
+    @pytest.mark.parametrize("state_dim, condition_dim, names", [
+        (2, 2, "state_dim 2"), (4, 2, "state_dim 4"), (3, 3, "condition_dim 3"),
+    ], ids=["state-2", "state-4", "condition-3"])
+    def test_avedit_with_mismatched_model_is_config_error(self, tmp_path, capsys, state_dim,
+                                                          condition_dim, names):
+        # a well-formed model file whose widths do not fit the 2-D video,
+        # 1-D audio and 2 classes of the synthetic AV data
+        model = tmp_path / "model.bin"
+        save_model(mlp_init([8, state_dim], condition_dim=condition_dim, seed=0), model)
+        code = run_cli("avedit", "--model", str(model), "--T", "4", "--skip", "2", "--seeds", "2",
+                       "--out-dir", str(tmp_path / "o"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("flowlab: config error: ") and err.count("\n") == 1
+        assert names in err
+        assert not (tmp_path / "o").exists()
+
 
 # Every key of the edit run pinned by a flag, so that a config file can only
 # fail to parse: it can change neither the run's size nor its output path.

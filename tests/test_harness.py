@@ -6,7 +6,7 @@ import pytest
 
 from flowlab.errors import InvalidConfigError, NumericalError
 from flowlab.core import Condition
-from flowlab.gaussian import AnalyticDualField, GaussianConditionalField, GaussianSpec
+from flowlab.gaussian import GaussianConditionalField, GaussianSpec
 from flowlab import harness
 from flowlab.harness import (
     ABLATION_CELLS,
@@ -272,31 +272,32 @@ class TestGenerateSweep:
 class TestAvHarness:
     def test_train_and_swap_smoke(self):
         params = default_av_params()
-        field2, report, dataset = train_av_model(
+        field, report, dataset = train_av_model(
             params, n_samples=256, widths=(16,), epochs=10, batch_size=64,
             learning_rate=3e-3, seed=0,
         )
         assert report.final_loss < report.initial_loss
         runs = run_avedit_sweep(
-            field2, params, [0, 1], EditConfig(T=10, n_max=10), src_class=0, tar_class=1
+            field, params, [0, 1], EditConfig(T=10, n_max=10), src_class=0, tar_class=1
         )
         assert len(runs) == 2
         assert all(np.all(np.isfinite(r.video_out)) for r in runs)
 
 
 def _analytic_av_field(params):
-    """Per-class diagonal Gaussians at the synthetic classes' means."""
-    video = GaussianConditionalField(condition_dim=params.num_classes, state_dim=params.video_dim)
-    audio = GaussianConditionalField(condition_dim=params.num_classes, state_dim=params.audio_dim)
+    """Per-class diagonal Gaussians on concat(video, audio) at the synthetic
+    classes' means."""
+    field = GaussianConditionalField(condition_dim=params.num_classes,
+                                     state_dim=params.video_dim + params.audio_dim)
     for k in range(params.num_classes):
-        c = Condition.one_hot(k, params.num_classes)
-        video.register(c, GaussianSpec.isotropic(params.video_means[k], params.video_scale**2))
         audio_mean = params.coupling @ params.video_means[k] + params.audio_offsets[k]
-        audio.register(c, GaussianSpec.isotropic(audio_mean, 0.5))
-    return AnalyticDualField(video, audio)
+        field.register(Condition.one_hot(k, params.num_classes), GaussianSpec(
+            mean=np.concatenate([params.video_means[k], audio_mean]),
+            cov=[params.video_scale**2] * params.video_dim + [0.5] * params.audio_dim))
+    return field
 
 
-def _looped_avedit(field2, params, seeds, cfg, src_class, tar_class):
+def _looped_avedit(field, params, seeds, cfg, src_class, tar_class):
     """The per-seed loop the batched sweep replaced, on scalar generators."""
     c_src = Condition.one_hot(src_class, params.num_classes)
     c_tar = Condition.one_hot(tar_class, params.num_classes)
@@ -308,7 +309,8 @@ def _looped_avedit(field2, params, seeds, cfg, src_class, tar_class):
         )
         a = (params.coupling @ v + params.audio_offsets[src_class]
              + params.noise_scale * data_rng.normal_array(params.audio_dim))
-        out = omniedit_av(field2, v, a, c_src, c_tar, cfg, rng=CounterRng(derive_seed(seed, 2)))
+        out = omniedit_av(field, params.video_dim, v, a, c_src, c_tar, cfg,
+                          rng=CounterRng(derive_seed(seed, 2)))
         dist = float(np.linalg.norm(out.video - params.video_means[tar_class])) / params.video_scale
         rows.append((out.video, out.audio, dist))
     return rows
@@ -318,13 +320,13 @@ class TestAvEditSweep:
     @pytest.mark.parametrize("src_class, tar_class", [(0, 1), (1, 0), (1, 1)])
     def test_rows_equal_the_per_seed_loop_bitwise(self, src_class, tar_class):
         params = default_av_params()
-        field2 = _analytic_av_field(params)
+        field = _analytic_av_field(params)
         seeds = [0, 5, 2, 2**40, 17]
         cfg = EditConfig(T=12, n_max=8)
-        runs = run_avedit_sweep(field2, params, seeds, cfg, src_class, tar_class)
+        runs = run_avedit_sweep(field, params, seeds, cfg, src_class, tar_class)
         assert [r.seed for r in runs] == seeds
         for run, (video, audio, dist) in zip(
-            runs, _looped_avedit(field2, params, seeds, cfg, src_class, tar_class)
+            runs, _looped_avedit(field, params, seeds, cfg, src_class, tar_class)
         ):
             assert np.array_equal(run.video_out, video)
             assert np.array_equal(run.audio_out, audio)

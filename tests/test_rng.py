@@ -145,6 +145,19 @@ def test_zero_counts_draw_nothing(key):
     assert (rng.words_consumed, rng.normal_draws) == (0, 0)
 
 
+@pytest.mark.parametrize("key", [4, [4, 5]], ids=["one", "keyed"])
+def test_numpy_integer_axes_draw_like_ints_and_keep_int_counters(key):
+    streams = [2] if isinstance(key, list) else []
+    rng, ref = CounterRng(key), CounterRng(key)
+    got = [rng.normal_array((*streams, np.int64(2), np.int32(3))),
+           rng.normal_steps(np.int64(2), (*streams, np.int64(3)))]
+    want = [ref.normal_array((*streams, 2, 3)), ref.normal_steps(2, (*streams, 3))]
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    assert (rng.words_consumed, rng.normal_draws) == (ref.words_consumed, ref.normal_draws)
+    assert type(rng.words_consumed) is int and type(rng.normal_draws) is int
+
+
 def test_keyed_draws_lead_with_the_streams():
     keyed = CounterRng([1, 2, 3])
     with pytest.raises(ShapeMismatchError):

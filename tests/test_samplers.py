@@ -8,15 +8,10 @@ from hypothesis import given, settings, strategies as st
 from flowlab.cli import _defaults, _edit_config
 from flowlab.core import Condition, TensorState, estimate_noise, step_target
 from flowlab.errors import InvalidConfigError, NumericalError, ShapeMismatchError
-from flowlab.gaussian import (
-    AnalyticDualField,
-    GaussianConditionalField,
-    GaussianSpec,
-    sample_array,
-)
-from flowlab.harness import pair_field
+from flowlab.gaussian import GaussianConditionalField, GaussianSpec, sample_array
+from flowlab.harness import default_av_params, pair_field
 from flowlab.metrics import truncation_bias
-from flowlab.mlp import MlpDualField, MlpVelocityField, mlp_init
+from flowlab.mlp import MlpVelocityField, mlp_init
 from flowlab.rng import CounterRng, derive_seed
 from flowlab.samplers import (
     DualState,
@@ -28,18 +23,38 @@ from flowlab.samplers import (
 )
 
 
-def dual_field(video_dim=2, audio_dim=1, tar_var=1.0):
+# The video width of ``av_field`` and ``coupled_av_field``; one audio coordinate follows it.
+VIDEO = 2
+
+
+def av_field(tar_var=1.0):
+    """A diagonal field on concat(video, audio): class 0 is video N(0, 1) with
+    audio N(-1, 0.5), class 1 video N(2, tar_var) with audio N(1, 0.5), and
+    the null condition takes class 0's law. Returns it and the two class
+    conditions."""
     c0, c1 = Condition.one_hot(0, 2), Condition.one_hot(1, 2)
-    vf = GaussianConditionalField(condition_dim=2, state_dim=video_dim)
-    vf.register(c0, GaussianSpec.isotropic(0.0, 1.0, dim=video_dim))
-    vf.register(c1, GaussianSpec.isotropic(2.0, tar_var, dim=video_dim))
-    af = GaussianConditionalField(condition_dim=2, state_dim=audio_dim)
-    af.register(c0, GaussianSpec.isotropic(-1.0, 0.5, dim=audio_dim))
-    af.register(c1, GaussianSpec.isotropic(1.0, 0.5, dim=audio_dim))
-    # the source specs stand in for the unconditional (null) distribution
-    vf.register(Condition.null(2), GaussianSpec.isotropic(0.0, 1.0, dim=video_dim))
-    af.register(Condition.null(2), GaussianSpec.isotropic(-1.0, 0.5, dim=audio_dim))
-    return AnalyticDualField(vf, af), c0, c1
+    src = GaussianSpec(mean=[0.0, 0.0, -1.0], cov=[1.0, 1.0, 0.5])
+    tar = GaussianSpec(mean=[2.0, 2.0, 1.0], cov=[tar_var, tar_var, 0.5])
+    field = GaussianConditionalField(condition_dim=2, state_dim=3)
+    field.register(c0, src).register(c1, tar).register(Condition.null(2), src)
+    return field, c0, c1
+
+
+def coupled_av_field():
+    """The exact per-class law of ``default_av_params()`` on concat(video,
+    audio), audio correlated with video: mean (m_k, C m_k + o_k), covariance
+    [[s^2 I, s^2 C^T], [s^2 C, s^2 C C^T + sigma^2 I]]. The null condition
+    takes class 0's law. Returns it and the two class conditions."""
+    p = default_av_params()
+    s2, c = p.video_scale**2, p.coupling
+    cov = np.block([[s2 * np.eye(p.video_dim), s2 * c.T],
+                    [s2 * c, s2 * c @ c.T + p.noise_scale**2 * np.eye(p.audio_dim)]])
+    specs = [GaussianSpec(mean=np.concatenate([m, c @ m + o]), cov=cov)
+             for m, o in zip(p.video_means, p.audio_offsets)]
+    c0, c1 = Condition.one_hot(0, 2), Condition.one_hot(1, 2)
+    field = GaussianConditionalField(condition_dim=2, state_dim=p.video_dim + p.audio_dim)
+    field.register(c0, specs[0]).register(c1, specs[1]).register(Condition.null(2), specs[0])
+    return field, c0, c1
 
 
 class TestEditConfig:
@@ -390,87 +405,95 @@ class TestOmniEditSync:
 
 class TestOmniEditAv:
     def test_identity_with_source_audio(self):
-        field2, c0, _ = dual_field()
-        xv = np.array([0.2, -0.4])
-        xa = np.array([0.9])
+        # on a diagonal field and on the coupled law, audio correlated with video
         cfg = EditConfig(T=40, n_max=28, sequence_mode="target", noise_mode="estimated", seed=4)
-        out = omniedit_av(field2, xv, xa, c0, c0, cfg)
-        assert isinstance(out, DualState)
-        assert np.max(np.abs(out.video - xv)) < 1e-12
-        assert np.max(np.abs(out.audio - xa)) < 1e-12
+        for make, xv, xa in ((av_field, [0.2, -0.4], [0.9]),
+                             (coupled_av_field, [-1.8, 0.3], [-3.0])):
+            field, c0, _ = make()
+            xv, xa = np.array(xv), np.array(xa)
+            out = omniedit_av(field, VIDEO, xv, xa, c0, c0, cfg)
+            assert isinstance(out, DualState)
+            assert np.max(np.abs(out.video - xv)) < 1e-12, make.__name__
+            assert np.max(np.abs(out.audio - xa)) < 1e-12, make.__name__
 
     def test_missing_audio_streams_match_exactly(self):
         # both audio streams start from the first draw and step by plain
         # Euler under the same prompt, pre-steps and edit steps alike, so the
-        # audio output is plain generation from that draw
-        field2, c0, _ = dual_field()
+        # audio output is plain generation from that draw on the audio law
+        field, c0, _ = av_field()
+        audio_field = GaussianConditionalField(condition_dim=2, state_dim=1)
+        audio_field.register(c0, GaussianSpec.isotropic(-1.0, 0.5, dim=1))
         xv = np.array([0.5, 0.1])
         for seed, T, n_max in ((6, 40, 28), (1, 10, 10), (3, 8, 2)):
             cfg = EditConfig(T=T, n_max=n_max, seed=seed)
-            out = omniedit_av(field2, xv, None, c0, c0, cfg)
+            out = omniedit_av(field, VIDEO, xv, None, c0, c0, cfg)
             noise = CounterRng(seed).normal_array((1,))
-            assert np.array_equal(out.audio, generate(field2.audio_field, noise, c0, T))
+            assert np.array_equal(out.audio, generate(audio_field, noise, c0, T))
             assert np.max(np.abs(out.video - xv)) < 1e-12
 
     def test_missing_audio_draw_accounting(self):
-        field2, c0, c1 = dual_field()
+        field, c0, c1 = av_field()
         xv = np.array([0.5, 0.1])
         cfg = EditConfig(T=40, n_max=28, sequence_mode="target", noise_mode="estimated")
         rng = CounterRng(2)
-        omniedit_av(field2, xv, None, c0, c1, cfg, rng=rng)
+        omniedit_av(field, VIDEO, xv, None, c0, c1, cfg, rng=rng)
         # one audio draw + fresh 2-dim video noise for each of the 12 pre-steps
         assert rng.normal_draws == 1 + 2 * 12
         rng = CounterRng(2)
         xa = np.array([0.3])
-        omniedit_av(field2, xv, xa, c0, c1, cfg, rng=rng)
+        omniedit_av(field, VIDEO, xv, xa, c0, c1, cfg, rng=rng)
         assert rng.normal_draws == 0
 
     def test_full_horizon_missing_audio_still_draws_video_noise(self):
-        field2, c0, c1 = dual_field()
+        field, c0, c1 = av_field()
         xv = np.array([0.5, 0.1])
         cfg = EditConfig(T=20, n_max=20, sequence_mode="target", noise_mode="estimated")
         rng = CounterRng(2)
-        out = omniedit_av(field2, xv, None, c0, c1, cfg, rng=rng)
+        out = omniedit_av(field, VIDEO, xv, None, c0, c1, cfg, rng=rng)
         assert rng.normal_draws == 1 + 2
         assert np.all(np.isfinite(out.video))
 
     def test_prompts_required(self):
-        field2, c0, _ = dual_field()
+        field, c0, _ = av_field()
         xv = np.array([0.0, 0.0])
         with pytest.raises(InvalidConfigError):
-            omniedit_av(field2, xv, None, None, c0, EditConfig())
+            omniedit_av(field, VIDEO, xv, None, None, c0, EditConfig())
 
     def test_random_noise_mode_rejected(self):
-        field2, c0, c1 = dual_field()
+        field, c0, c1 = av_field()
         xv = np.array([0.0, 0.0])
         with pytest.raises(InvalidConfigError):
-            omniedit_av(field2, xv, None, c0, c1, EditConfig(noise_mode="random"))
+            omniedit_av(field, VIDEO, xv, None, c0, c1, EditConfig(noise_mode="random"))
 
     def test_modality_shape_mismatch(self):
-        field2, c0, c1 = dual_field()
-        xv = np.array([0.0, 0.0, 0.0])
-        with pytest.raises(ShapeMismatchError):
-            omniedit_av(field2, xv, None, c0, c1, EditConfig())
-        with pytest.raises(ShapeMismatchError):
-            omniedit_av(field2, np.zeros(2), np.float64(0.5), c0, c1, EditConfig())
-        with pytest.raises(ShapeMismatchError):
-            omniedit_av(field2, np.zeros((3, 2)), np.zeros((2, 1)), c0, c1, EditConfig())
+        field, c0, c1 = av_field()
+        for video_dim, video, audio in (
+            (VIDEO, np.zeros(3), None),  # video wider than video_dim
+            (VIDEO, np.zeros(2), np.float64(0.5)),  # 0-d audio
+            (VIDEO, np.zeros((3, 2)), np.zeros((2, 1))),  # audio rows disagree with video rows
+            (VIDEO, np.zeros(2), np.zeros(2)),  # audio wider than state_dim - video_dim
+            (1, np.float64(0.5), np.zeros(2)),  # 0-d video
+            (0, np.zeros(0), np.zeros(3)),  # no video coordinate
+            (3, np.zeros(3), np.zeros(0)),  # video_dim = state_dim: no audio coordinate
+        ):
+            with pytest.raises(ShapeMismatchError):
+                omniedit_av(field, video_dim, video, audio, c0, c1, EditConfig())
 
     def test_deterministic(self):
-        field2, c0, c1 = dual_field()
+        field, c0, c1 = av_field()
         xv = np.array([0.5, 0.1])
         cfg = EditConfig(T=40, n_max=28, sequence_mode="target", noise_mode="estimated", seed=13)
-        a = omniedit_av(field2, xv, None, c0, c1, cfg)
-        b = omniedit_av(field2, xv, None, c0, c1, cfg)
+        a = omniedit_av(field, VIDEO, xv, None, c0, c1, cfg)
+        b = omniedit_av(field, VIDEO, xv, None, c0, c1, cfg)
         assert np.array_equal(a.video, b.video)
         assert np.array_equal(a.audio, b.audio)
 
     def test_class_swap_moves_both_modalities(self):
-        field2, c0, c1 = dual_field()
+        field, c0, c1 = av_field()
         xv = np.array([0.2, -0.4])
         xa = np.array([-0.9])
         cfg = EditConfig(T=40, n_max=40, sequence_mode="target", noise_mode="estimated", seed=1)
-        out = omniedit_av(field2, xv, xa, c0, c1, cfg)
+        out = omniedit_av(field, VIDEO, xv, xa, c0, c1, cfg)
         # full horizon on equal-covariance pairs is the exact mean shift
         assert np.allclose(out.video - xv, [2.0, 2.0], atol=1e-9)
         assert np.allclose(out.audio - xa, [2.0], atol=1e-9)
@@ -492,10 +515,11 @@ _FROZEN = {
 
 def _frozen_case(name):
     if name.startswith("av"):
-        field2, c0, c1 = dual_field(tar_var=0.25)
+        field, c0, c1 = av_field(tar_var=0.25)
         xv = np.array([0.2, -0.4])
         xa = np.array([-0.9]) if name == "av-audio" else None
-        out = omniedit_av(field2, xv, xa, c0, c1, EditConfig(T=40, n_max=28, cfg_scale=1.5, seed=1))
+        out = omniedit_av(field, VIDEO, xv, xa, c0, c1,
+                          EditConfig(T=40, n_max=28, cfg_scale=1.5, seed=1))
         return np.concatenate([out.video, out.audio])
     src, tar = GaussianSpec.isotropic(0.0, 1.0, dim=2), GaussianSpec.isotropic(2.0, 0.25, dim=2)
     field, c_src, c_tar = pair_field(src, tar)
@@ -516,11 +540,11 @@ def test_frozen_editor_outputs(name):
 
 
 class _NanAt:
-    """Zero velocities except NaN at one time, in the video (or the single)
-    output or in the audio output; with ``under``, only under that
-    condition."""
+    """Zero velocities on a 2-D state except NaN at one time, in coordinate 0
+    (the video, as ``omniedit_av`` splits it at 1) or coordinate 1 (the
+    audio); with ``under``, only under that condition."""
 
-    state_dim = video_dim = audio_dim = 1
+    state_dim = 2
     condition_dim = 1
 
     def __init__(self, t_nan, where="video", under=None):
@@ -533,40 +557,36 @@ class _NanAt:
         )
 
     def velocity(self, x, condition, t):
-        return np.full_like(x, np.nan if self._nan(condition, t) else 0.0)
-
-    def velocities(self, video, audio, condition, t):
-        vv, av = np.zeros_like(video), np.zeros_like(audio)
+        out = np.zeros_like(x)
         if self._nan(condition, t):
-            vv, av = (vv + np.nan, av) if self.where == "video" else (vv, av + np.nan)
-        return vv, av
+            out[..., 0 if self.where == "video" else 1] = np.nan
+        return out
 
 
 class _Huge:
-    """1e300 under the prompt and 0 under the null condition: every
-    evaluation is finite, and guidance at scale 1e9 overflows."""
+    """1e300 under the prompt and 0 under the null condition, on a 2-D
+    state: every evaluation is finite, and guidance at scale 1e9
+    overflows."""
 
-    state_dim = video_dim = audio_dim = 1
+    state_dim = 2
     condition_dim = 1
 
     def velocity(self, x, condition, t):
         return np.full_like(x, 0.0 if condition.is_null else 1e300)
 
-    def velocities(self, video, audio, condition, t):
-        return self.velocity(video, condition, t), self.velocity(audio, condition, t)
-
 
 def _run_flowedit(field, c, cfg_scale=1.0):
     cfg = EditConfig(T=10, n_max=8, sequence_mode="edit", cfg_scale=cfg_scale)
-    flowedit(field, np.array([0.0]), c, c, cfg)
+    flowedit(field, np.zeros(2), c, c, cfg)
 
 
 def _run_sync(field, c, cfg_scale=1.0):
-    omniedit_sync(field, np.array([0.0]), c, c, EditConfig(T=10, n_max=8, cfg_scale=cfg_scale))
+    omniedit_sync(field, np.zeros(2), c, c, EditConfig(T=10, n_max=8, cfg_scale=cfg_scale))
 
 
 def _run_av(field, c, cfg_scale=1.0, audio=np.array([0.0])):
-    omniedit_av(field, np.array([0.0]), audio, c, c, EditConfig(T=10, n_max=8, cfg_scale=cfg_scale))
+    omniedit_av(field, 1, np.array([0.0]), audio, c, c,
+                EditConfig(T=10, n_max=8, cfg_scale=cfg_scale))
 
 
 # two pre-steps (t = 1, 0.9), then edit steps 8..1
@@ -596,7 +616,8 @@ class TestNonFiniteVelocity:
         c_src, c_tar = Condition.one_hot(0, 1), Condition(vector=np.array([2.0]))
         cfg = EditConfig(T=10, n_max=8, cfg_scale=scale)
         with pytest.raises(NumericalError) as err:
-            omniedit_av(_NanAt(0.9, where, under=c_src), np.array([0.0]), None, c_src, c_tar, cfg)
+            omniedit_av(_NanAt(0.9, where, under=c_src), 1, np.array([0.0]), None, c_src, c_tar,
+                        cfg)
         assert str(err.value) == "non-finite velocity at step 9 (t=0.9)"
 
     @pytest.mark.parametrize("run, step",
@@ -676,8 +697,8 @@ def _run_editor(name, video, audio):
         return [flowedit(field, video, c_src, c_tar, cfg)]
     if name == "omniedit_sync":
         return [omniedit_sync(field, video, c_src, c_tar, EditConfig(T=6, n_max=4, cfg_scale=1.5))]
-    field2, c0, c1 = dual_field(tar_var=0.25)
-    out = omniedit_av(field2, video, audio if name == "omniedit_av" else None, c0, c1,
+    field, c0, c1 = av_field(tar_var=0.25)
+    out = omniedit_av(field, VIDEO, video, audio if name == "omniedit_av" else None, c0, c1,
                       EditConfig(T=6, n_max=4, cfg_scale=1.5))
     return [out.video, out.audio]
 
@@ -699,9 +720,9 @@ def test_editors_leave_their_inputs_alone(name):
 
 
 def test_dual_state_is_a_frozen_pair_of_arrays():
-    field2, c0, c1 = dual_field()
+    field, c0, c1 = av_field()
     video, audio = np.array([0.2, -0.4]), np.array([0.9])
-    out = omniedit_av(field2, video, audio, c0, c1, EditConfig(T=6, n_max=4))
+    out = omniedit_av(field, VIDEO, video, audio, c0, c1, EditConfig(T=6, n_max=4))
     assert isinstance(out.video, np.ndarray) and isinstance(out.audio, np.ndarray)
     with pytest.raises(dataclasses.FrozenInstanceError):
         out.video = video
@@ -710,31 +731,31 @@ def test_dual_state_is_a_frozen_pair_of_arrays():
 
 
 @st.composite
-def _diagonal_dual_fields(draw):
-    """A diagonal two-class AnalyticDualField (video dim 1-3, audio dim 1-2)
-    whose null condition reuses class 0, plus the two class conditions."""
+def _diagonal_av_fields(draw):
+    """A diagonal two-class field on concat(video, audio) (video width 1-3,
+    audio width 1-2) whose null condition reuses class 0, its video width
+    and the two class conditions."""
     c0, c1 = Condition.one_hot(0, 2), Condition.one_hot(1, 2)
-    fields = []
-    for dim in (draw(st.integers(1, 3)), draw(st.integers(1, 2))):
-        field = GaussianConditionalField(condition_dim=2, state_dim=dim)
-        specs = [
-            GaussianSpec(mean=draw(st.lists(_coords, min_size=dim, max_size=dim)),
-                         cov=draw(st.lists(st.floats(0.1, 4.0), min_size=dim, max_size=dim)))
-            for _ in range(2)
-        ]
-        field.register(c0, specs[0]).register(c1, specs[1]).register(Condition.null(2), specs[0])
-        fields.append(field)
-    return AnalyticDualField(*fields), c0, c1
+    video_dim = draw(st.integers(1, 3))
+    dim = video_dim + draw(st.integers(1, 2))
+    specs = [
+        GaussianSpec(mean=draw(st.lists(_coords, min_size=dim, max_size=dim)),
+                     cov=draw(st.lists(st.floats(0.1, 4.0), min_size=dim, max_size=dim)))
+        for _ in range(2)
+    ]
+    field = GaussianConditionalField(condition_dim=2, state_dim=dim)
+    field.register(c0, specs[0]).register(c1, specs[1]).register(Condition.null(2), specs[0])
+    return field, video_dim, c0, c1
 
 
-def _batched_and_looped_av(field2, c0, c1, cfg, seeds, with_audio):
+def _batched_and_looped_av(field, video_dim, c0, c1, cfg, seeds, with_audio):
     n = len(seeds)
-    video = CounterRng(derive_seed(seeds[0], 5)).normal_array((n, field2.video_dim))
-    audio = CounterRng(derive_seed(seeds[0], 6)).normal_array((n, field2.audio_dim))
-    batched = omniedit_av(field2, video, audio if with_audio else None, c0, c1, cfg,
+    video = CounterRng(derive_seed(seeds[0], 5)).normal_array((n, video_dim))
+    audio = CounterRng(derive_seed(seeds[0], 6)).normal_array((n, field.state_dim - video_dim))
+    batched = omniedit_av(field, video_dim, video, audio if with_audio else None, c0, c1, cfg,
                           rng=CounterRng(seeds))
     looped = [
-        omniedit_av(field2, video[r], audio[r] if with_audio else None, c0, c1, cfg,
+        omniedit_av(field, video_dim, video[r], audio[r] if with_audio else None, c0, c1, cfg,
                     rng=CounterRng(seed))
         for r, seed in enumerate(seeds)
     ]
@@ -746,38 +767,27 @@ class TestBatchedOmniEditAv:
     n one-row calls, each with its row's seed."""
 
     @settings(max_examples=150, deadline=None)
-    @given(case=_diagonal_dual_fields(), T=st.integers(2, 24), data=st.data(),
+    @given(case=_diagonal_av_fields(), T=st.integers(2, 24), data=st.data(),
            seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5),
            scale=st.sampled_from([1.0, 1.5]), with_audio=st.booleans())
     def test_diagonal_analytic_field_is_bitwise(self, case, T, data, seeds, scale, with_audio):
-        field2, c0, c1 = case
         cfg = EditConfig(T=T, n_max=data.draw(st.integers(1, T)), cfg_scale=scale)
-        batched, looped = _batched_and_looped_av(field2, c0, c1, cfg, seeds, with_audio)
+        batched, looped = _batched_and_looped_av(*case, cfg, seeds, with_audio)
         assert np.array_equal(batched.video, np.stack([out.video for out in looped]))
         assert np.array_equal(batched.audio, np.stack([out.audio for out in looped]))
 
     @pytest.mark.parametrize("with_audio", [True, False], ids=["audio", "no-audio"])
     @pytest.mark.parametrize("scale", [1.0, 1.5])
     def test_mlp_field_within_1e12(self, scale, with_audio):
-        field2 = MlpDualField(mlp_init([16, 16, 3], condition_dim=2, seed=8), 2, 1)
+        field = MlpVelocityField(mlp_init([16, 16, 3], condition_dim=2, seed=8))
         c0, c1 = Condition.one_hot(0, 2), Condition.one_hot(1, 2)
         cfg = EditConfig(T=12, n_max=9, cfg_scale=scale)
-        batched, looped = _batched_and_looped_av(field2, c0, c1, cfg, list(range(40)), with_audio)
+        batched, looped = _batched_and_looped_av(field, 2, c0, c1, cfg, list(range(40)),
+                                                 with_audio)
         for got, want in ((batched.video, [o.video for o in looped]),
                           (batched.audio, [o.audio for o in looped])):
             want = np.stack(want)
             assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
-
-
-def _joint_analytic_field(field2, conditions):
-    """The diagonal field on concat(video, audio) whose specs concatenate
-    the video and audio means and covariances."""
-    joint = GaussianConditionalField(field2.condition_dim, field2.video_dim + field2.audio_dim)
-    for c in conditions:
-        specs = field2.video_field.spec_for(c), field2.audio_field.spec_for(c)
-        joint.register(c, GaussianSpec(mean=np.concatenate([sp.mean for sp in specs]),
-                                       cov=np.concatenate([sp.cov for sp in specs])))
-    return joint
 
 
 class TestPairedAvIsJointTargetSequence:
@@ -786,24 +796,24 @@ class TestPairedAvIsJointTargetSequence:
     target-sequence rule with estimated noise from one joint evaluation."""
 
     @settings(max_examples=100, deadline=None)
-    @given(data=st.data(), mlp=st.booleans(), T=st.integers(2, 40),
-           scale=st.sampled_from([0.0, 1.0, 1.5]), rows=st.integers(1, 7))
-    def test_equals_omniedit_sync_on_the_joint_state(self, data, mlp, T, scale, rows):
-        if mlp:
+    @given(data=st.data(), kind=st.sampled_from(["diagonal", "coupled", "mlp"]),
+           T=st.integers(2, 40), scale=st.sampled_from([0.0, 1.0, 1.5]), rows=st.integers(1, 7))
+    def test_equals_omniedit_sync_on_the_joint_state(self, data, kind, T, scale, rows):
+        if kind == "mlp":
             video_dim, audio_dim = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2))
-            model = mlp_init([16, 16, video_dim + audio_dim], condition_dim=2,
-                             seed=data.draw(st.integers(0, 2**32 - 1)))
-            field2, joint = MlpDualField(model, video_dim, audio_dim), MlpVelocityField(model)
+            field = MlpVelocityField(mlp_init([16, 16, video_dim + audio_dim], condition_dim=2,
+                                              seed=data.draw(st.integers(0, 2**32 - 1))))
             c0, c1 = Condition.one_hot(0, 2), Condition.one_hot(1, 2)
+        elif kind == "coupled":
+            (field, c0, c1), video_dim = coupled_av_field(), VIDEO
         else:
-            field2, c0, c1 = data.draw(_diagonal_dual_fields())
-            joint = _joint_analytic_field(field2, (c0, c1, Condition.null(2)))
+            field, video_dim, c0, c1 = data.draw(_diagonal_av_fields())
         cfg = EditConfig(T=T, n_max=data.draw(st.integers(1, T)), cfg_scale=scale)
         rng = CounterRng(data.draw(st.integers(0, 2**64 - 1)))
-        video = rng.normal_array((rows, field2.video_dim))
-        audio = rng.normal_array((rows, field2.audio_dim))
-        out = omniedit_av(field2, video, audio, c0, c1, cfg)
-        want = omniedit_sync(joint, np.concatenate([video, audio], axis=-1), c0, c1, cfg)
+        video = rng.normal_array((rows, video_dim))
+        audio = rng.normal_array((rows, field.state_dim - video_dim))
+        out = omniedit_av(field, video_dim, video, audio, c0, c1, cfg)
+        want = omniedit_sync(field, np.concatenate([video, audio], axis=-1), c0, c1, cfg)
         assert np.array_equal(np.concatenate([out.video, out.audio], axis=-1), want)
 
 
@@ -864,9 +874,9 @@ class TestOneDrawPerCall:
             cfg = dataclasses.replace(base, sequence_mode=sequence_mode, noise_mode=noise_mode)
             editor(field, x, c_src, c_tar, cfg, rng=rng)
             assert rng.words_consumed == words, (sequence_mode, noise_mode)
-        field2, c0, c1 = dual_field()
+        field, c0, c1 = av_field()
         rng = CounterRng(3)
-        omniedit_av(field2, x, None, c0, c1, base, rng=rng)
+        omniedit_av(field, VIDEO, x, None, c0, c1, base, rng=rng)
         assert rng.words_consumed == 2 * (3 * 1 + max(T - n_max, 1) * size)
 
     def test_one_rng_call_per_editor_call(self, monkeypatch):
@@ -884,7 +894,7 @@ class TestOneDrawPerCall:
             calls.clear()
             _random_arm(editor, field, x, c_src, c_tar, cfg, rng=CounterRng(1))
             assert calls == [14 * x.size], editor.__name__
-        field2, c0, c1 = dual_field()
+        field, c0, c1 = av_field()
         calls.clear()
-        omniedit_av(field2, x, None, c0, c1, cfg, rng=CounterRng(1))
+        omniedit_av(field, VIDEO, x, None, c0, c1, cfg, rng=CounterRng(1))
         assert calls == [2, 6 * x.size]  # the audio, then the video of the 6 pre-steps
