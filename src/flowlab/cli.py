@@ -312,7 +312,7 @@ _SUBCOMMANDS = {
         "out_dir": ("runs/avedit", "output directory"),
     }),
     "oracle-check": ("closed form vs Monte Carlo velocities", _cmd_oracle_check, {
-        "n": (200000, "Monte Carlo sample count per probe"),
+        "n": (200000, "Monte Carlo sample count per dimension, shared by its probes"),
         "seed": (0, "RNG seed"),
         "out_dir": ("runs/oracle-check", "output directory"),
     }),

@@ -238,31 +238,37 @@ class McVelocityEstimate:
 
 
 def mc_conditional_velocity(
-    spec: GaussianSpec, x, t: float, n: int, rng: CounterRng
-) -> McVelocityEstimate:
-    """Importance-sampling estimate of E[x1 - x0 | x_t = x].
+    spec: GaussianSpec, queries, n: int, rng: CounterRng
+) -> list[McVelocityEstimate]:
+    """Importance-sampling estimates of E[x1 - x0 | x_t = x], one per (x, t)
+    in ``queries``, all from one draw of n source points x0 that they share.
 
-    Draws n source points x0 and pairs each with x1 = (x - (1-t) x0) / t,
-    the only noise endpoint that puts x_t exactly at x, weighted by the
-    noise density N(x1; 0, I); the Jacobian of that map is constant and
-    cancels. The self-normalised weighted mean of x1 - x0 is the exact
-    conditional expectation as n grows, with no kernel and no bandwidth.
-    Returns it with a per-coordinate standard error of the weighted mean.
-    Both weighted sums are numpy pairwise sums over the draws, one
-    coordinate at a time, so the result does not depend on the BLAS thread
-    count.
+    A query pairs each x0 with x1 = (x - (1-t) x0) / t, the only noise
+    endpoint that puts x_t exactly at x, weighted by the noise density
+    N(x1; 0, I); the Jacobian of that map is constant and cancels. The
+    self-normalised weighted mean of x1 - x0 is the exact conditional
+    expectation as n grows, with no kernel and no bandwidth; it comes with a
+    per-coordinate standard error. Both weighted sums are numpy pairwise sums
+    over the draws, one coordinate at a time, so the result does not depend
+    on the BLAS thread count. Every query is checked before the draw.
     """
     if n < 10_000:
         raise InvalidConfigError(f"need n >= 1e4 Monte Carlo samples, got {n}")
-    if not 0.0 < t <= 1.0:
-        raise InvalidConfigError(f"t={t} outside (0, 1]: the noise endpoint divides by t")
-    x = np.asarray(x, dtype=np.float64).ravel()
-    if x.size != spec.dim:
-        raise ShapeMismatchError(f"query dim {x.size} != spec dim {spec.dim}")
+    queries = [(np.asarray(x, dtype=np.float64).ravel(), t) for x, t in queries]
+    for x, t in queries:
+        if not 0.0 < t <= 1.0:
+            raise InvalidConfigError(f"t={t} outside (0, 1]: the noise endpoint divides by t")
+        if x.size != spec.dim:
+            raise ShapeMismatchError(f"query dim {x.size} != spec dim {spec.dim}")
 
     # one row per coordinate: the elementwise work and the sums run along
     # the n draws
     x0 = sample_array(spec, n, rng).T.copy()
+    return [_weighted_estimate(x0, x, t, n) for x, t in queries]
+
+
+def _weighted_estimate(x0: np.ndarray, x: np.ndarray, t: float, n: int) -> McVelocityEstimate:
+    """One query's estimate from the (dim, n) draw ``x0``, which it only reads."""
     x1 = x0 * (1.0 - t)
     np.subtract(x[:, None], x1, out=x1)
     x1 /= t
@@ -279,7 +285,7 @@ def mc_conditional_velocity(
         raise InsufficientSamplesError(
             f"effective sample size {ess:.1f} < 30 at x={x}, t={t}; increase n"
         )
-    y = np.subtract(x1, x0, out=x0)
+    y = np.subtract(x1, x0, out=x1)
     value = np.array([np.sum(w * row) for row in y]) / wsum
     resid = np.subtract(y, value[:, None], out=y)
     resid *= resid

@@ -28,13 +28,14 @@ sampler call.
 an editor draws every step's noise up front with it, and row s is bit for
 bit the s-th of ``steps`` separate calls, on one stream or keyed.
 
-A negative draw count raises ``InvalidConfigError`` before any counter
-moves; a count of 0 draws nothing.
+A negative or non-integral draw count raises ``InvalidConfigError`` before
+any counter moves; a count of 0 draws nothing.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -45,6 +46,7 @@ RNG_ALGORITHM = "splitmix64-boxmuller/1"
 _U64 = (1 << 64) - 1
 _GOLDEN_INT, _MIX1_INT, _MIX2_INT = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 _GOLDEN, _MIX1, _MIX2 = np.uint64(_GOLDEN_INT), np.uint64(_MIX1_INT), np.uint64(_MIX2_INT)
+_NORMAL_BLOCK = 1 << 15  # normals standard_normal draws at a time, to bound its temporaries
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -85,10 +87,13 @@ def box_muller(u: np.ndarray) -> np.ndarray:
 
 
 def _count(n: int) -> int:
-    """A draw count, checked before any counter moves."""
-    if n < 0:
-        raise InvalidConfigError(f"draw count must be >= 0, got {n}")
-    return n
+    """A draw count as a Python int, checked before any counter moves."""
+    try:
+        if operator.index(n) >= 0:
+            return operator.index(n)
+    except TypeError:  # not an integer
+        pass
+    raise InvalidConfigError(f"draw count must be an integer >= 0, got {n!r}")
 
 
 class CounterRng:
@@ -139,15 +144,19 @@ class CounterRng:
 
     def standard_normal(self, n: int) -> np.ndarray:
         """n standard normal draws (two words each, Box-Muller cosine branch);
-        keyed: shape (k, n)."""
-        self.normal_draws += _count(n)
-        return box_muller(self._uniforms(2 * n))
+        keyed: shape (k, n); filled ``_NORMAL_BLOCK`` normals at a time."""
+        n = _count(n)
+        self.normal_draws += n
+        if n <= _NORMAL_BLOCK:
+            return box_muller(self._uniforms(2 * n))
+        out = np.empty((*self._key.shape[:1], n))
+        for block in np.split(out, range(_NORMAL_BLOCK, n, _NORMAL_BLOCK), axis=-1):
+            block[...] = box_muller(self._uniforms(2 * block.shape[-1]))
+        return out
 
     def _shape(self, shape: tuple[int, ...] | int) -> tuple[int, ...]:
-        # a draw's shape as a tuple: no negative axis, keyed led by the k streams
-        shape = (shape,) if isinstance(shape, int) else tuple(shape)
-        if any(n < 0 for n in shape):
-            raise InvalidConfigError(f"shape {shape} has a negative axis")
+        # a draw's shape as a tuple of draw counts, keyed led by the k streams
+        shape = tuple(map(_count, shape)) if hasattr(shape, "__iter__") else (_count(shape),)
         streams = self._key.shape[:1]  # () for one stream, (k,) keyed
         if shape[: len(streams)] != streams:
             raise ShapeMismatchError(f"shape {shape} does not lead with the {streams[0]} streams")
@@ -160,8 +169,7 @@ class CounterRng:
         its own row with ``shape[1:]``."""
         shape = self._shape(shape)
         lead = len(self._key.shape[:1])
-        # Python ints, so that a numpy-integer axis leaves the counters ints
-        return self.standard_normal(math.prod(map(int, shape[lead:]))).reshape(shape)
+        return self.standard_normal(math.prod(shape[lead:])).reshape(shape)
 
     def normal_steps(self, steps: int, shape: tuple[int, ...] | int) -> np.ndarray:
         """``steps`` successive ``normal_array(shape)`` draws in one call,

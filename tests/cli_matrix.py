@@ -78,7 +78,7 @@ RECORDED = {
     "edit_random/summary.csv": "20b7ad6dbd88254cd8bdf08701d1b3619dc5e4820a40da5ee249106887cf974d",
     "generate/samples.csv": "582737a5425d95196268de2b35a2244805ce95b5348ef60f0bd8af48788cddba",
     "generate/summary.csv": "3781a4b3a9ef035c4db11d67985e17fbd29fbf31368a26f5fc92987b73722346",
-    "oracle/oracle_check.csv": "7e2ac72632ec7146ed2913134976cafb0355cba2aab9aa4584bef0bb5a7a1198",
+    "oracle/oracle_check.csv": "141037eaafb4cf376bb3a6763d2978c64dd7960383d215b4c31d3c41a17d45a9",
     "report/summary.csv": "64d6b61e66ef40bbbbef475c7001f96719d996dcb89dfb15cc64bfec1baa2a38",
     "train/dataset.csv": "47c7a0e9688c25432d6e40d784245157b5cdd756c9ee985bb7fd2c641698f4cb",
     "train/loss_curve.csv": "312652235678fcb08f739ac4ffbf54983b2289fa7fcaeb6399fc9680a7f9cff6",

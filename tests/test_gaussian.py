@@ -157,7 +157,7 @@ class TestMarginalVelocity:
 
     def test_agrees_with_monte_carlo_oracle(self):
         spec = GaussianSpec.isotropic(0.0, 1.0)
-        est = mc_conditional_velocity(spec, np.array([1.0]), 0.3, 200_000, CounterRng(5))
+        est = mc_conditional_velocity(spec, [(np.array([1.0]), 0.3)], 200_000, CounterRng(5))[0]
         closed = marginal_velocity(spec, np.array([1.0]), 0.3)
         assert np.all(np.abs(est.value - closed) <= 3.0 * est.stderr)
 
@@ -442,19 +442,49 @@ class TestVelocityAffine:
 class TestMcConditionalVelocity:
     def test_symmetric_point_near_zero(self):
         spec = GaussianSpec.isotropic(0.0, 1.0)
-        est = mc_conditional_velocity(spec, np.array([0.0]), 0.5, 1_000_000, CounterRng(3))
+        est = mc_conditional_velocity(spec, [(np.array([0.0]), 0.5)], 1_000_000, CounterRng(3))[0]
         assert abs(est.value[0]) <= 3.0 * est.stderr[0]
 
     def test_deterministic_under_seed(self):
         spec = GaussianSpec.isotropic(0.0, 1.0)
-        a = mc_conditional_velocity(spec, np.array([0.5]), 0.4, 20_000, CounterRng(9))
-        b = mc_conditional_velocity(spec, np.array([0.5]), 0.4, 20_000, CounterRng(9))
+        a = mc_conditional_velocity(spec, [(np.array([0.5]), 0.4)], 20_000, CounterRng(9))[0]
+        b = mc_conditional_velocity(spec, [(np.array([0.5]), 0.4)], 20_000, CounterRng(9))[0]
         assert np.array_equal(a.value, b.value) and np.array_equal(a.stderr, b.stderr)
+
+    @pytest.mark.parametrize("spec", [
+        GaussianSpec.isotropic(0.5, 1.0, dim=2),
+        GaussianSpec(mean=[1.0, -0.5], cov=[[2.0, 0.3], [0.3, 0.5]]),
+    ], ids=["diagonal", "full"])
+    def test_queries_sharing_a_draw_equal_one_call_each(self, spec):
+        # the queries of one call share its draw: each estimate is the one a
+        # call of its own makes on the same seed, bit for bit
+        queries = [([0.3, -0.4], 0.7), (np.array([-0.8, 0.6]), 0.5), ([0.1, 0.2], 1.0)]
+        rng = CounterRng(4)
+        shared = mc_conditional_velocity(spec, queries, 20_000, rng)
+        assert len(shared) == len(queries)
+        assert rng.words_consumed == 2 * 20_000 * spec.dim  # one draw
+        for query, est in zip(queries, shared):
+            alone = mc_conditional_velocity(spec, [query], 20_000, CounterRng(4))[0]
+            for field in ("value", "stderr"):
+                assert np.array_equal(_bits(getattr(est, field)), _bits(getattr(alone, field)))
+            assert est.effective_samples == alone.effective_samples and est.n == alone.n
+
+    @pytest.mark.parametrize("bad, error", [
+        (([0.5], 0.0), InvalidConfigError),
+        (([0.5], 1.5), InvalidConfigError),
+        (([0.5, 0.1], 0.5), ShapeMismatchError),
+    ], ids=["t-zero", "t-above-one", "dim"])
+    def test_a_bad_query_raises_before_the_draw(self, bad, error):
+        spec = GaussianSpec.isotropic(0.0, 1.0)
+        rng = CounterRng(2)
+        with pytest.raises(error):
+            mc_conditional_velocity(spec, [([0.3], 0.5), bad, ([0.1], 0.9)], 20_000, rng)
+        assert rng.words_consumed == 0
 
     def test_sample_floor(self):
         spec = GaussianSpec.isotropic(0.0, 1.0)
         with pytest.raises(InvalidConfigError):
-            mc_conditional_velocity(spec, np.array([0.0]), 0.5, 5_000, CounterRng(0))
+            mc_conditional_velocity(spec, [(np.array([0.0]), 0.5)], 5_000, CounterRng(0))
 
     @pytest.mark.parametrize("t", [1.5, -0.25])
     def test_time_outside_unit_interval_rejected(self, t):
@@ -462,7 +492,7 @@ class TestMcConditionalVelocity:
         # config error, not an estimate
         spec = GaussianSpec.isotropic(0.0, 1.0)
         with pytest.raises(InvalidConfigError, match="outside"):
-            mc_conditional_velocity(spec, np.array([0.5]), t, 20_000, CounterRng(1))
+            mc_conditional_velocity(spec, [(np.array([0.5]), t)], 20_000, CounterRng(1))
         with pytest.raises(InvalidConfigError, match="outside"):
             marginal_velocity(spec, np.array([0.5]), t)
 
@@ -470,13 +500,13 @@ class TestMcConditionalVelocity:
         # the noise endpoint x1 = (x - (1-t) x0) / t divides by t
         spec = GaussianSpec.isotropic(0.0, 1.0)
         with pytest.raises(InvalidConfigError, match="outside"):
-            mc_conditional_velocity(spec, np.array([0.5]), 0.0, 20_000, CounterRng(1))
+            mc_conditional_velocity(spec, [(np.array([0.5]), 0.0)], 20_000, CounterRng(1))
 
     def test_insufficient_effective_samples(self):
         # at x = 40 the single source draw nearest 80 carries all the weight
         spec = GaussianSpec.isotropic(0.0, 1.0)
         with pytest.raises(InsufficientSamplesError):
-            mc_conditional_velocity(spec, np.array([40.0]), 0.5, 20_000, CounterRng(0))
+            mc_conditional_velocity(spec, [(np.array([40.0]), 0.5)], 20_000, CounterRng(0))
 
     @pytest.mark.parametrize(
         "spec, x, t",
@@ -488,7 +518,7 @@ class TestMcConditionalVelocity:
     def test_matches_an_exactly_summed_reference(self, spec, x, t):
         # the same draws, summed in the (n, dim) layout with math.fsum
         n, seed = 20_000, 11
-        est = mc_conditional_velocity(spec, np.array(x), t, n, CounterRng(seed))
+        est = mc_conditional_velocity(spec, [(np.array(x), t)], n, CounterRng(seed))[0]
         x0 = sample_array(spec, n, CounterRng(seed))
         x1 = (np.array(x) - (1.0 - t) * x0) / t
         log_w = -0.5 * np.sum(x1 * x1, axis=1)
@@ -506,7 +536,7 @@ class TestMcConditionalVelocity:
         code = (
             "from flowlab.gaussian import GaussianSpec, mc_conditional_velocity\n"
             "from flowlab.rng import CounterRng\n"
-            "e = mc_conditional_velocity(GaussianSpec.isotropic(0.5, 1, dim=1), [0.3], 0.5,"
+            "e, = mc_conditional_velocity(GaussianSpec.isotropic(0.5, 1, dim=1), [([0.3], 0.5)],"
             " 20_000, CounterRng(7))\n"
             "print(e.value.tobytes().hex(), e.stderr.tobytes().hex())\n"
         )

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowlab.errors import InvalidConfigError, ShapeMismatchError
-from flowlab.rng import RNG_ALGORITHM, CounterRng, derive_seed
+from flowlab.rng import _NORMAL_BLOCK, RNG_ALGORITHM, CounterRng, derive_seed
 
 
 def test_same_seed_bit_identical():
@@ -158,6 +160,33 @@ def test_numpy_integer_axes_draw_like_ints_and_keep_int_counters(key):
     assert type(rng.words_consumed) is int and type(rng.normal_draws) is int
 
 
+def test_numpy_integer_counts_draw_like_ints_and_keep_int_counters():
+    rng, ref = CounterRng(4), CounterRng(4)
+    assert np.array_equal(rng.normal_array(np.int64(2)), ref.normal_array(2))
+    assert np.array_equal(rng.standard_normal(np.int64(2)), ref.standard_normal(2))
+    assert np.array_equal(rng.uniform(np.int32(3)), ref.uniform(3))
+    assert (rng.words_consumed, rng.normal_draws) == (ref.words_consumed, ref.normal_draws)
+    assert type(rng.words_consumed) is int and type(rng.normal_draws) is int
+
+
+@pytest.mark.parametrize("key", [4, [4, 5]], ids=["one", "keyed"])
+@pytest.mark.parametrize("draw", [
+    lambda rng, k: rng.standard_normal(2.5),
+    lambda rng, k: rng.standard_normal(np.float64(2.0)),
+    lambda rng, k: rng.uniform(2.5),
+    lambda rng, k: rng.normal_array((*k, 2.0)),
+    lambda rng, k: rng.normal_steps(1.5, (*k, 2)),
+    lambda rng, k: rng.normal_steps(2, (*k, "2")),
+], ids=["standard_normal", "standard_normal-float64", "uniform", "normal_array",
+        "normal_steps-steps", "normal_steps-shape"])
+def test_non_integral_counts_raise_before_any_counter_moves(key, draw):
+    rng = CounterRng(key)
+    rng.standard_normal(3)
+    with pytest.raises(InvalidConfigError, match="integer"):
+        draw(rng, [2] if isinstance(key, list) else [])
+    assert (rng.words_consumed, rng.normal_draws) == (6, 3)
+
+
 def test_keyed_draws_lead_with_the_streams():
     keyed = CounterRng([1, 2, 3])
     with pytest.raises(ShapeMismatchError):
@@ -265,3 +294,37 @@ def test_derive_seed_known_answers(args, value):
 @given(seed=st.integers(-2**70, 2**70), tag=st.integers(-2**70, 2**70))
 def test_derive_seed_matches_the_integer_reference(seed, tag):
     assert derive_seed(seed, tag) == _reference_derive_seed(seed, tag)
+
+
+def test_blocked_normals_match_the_reference_across_block_boundaries():
+    # standard_normal fills its output _NORMAL_BLOCK normals at a time
+    sizes = (_NORMAL_BLOCK - 1, _NORMAL_BLOCK, _NORMAL_BLOCK + 1, 2 * _NORMAL_BLOCK + 3)
+    seeds = [21, 2**64 - 2]
+    reference = {seed: _reference_normals(seed, 5, max(sizes)) for seed in seeds}
+    for n in sizes:
+        one, keyed, split = CounterRng(seeds[0]), CounterRng(seeds), CounterRng(seeds[0])
+        for rng in (one, keyed, split):
+            rng.uniform(5)
+        assert np.array_equal(one.standard_normal(n), reference[seeds[0]][:n])
+        rows = keyed.standard_normal(n)
+        for row, seed in zip(rows, seeds):
+            assert np.array_equal(row, reference[seed][:n])
+        # separate smaller draws consume the same words and continue alike
+        parts = [split.standard_normal(m) for m in (1, n // 2 - 1, n - n // 2)]
+        assert np.array_equal(np.concatenate(parts), reference[seeds[0]][:n])
+        assert (one.words_consumed, one.normal_draws) == (split.words_consumed, split.normal_draws)
+        assert (keyed.words_consumed, keyed.normal_draws) == (split.words_consumed, n)
+        assert np.array_equal(one.uniform(3), split.uniform(3))
+
+
+def test_a_large_draw_holds_only_block_sized_temporaries():
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        out = CounterRng(1).normal_array((200_000, 2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.nbytes == 3_200_000
+    assert peak - before < 1.5 * out.nbytes
