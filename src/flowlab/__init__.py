@@ -45,7 +45,6 @@ from .rng import RNG_ALGORITHM, CounterRng, derive_seed
 from .samplers import (
     DualState,
     EditConfig,
-    StepRecord,
     Trajectory,
     flowedit,
     generate,

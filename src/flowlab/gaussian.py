@@ -156,8 +156,9 @@ def _by_column(x: np.ndarray, chain, out: np.ndarray) -> np.ndarray:
     """Apply ``chain``, a sequence of (binary ufunc, (dim,) vector) pairs, to
     the tall state ``x`` of shape (..., dim), one coordinate column at a
     time: column j of ``out`` becomes ``ufunc_k(... ufunc_1(x[..., j], v_1[j])
-    ..., v_k[j])``. ``out`` is C-contiguous with x's shape, and may be x
-    itself when x is C-contiguous.
+    ..., v_k[j])``. ``out`` has x's shape and is C-contiguous or 2-D, in any
+    layout: ``reshape(-1, dim)`` copies other arrays, losing the writes. It
+    may be x itself when x is C-contiguous.
 
     Every element goes through the same IEEE operations in the same order as
     the broadcast expression, so the bits are the same; numpy runs dim loops
@@ -194,7 +195,7 @@ def marginal_velocity(spec: GaussianSpec, x: np.ndarray, t: float) -> np.ndarray
         shift, gain = spec._velocity_coefficients(t)
         if _is_tall(x):
             chain = ((np.subtract, shift), (np.multiply, gain), (np.subtract, spec.mean))
-            return _by_column(x, chain, np.empty(x.shape))
+            return _by_column(x, chain, np.empty_like(x) if x.ndim == 2 else np.empty(x.shape))
         return gain * (x - shift) - spec.mean
     if t == 1.0:
         return x - spec.mean
@@ -250,7 +251,8 @@ def mc_conditional_velocity(
     expectation as n grows, with no kernel and no bandwidth; it comes with a
     per-coordinate standard error. Both weighted sums are numpy pairwise sums
     over the draws, one coordinate at a time, so the result does not depend
-    on the BLAS thread count. Every query is checked before the draw.
+    on the BLAS thread count. Every query and n are checked before the draw;
+    an empty ``queries`` draws nothing.
     """
     if n < 10_000:
         raise InvalidConfigError(f"need n >= 1e4 Monte Carlo samples, got {n}")
@@ -260,6 +262,8 @@ def mc_conditional_velocity(
             raise InvalidConfigError(f"t={t} outside (0, 1]: the noise endpoint divides by t")
         if x.size != spec.dim:
             raise ShapeMismatchError(f"query dim {x.size} != spec dim {spec.dim}")
+    if not queries:
+        return []
 
     # one row per coordinate: the elementwise work and the sums run along
     # the n draws
@@ -302,7 +306,7 @@ def sample_array(spec: GaussianSpec, n: int, rng: CounterRng) -> np.ndarray:
     otherwise; both paths give the same bits."""
     if n < 1:
         raise InvalidConfigError(f"need n >= 1 samples, got {n}")
-    z = rng.normal_array((int(n), spec.dim))
+    z = rng.normal_array((n, spec.dim))
     if spec.is_diagonal:
         scale = np.sqrt(spec.cov)
         if _is_tall(z):

@@ -209,7 +209,7 @@ def run_edit_sweep(
                 output=out,
                 structure_distance=structure_distance(x_src, out),
                 residual_norm=float(np.linalg.norm(out - ideal)),
-                smoothness_source=smoothness(traj) if len(traj.steps) >= 3 else 0.0,
+                smoothness_source=smoothness(traj) if len(traj.t) >= 3 else 0.0,
                 trajectory=traj,
             )
         )
@@ -413,11 +413,10 @@ def summarize_per_seed_csv(path) -> list[MetricReport]:
 def trajectory_plot(runs: list[EditRun], cfg: EditConfig) -> str:
     """Coordinate-0 source and target/edit streams of the first run."""
     traj = runs[0].trajectory
-    times = traj.times()
     return line_plot(
         [
-            ("source stream", times, traj.source_stream()[:, 0]),
-            ("target stream", times, traj.main_stream()[:, 0]),
+            ("source stream", traj.t, traj.x_src[:, 0]),
+            ("target stream", traj.t, traj.x_main[:, 0]),
             ],
         title=f"edit trajectories (seed {runs[0].seed}, {cfg.sequence_mode}/{cfg.noise_mode})",
         xlabel="t",

@@ -34,8 +34,7 @@ def smoothness(traj: Trajectory) -> float:
     """Mean squared norm of second differences along the recorded source
     stream, normalized by interior point count and dimension. Zero exactly
     when the points are collinear in the step index."""
-    pts = traj.source_stream()
-    pts = pts.reshape(pts.shape[0], -1)
+    pts = traj.x_src.reshape(traj.x_src.shape[0], -1)
     if pts.shape[0] < 3:
         raise InvalidConfigError(f"need >= 3 recorded steps, got {pts.shape[0]}")
     second = pts[2:] - 2.0 * pts[1:-1] + pts[:-2]

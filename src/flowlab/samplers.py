@@ -35,6 +35,10 @@ the missing-audio path's max(T - n_max, 1) pre-step video rows in one call
 after its audio draw. The rows and the words consumed are those of one
 draw per step, but a call that raises partway has consumed them all.
 
+With ``record=True``, ``flowedit`` and ``omniedit_sync`` also return a
+``Trajectory``: six arrays allocated before the loop, one row per step,
+filled by slice assignment with the values the loop computes.
+
 States go in and come out as plain float64 arrays of shape
 (..., state_dim), leading axes acting as batch axes; ``omniedit_av``
 returns its (video, audio) pair as a ``DualState`` of two arrays. No
@@ -54,7 +58,7 @@ from ``EditConfig.seed``. Distinct invocations may run concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,29 +114,19 @@ class EditConfig:
 
 
 @dataclass(frozen=True)
-class StepRecord:
-    """One velocity evaluation: states at t, the noise in use, velocities."""
+class Trajectory:
+    """An edit's record as six stacked arrays, row k for step n_max - k:
+    ``t`` of shape (n_max,), and ``x_src``, ``x_main``, ``eps``, ``v_src``
+    and ``v_tar`` of shape (n_max, *state.shape) -- the noised source and
+    the evaluated target state at t, the noise after the step's re-estimate,
+    and the two checked velocities."""
 
-    t: float
+    t: np.ndarray
     x_src: np.ndarray
     x_main: np.ndarray
     eps: np.ndarray
     v_src: np.ndarray
     v_tar: np.ndarray
-
-
-@dataclass
-class Trajectory:
-    steps: list[StepRecord] = dc_field(default_factory=list)
-
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.steps])
-
-    def source_stream(self) -> np.ndarray:
-        return np.stack([s.x_src for s in self.steps])
-
-    def main_stream(self) -> np.ndarray:
-        return np.stack([s.x_main for s in self.steps])
 
 
 @dataclass(frozen=True)
@@ -179,13 +173,15 @@ def _state(field: VelocityField, x) -> np.ndarray:
 def generate(field: VelocityField, x1: np.ndarray, c: Condition, T: int) -> np.ndarray:
     """Integrate dx = V(x, c, t) dt from t=1 down to t=0 with explicit Euler
     over T uniform steps (T >= 2, checked as ``EditConfig`` checks it) and
-    return the t=0 state."""
+    return the t=0 state, fresh and C-contiguous. A 2-D state is stepped in
+    Fortran order, on contiguous columns, with the bits of C order."""
     x = _state(field, x1)
+    x = np.asfortranarray(x) if x.ndim == 2 else x
     times = EditConfig(T=T, n_max=T).times
     for i in range(T, 0, -1):
         t_i, t_prev = float(times[i]), float(times[i - 1])
         x = euler(x, _checked(i, t_i, field.velocity(x, c, t_i)), t_i, t_prev)
-    return x
+    return np.ascontiguousarray(x)
 
 
 def _edit(field: VelocityField, src: np.ndarray, src_cond: Condition, target_velocity,
@@ -207,7 +203,8 @@ def _edit(field: VelocityField, src: np.ndarray, src_cond: Condition, target_vel
     elif eps is None:
         eps = rng.normal_steps(1, src.shape)[0]
     x = interp(src, eps, float(times[cfg.n_max])) if target else src
-    traj = Trajectory()
+    if record:
+        traj = Trajectory(times[cfg.n_max:0:-1], *(np.empty((cfg.n_max, *src.shape)) for _ in range(5)))
     for i in range(cfg.n_max, 0, -1):
         t_i, t_prev = float(times[i]), float(times[i - 1])
         if noise is not None:
@@ -219,10 +216,9 @@ def _edit(field: VelocityField, src: np.ndarray, src_cond: Condition, target_vel
         if cfg.noise_mode == "estimated":
             eps = estimate_noise(x_src_t, v_src, t_i)
         if record:
-            traj.steps.append(
-                StepRecord(t=t_i, x_src=x_src_t.copy(), x_main=x_tar_t.copy(),
-                           eps=eps.copy(), v_src=v_src.copy(), v_tar=v_tar.copy())
-            )
+            k = cfg.n_max - i
+            traj.x_src[k], traj.x_main[k], traj.eps[k] = x_src_t, x_tar_t, eps
+            traj.v_src[k], traj.v_tar[k] = v_src, v_tar
         if target:
             x = step_target(x, x_src_t, interp(src, eps, t_prev), v_tar, v_src, t_i, t_prev)
         else:

@@ -133,8 +133,8 @@ class TestNoisySource:
         x = np.array([0.3, -0.8])
         cfg = EditConfig(T=10, n_max=8, sequence_mode="edit", noise_mode="random", seed=5)
         _, traj = flowedit(field, x, c_src, c_tar, cfg, record=True)
-        for step in traj.steps:
-            assert np.array_equal(step.x_src, interp(x, step.eps, step.t))
+        for k in range(len(traj.t)):
+            assert np.array_equal(traj.x_src[k], interp(x, traj.eps[k], traj.t[k]))
 
 
 class TestCfgCombine:

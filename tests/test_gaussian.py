@@ -259,6 +259,7 @@ _LAYOUTS = {
     "fortran": lambda base, rows: np.asfortranarray(base[:rows]),
     "(k, n, dim)": lambda base, rows: base.reshape(2, rows, -1),
     "strided (k, n, dim)": lambda base, rows: base.reshape(2, rows, -1)[:, ::2],
+    "transposed (n, k, dim)": lambda base, rows: base.reshape(2, rows, -1).transpose(1, 0, 2),
 }
 
 
@@ -481,6 +482,17 @@ class TestMcConditionalVelocity:
             mc_conditional_velocity(spec, [([0.3], 0.5), bad, ([0.1], 0.9)], 20_000, rng)
         assert rng.words_consumed == 0
 
+    def test_non_integral_count_raises_before_the_draw(self):
+        rng = CounterRng(2)
+        with pytest.raises(InvalidConfigError):
+            mc_conditional_velocity(GaussianSpec.isotropic(0.0, 1.0), [([0.3], 0.5)], 20_000.7, rng)
+        assert rng.words_consumed == 0
+
+    def test_no_queries_draw_nothing(self):
+        rng = CounterRng(2)
+        assert mc_conditional_velocity(GaussianSpec.isotropic(0.0, 1.0), [], 20_000, rng) == []
+        assert rng.words_consumed == 0
+
     def test_sample_floor(self):
         spec = GaussianSpec.isotropic(0.0, 1.0)
         with pytest.raises(InvalidConfigError):
@@ -572,6 +584,17 @@ class TestSampling:
     def test_n_floor(self):
         with pytest.raises(InvalidConfigError):
             sample_array(GaussianSpec.isotropic(0.0, 1.0), 0, CounterRng(0))
+
+    def test_non_integral_count_raises_before_any_word_moves(self):
+        rng = CounterRng(1)
+        with pytest.raises(InvalidConfigError):
+            sample_array(GaussianSpec.isotropic(0.0, 1.0), 2.5, rng)
+        assert rng.words_consumed == 0
+
+    def test_numpy_integer_count(self):
+        spec = GaussianSpec.isotropic(0.0, 1.0, dim=2)
+        assert np.array_equal(sample_array(spec, np.int64(3), CounterRng(1)),
+                              sample_array(spec, 3, CounterRng(1)))
 
 
 class TestW2:

@@ -15,7 +15,7 @@ from flowlab.metrics import (
     truncation_bias,
 )
 from flowlab.rng import CounterRng
-from flowlab.samplers import StepRecord, Trajectory
+from flowlab.samplers import Trajectory
 
 
 def state(values):
@@ -23,12 +23,10 @@ def state(values):
 
 
 def traj_from_points(points):
-    points = np.asarray(points, dtype=float)
+    points = np.atleast_2d(np.asarray(points, dtype=float))
     return Trajectory(
-        steps=[
-            StepRecord(t=1.0 - k * 0.01, x_src=p, x_main=p, eps=None, v_src=None, v_tar=None)
-            for k, p in enumerate(np.atleast_2d(points))
-        ]
+        t=1.0 - np.arange(len(points)) * 0.01, x_src=points, x_main=points,
+        eps=None, v_src=None, v_tar=None,
     )
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowlab.cli import _defaults, _edit_config
-from flowlab.core import Condition, TensorState, estimate_noise, step_target
+from flowlab.core import Condition, TensorState, estimate_noise, euler, step_target
 from flowlab.errors import InvalidConfigError, NumericalError, ShapeMismatchError
 from flowlab.gaussian import GaussianConditionalField, GaussianSpec, sample_array
 from flowlab.harness import default_av_params, pair_field
@@ -131,6 +131,35 @@ class TestGenerate:
     def test_too_few_steps(self):
         with pytest.raises(InvalidConfigError):
             generate(_ConstField(), np.array([3.0]), Condition.null(0), 1)
+
+    @staticmethod
+    def _c_order_loop(field, x1, c, T):
+        """The Euler loop on the state in the order it came in."""
+        x, times = np.asarray(x1, dtype=np.float64), np.arange(T + 1) / T
+        for i in range(T, 0, -1):
+            t_i, t_prev = float(times[i]), float(times[i - 1])
+            x = euler(x, field.velocity(x, c, t_i), t_i, t_prev)
+        return x
+
+    @pytest.mark.parametrize("field, shape", [
+        ("diagonal", (300, 2)), ("full", (300, 2)), ("diagonal", (2,)), ("full", (2,)),
+        ("diagonal", (3, 40, 2)), ("full", (3, 40, 2)), ("mlp", (60, 2)),
+        ("diagonal fortran", (300, 2)),
+    ])
+    def test_bits_equal_the_c_order_loop(self, field, shape):
+        if field == "mlp":
+            f, c = MlpVelocityField(mlp_init([8, 2], condition_dim=2, seed=3)), Condition.one_hot(0, 2)
+        else:
+            cov = [0.5, 2.0] if field.startswith("diagonal") else [[0.5, 0.3], [0.3, 2.0]]
+            f, c, _ = pair_field(GaussianSpec(mean=[1.0, -2.0], cov=cov), GaussianSpec.isotropic(0.0, 1.0, dim=2))
+        x1 = CounterRng(7).normal_array(shape)
+        if field.endswith("fortran"):
+            x1 = np.asfortranarray(x1)
+        before = x1.copy()
+        out = generate(f, x1, c, 12)
+        assert np.array_equal(out, self._c_order_loop(f, np.ascontiguousarray(x1), c, 12))
+        assert np.array_equal(x1, before)
+        assert out.flags.c_contiguous and not np.shares_memory(out, x1)
 
 
 class TestEstimateNoise:
@@ -376,12 +405,11 @@ class TestOmniEditSync:
         x = sample_array(src, 1, CounterRng(3))[0]
         cfg = EditConfig(T=20, n_max=14, sequence_mode="target", noise_mode="estimated", seed=8)
         out, traj = omniedit_sync(field, x, c_src, c_tar, cfg, record=True)
-        times = traj.times()
-        for k in range(len(traj.steps) - 1):
-            s_k, s_next = traj.steps[k], traj.steps[k + 1]
-            edit_k = s_k.x_main - s_k.x_src + x
-            edit_next = s_next.x_main - s_next.x_src + x
-            expected = edit_k + (times[k + 1] - times[k]) * (s_k.v_tar - s_k.v_src)
+        times = traj.t
+        for k in range(len(traj.t) - 1):
+            edit_k = traj.x_main[k] - traj.x_src[k] + x
+            edit_next = traj.x_main[k + 1] - traj.x_src[k + 1] + x
+            expected = edit_k + (times[k + 1] - times[k]) * (traj.v_tar[k] - traj.v_src[k])
             assert np.max(np.abs(edit_next - expected)) < 1e-12
 
     def test_cfg_scale_one_never_evaluates_null(self, counting_field):
@@ -817,6 +845,54 @@ class TestPairedAvIsJointTargetSequence:
         assert np.array_equal(np.concatenate([out.video, out.audio], axis=-1), want)
 
 
+class _SpyField:
+    """Wraps a field and logs every velocity call: a copy of the input state,
+    the time and a copy of the output."""
+
+    def __init__(self, field):
+        self.field, self.state_dim, self.condition_dim = field, field.state_dim, field.condition_dim
+        self.calls = []
+
+    def velocity(self, x, condition, t):
+        out = self.field.velocity(x, condition, t)
+        self.calls.append((np.array(x), t, out.copy()))
+        return out
+
+
+class TestStackedRecord:
+    """The record is the loop's own values: row k holds step n_max - k's
+    evaluated states and velocities, and recording leaves the output alone."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(editor=st.sampled_from([flowedit, omniedit_sync]),
+           noise=st.sampled_from(["random", "estimated"]), full=st.booleans(),
+           rows=st.sampled_from([(), (1,), (3,)]), T=st.integers(2, 12), data=st.data(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_rows_are_the_logged_evaluations(self, editor, noise, full, rows, T, data, seed):
+        cov = [[0.5, 0.3], [0.3, 2.0]] if full else [0.5, 2.0]
+        field, c_src, c_tar = pair_field(GaussianSpec(mean=[1.0, -2.0], cov=cov),
+                                         GaussianSpec(mean=[2.0, 0.5], cov=[0.4, 0.9]))
+        cfg = EditConfig(T=T, n_max=data.draw(st.integers(1, T)),
+                         sequence_mode="edit" if editor is flowedit else "target",
+                         noise_mode=noise, seed=seed)
+        x = CounterRng(derive_seed(seed, 5)).normal_array((*rows, 2))
+        spy = _SpyField(field)
+        out, traj = editor(spy, x, c_src, c_tar, cfg, record=True)
+        assert np.array_equal(out, editor(field, x, c_src, c_tar, cfg))
+        n = cfg.n_max
+        assert np.array_equal(traj.t, cfg.times[n:0:-1])
+        for array in (traj.x_src, traj.x_main, traj.eps, traj.v_src, traj.v_tar):
+            assert array.shape == (n, *x.shape)
+        steps = spy.calls[-2 * n:]  # omniedit_sync's t=0 estimate comes first
+        for k in range(n):
+            (x_src, t_src, v_src), (x_main, t_tar, v_tar) = steps[2 * k], steps[2 * k + 1]
+            assert t_src == t_tar == traj.t[k]
+            assert np.array_equal(traj.x_src[k], x_src) and np.array_equal(traj.v_src[k], v_src)
+            assert np.array_equal(traj.x_main[k], x_main) and np.array_equal(traj.v_tar[k], v_tar)
+            if noise == "estimated":
+                assert np.array_equal(traj.eps[k], estimate_noise(x_src, v_src, t_src))
+
+
 def _diagonal_pair():
     return pair_field(GaussianSpec(mean=[0.0, 1.0], cov=[1.0, 0.5]),
                       GaussianSpec(mean=[2.0, -1.0], cov=[0.4, 0.9]))
@@ -841,8 +917,8 @@ class TestOneDrawPerCall:
         x, cfg = np.array([[0.3, -0.8], [1.1, 0.2]]), EditConfig(T=12, n_max=8, seed=4)
         _, traj = _random_arm(editor, field, x, c_src, c_tar, cfg, record=True)
         rng = CounterRng(4)
-        for step in traj.steps:
-            assert np.array_equal(step.eps, rng.normal_array(x.shape))
+        for eps in traj.eps:
+            assert np.array_equal(eps, rng.normal_array(x.shape))
 
     @settings(max_examples=60, deadline=None)
     @given(editor=st.sampled_from([flowedit, omniedit_sync]), T=st.integers(2, 16),
