@@ -151,7 +151,8 @@ class TestGenerate:
             f, c = MlpVelocityField(mlp_init([8, 2], condition_dim=2, seed=3)), Condition.one_hot(0, 2)
         else:
             cov = [0.5, 2.0] if field.startswith("diagonal") else [[0.5, 0.3], [0.3, 2.0]]
-            f, c, _ = pair_field(GaussianSpec(mean=[1.0, -2.0], cov=cov), GaussianSpec.isotropic(0.0, 1.0, dim=2))
+            f, c, _ = pair_field(GaussianSpec(mean=[1.0, -2.0], cov=cov),
+                                 GaussianSpec.isotropic(0.0, 1.0, dim=2))
         x1 = CounterRng(7).normal_array(shape)
         if field.endswith("fortran"):
             x1 = np.asfortranarray(x1)
