@@ -11,23 +11,18 @@ E[x1 - x0 | x_t = x] has the closed form
 with the exact limit V(x, 1) = x - mu. Everything here accepts diagonal
 covariances (stored as a 1-D vector) or full SPD matrices.
 
-V is affine in x, V(x, t) = A_t x + o_t, and a spec owns its coefficients.
-It computes the eigenbasis (lambda, Q) of its covariance once, at
-construction; then A_t = Q diag(g_t) Q^T with g_t = (t - (1-t) lambda) /
-((1-t)^2 lambda + t^2), and o_t = -(1-t) A_t mu - mu. ``marginal_velocity``
-evaluates a full spec as ``x @ A_t.T + o_t``, and a diagonal one from its
-per-coordinate (shift, gain). Each spec memoises those coefficients per
-time, in at most ``_MEMO_CAP`` entries: a sampler steps along a few fixed
-times, seed after seed, so nearly every call is a hit. A full memo is
-emptied before the next entry goes in. Concurrent samplers may share a
-spec: an entry is a pure function of the spec and t, its arrays are
-read-only, a lookup is one atomic dict read, and stores are serialised by
-one lock, so a race at worst computes the same bits twice.
+V is affine in x, V(x, t) = A_t x + o_t. A spec computes the eigenbasis
+(lambda, Q) of its covariance once, at construction; then A_t = Q diag(g_t)
+Q^T with g_t = (t - (1-t) lambda) / ((1-t)^2 lambda + t^2), and
+o_t = -(1-t) A_t mu - mu. ``marginal_velocity`` evaluates a full spec as
+``x @ A_t.T + o_t``, and a diagonal one from its per-coordinate
+(shift, gain), computing those coefficients on each call. The eigenbasis
+is the only thing a spec caches, and a spec is immutable after
+construction, so concurrent samplers may share one.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,11 +34,6 @@ from .errors import (
     ShapeMismatchError,
 )
 from .rng import CounterRng
-
-# Most distinct times a spec memoises velocity coefficients for; a sweep
-# steps along at most T + 1 times, seed after seed
-_MEMO_CAP = 512
-_MEMO_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -83,11 +73,10 @@ class GaussianSpec:
             raise ShapeMismatchError("cov must be a vector (diagonal) or a matrix")
         object.__setattr__(self, "mean", _read_only(mean))
         object.__setattr__(self, "cov", _read_only(cov))
-        # plain attributes, not fields: repr, == and dataclasses.replace see
-        # only mean and cov, and a replaced spec starts with an empty memo
+        # a plain attribute, not a field: repr, == and dataclasses.replace see
+        # only mean and cov, and a replaced spec computes its own eigenbasis
         lam, q = np.linalg.eigh(self.cov_matrix())
         object.__setattr__(self, "_eig", (_read_only(lam), _read_only(q)))
-        object.__setattr__(self, "_memo", {})
 
     def __eq__(self, other):
         # by value: the generated __eq__ would compare the arrays' truth value
@@ -119,26 +108,6 @@ class GaussianSpec:
         if self.is_diagonal:
             return np.diag(np.sqrt(self.cov))
         return self._tril  # the factor that validated the covariance
-
-    def _velocity_coefficients(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """The memoised coefficients of V(., t), 0 <= t < 1 for a full spec:
-        (shift, gain) of ``gain * (x - shift) - mean`` for a diagonal spec,
-        (A_t, o_t) of ``x @ A_t.T + o_t`` for a full one."""
-        coefficients = self._memo.get(t)
-        if coefficients is None:
-            if self.is_diagonal:
-                coefficients = ((1.0 - t) * self.mean,
-                                (t - (1.0 - t) * self.cov) / ((1.0 - t) ** 2 * self.cov + t * t))
-            else:
-                a, o = _velocity_affine(self, t)
-                coefficients = (a[0], o[0])
-            for array in coefficients:
-                _read_only(array)
-            with _MEMO_LOCK:
-                if len(self._memo) >= _MEMO_CAP:
-                    self._memo.clear()
-                self._memo[t] = coefficients
-        return coefficients
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -192,15 +161,16 @@ def marginal_velocity(spec: GaussianSpec, x: np.ndarray, t: float) -> np.ndarray
     if spec.is_diagonal:
         # at t = 1 the gain is exactly 1 and (1 - t) mu exactly zero, so both
         # paths give x - mu bit for bit there
-        shift, gain = spec._velocity_coefficients(t)
+        shift = (1.0 - t) * spec.mean
+        gain = (t - (1.0 - t) * spec.cov) / ((1.0 - t) ** 2 * spec.cov + t * t)
         if _is_tall(x):
             chain = ((np.subtract, shift), (np.multiply, gain), (np.subtract, spec.mean))
             return _by_column(x, chain, np.empty_like(x) if x.ndim == 2 else np.empty(x.shape))
         return gain * (x - shift) - spec.mean
     if t == 1.0:
         return x - spec.mean
-    a, o = spec._velocity_coefficients(t)
-    return x @ a.T + o
+    a, o = _velocity_affine(spec, t)
+    return x @ a[0].T + o[0]
 
 
 def _velocity_affine(spec: GaussianSpec, t) -> tuple[np.ndarray, np.ndarray]:

@@ -3,9 +3,9 @@ CSV/SVG emission and run manifests.
 
 Determinism contract: identical resolved configuration produces
 byte-identical CSV and SVG outputs, whatever the BLAS thread count;
-wall-clock timestamps live only in the manifest. Seed sweeps run in seed
-order and each run derives its own data/sampler streams from the sweep
-seed.
+wall-clock timestamps live only in the manifest. A seed sweep runs every
+seed in one editor call on keyed streams, and row r derives its own
+data/sampler streams from ``seeds[r]``.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import csv
 import hashlib
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +35,9 @@ from .data import AvSynthParams, CoupledAvDataset, synth_av_dataset
 from .metrics import MetricReport, empirical_moments, smoothness, structure_distance, truncation_bias
 from .mlp import MlpVelocityField, TrainConfig, TrainReport, mlp_init, train
 from .rng import RNG_ALGORITHM, CounterRng, derive_seed
-from .samplers import EditConfig, flowedit, generate, omniedit_av, omniedit_sync
+from .samplers import (
+    EditConfig, Trajectory, flowedit, generate, omniedit_av, omniedit_sync,
+)
 from .svgplot import line_plot
 
 SUMMARY_COLUMNS = (
@@ -173,7 +175,12 @@ class EditRun:
     structure_distance: float
     residual_norm: float
     smoothness_source: float
-    trajectory: object
+    trajectory: Trajectory
+
+
+def _require_seeds(seeds) -> None:
+    if len(seeds) == 0:
+        raise InvalidConfigError("a sweep needs at least one seed")
 
 
 def run_edit_sweep(
@@ -183,34 +190,41 @@ def run_edit_sweep(
     edit_cfg: EditConfig,
     identity: bool = False,
 ) -> list[EditRun]:
-    """Run one editing configuration over a seed list on the analytic pair.
+    """Run one editing configuration over a seed list on the analytic pair,
+    every seed in one editor call, as ``run_avedit_sweep`` does.
 
-    Per seed, the source sample and the sampler noise use independent
-    derived streams so paired sweeps across modes stay matched. The
-    residual is measured against the Gaussian optimal-transport map of the
-    pair (the exact per-sample edit for Gaussian endpoints)."""
+    Row r takes its source sample from the keyed stream
+    ``derive_seed(seeds[r], 1)`` and its sampler noise from
+    ``derive_seed(seeds[r], 2)``, so paired sweeps across modes stay
+    matched and row r is the edit a one-seed sweep gives. Its metrics are
+    computed from its own row, and its ``trajectory`` is its row's views of
+    the one record. The residual is measured against the Gaussian
+    optimal-transport map of the pair (the exact per-sample edit for
+    Gaussian endpoints)."""
+    _require_seeds(seeds)
     field, c_src, c_tar = pair_field(src_spec, tar_spec)
     if identity:
         c_tar = c_src
     a_map, b_map = ot_map(src_spec, tar_spec)
+    data_rng = CounterRng([derive_seed(seed, 1) for seed in seeds])
+    x_src = sample_array(src_spec, len(seeds), data_rng)
+    editor = flowedit if edit_cfg.sequence_mode == "edit" else omniedit_sync
+    out, traj = editor(field, x_src, c_src, c_tar, edit_cfg,
+                       rng=CounterRng([derive_seed(seed, 2) for seed in seeds]), record=True)
     runs = []
-    for seed in seeds:
-        data_rng = CounterRng(derive_seed(seed, 1))
-        x_src = sample_array(src_spec, 1, data_rng)[0]
-        cfg = replace(edit_cfg, seed=derive_seed(seed, 2))
-        if cfg.sequence_mode == "edit":
-            out, traj = flowedit(field, x_src, c_src, c_tar, cfg, record=True)
-        else:
-            out, traj = omniedit_sync(field, x_src, c_src, c_tar, cfg, record=True)
-        ideal = x_src @ a_map.T + b_map if not identity else x_src
+    for r, seed in enumerate(seeds):
+        row = Trajectory(traj.t, *(a[:, r] for a in (traj.x_src, traj.x_main, traj.eps,
+                                                      traj.v_src, traj.v_tar)))
+        # row by row, with the scalar calls of a one-seed sweep
+        ideal = x_src[r] @ a_map.T + b_map if not identity else x_src[r]
         runs.append(
             EditRun(
                 seed=seed,
-                output=out,
-                structure_distance=structure_distance(x_src, out),
-                residual_norm=float(np.linalg.norm(out - ideal)),
-                smoothness_source=smoothness(traj) if len(traj.t) >= 3 else 0.0,
-                trajectory=traj,
+                output=out[r],
+                structure_distance=structure_distance(x_src[r], out[r]),
+                residual_norm=float(np.linalg.norm(out[r] - ideal)),
+                smoothness_source=smoothness(row) if len(traj.t) >= 3 else 0.0,
+                trajectory=row,
             )
         )
     return runs
@@ -502,6 +516,7 @@ def run_avedit_sweep(
     for name, k in (("src_class", src_class), ("tar_class", tar_class)):
         if not 0 <= k < params.num_classes:
             raise InvalidConfigError(f"{name}={k} outside 0..{params.num_classes - 1}")
+    _require_seeds(seeds)
     n = len(seeds)
     data_rng = CounterRng([derive_seed(seed, 1) for seed in seeds])
     v = params.video_means[src_class] + params.video_scale * data_rng.normal_array(

@@ -18,7 +18,6 @@ from flowlab.errors import (
     ShapeMismatchError,
 )
 from flowlab.gaussian import (
-    _MEMO_CAP,
     GaussianConditionalField,
     _velocity_affine,
     GaussianSpec,
@@ -319,29 +318,15 @@ class TestColumnPath:
             gain = (t - (1.0 - t) * spec.cov) / ((1.0 - t) ** 2 * spec.cov + t * t)
             return gain * (x - shift) - spec.mean
 
-        # 0.0 and -0.0 share one memo key, so whichever comes second is a hit
+        # 0.0 and -0.0 must give the same bits
         twin = -t if t == 0.0 else t
-        for time in (t, t, twin):  # a miss, then hits
+        for time in (t, t, twin):
             assert np.array_equal(_bits(marginal_velocity(spec, x, time)), _bits(broadcast(time)))
             row = x.reshape(-1, spec.dim)[0]
             assert np.array_equal(_bits(marginal_velocity(spec, row, time)),
                                   _bits(broadcast(time).reshape(-1, spec.dim)[0]))
 
-    @pytest.mark.parametrize("cov", [np.array([0.5, 2.0]), np.array([[0.5, 0.2], [0.2, 2.0]])])
-    def test_memo_never_grows_past_its_cap(self, cov):
-        spec = GaussianSpec(mean=np.array([1.0, -2.0]), cov=cov)
-        x = np.array([0.3, -0.4])
-        for k in range(_MEMO_CAP + 40):
-            t = k / (_MEMO_CAP + 40)
-            expected = GaussianSpec(mean=spec.mean, cov=spec.cov)._velocity_coefficients(t)
-            got = spec._velocity_coefficients(t)
-            assert all(np.array_equal(g, e) for g, e in zip(got, expected))
-            marginal_velocity(spec, x, t)
-            assert 1 <= len(spec._memo) <= _MEMO_CAP
-
-    def test_threads_sharing_a_spec_get_the_bits_of_an_unshared_one(self, monkeypatch):
-        # a cap of 2: nearly every store fills the memo or empties it
-        monkeypatch.setattr(flowlab.gaussian, "_MEMO_CAP", 2)
+    def test_threads_sharing_a_spec_get_the_bits_of_an_unshared_one(self):
         spec = GaussianSpec(mean=np.array([1.0, -2.0]), cov=np.array([[0.5, 0.2], [0.2, 2.0]]))
         unshared = GaussianSpec(mean=spec.mean, cov=spec.cov)
         x = np.array([0.3, -0.4])
@@ -352,8 +337,7 @@ class TestColumnPath:
         def work(offset):
             for k in range(len(times)):
                 j = (k + offset) % len(times)
-                if (not np.array_equal(marginal_velocity(spec, x, times[j]), expected[j])
-                        or len(spec._memo) > 2):
+                if not np.array_equal(marginal_velocity(spec, x, times[j]), expected[j]):
                     wrong.append(j)
 
         threads = [threading.Thread(target=work, args=(97 * i,)) for i in range(4)]
@@ -373,9 +357,18 @@ class TestColumnPath:
     def test_repr_and_eq_see_only_mean_and_cov(self, cov):
         used, fresh = GaussianSpec(mean=[0.5, -1.0], cov=cov), GaussianSpec(mean=[0.5, -1.0], cov=cov)
         marginal_velocity(used, np.array([0.1, 0.2]), 0.3)
-        assert used._memo and not fresh._memo
         assert repr(used) == repr(fresh) and used == fresh
         assert [f.name for f in dataclasses.fields(used)] == ["mean", "cov"]
+
+    @pytest.mark.parametrize("cov", [np.array([0.5, 2.0]), np.array([[0.5, 0.2], [0.2, 2.0]])])
+    def test_velocity_calls_leave_the_spec_as_built(self, cov):
+        spec = GaussianSpec(mean=np.array([1.0, -2.0]), cov=cov)
+        built = dict(vars(spec))
+        for t in (0.0, 0.3, 1.0):
+            marginal_velocity(spec, np.array([0.3, -0.4]), t)
+            marginal_velocity(spec, np.zeros((5, 2)), t)
+        assert vars(spec).keys() == built.keys()
+        assert all(vars(spec)[name] is value for name, value in built.items())
 
     @pytest.mark.parametrize("cov", [np.array([0.5, 2.0]), np.array([[0.5, 0.2], [0.2, 2.0]])])
     def test_replace_starts_with_an_empty_memo(self, cov):
@@ -383,7 +376,6 @@ class TestColumnPath:
         x = np.array([0.3, -0.4])
         marginal_velocity(spec, x, 0.3)
         moved = dataclasses.replace(spec, mean=np.array([-1.0, 0.5]))
-        assert len(spec._memo) == 1 and not moved._memo
         assert np.array_equal(marginal_velocity(moved, x, 0.3),
                               marginal_velocity(GaussianSpec(mean=moved.mean, cov=cov), x, 0.3))
 
@@ -392,9 +384,7 @@ class TestColumnPath:
         spec = GaussianSpec(mean=np.array([1.0, -2.0]), cov=cov)
         for t in (0.0, 0.3):
             marginal_velocity(spec, np.array([0.3, -0.4]), t)
-        arrays = [a for coefficients in spec._memo.values() for a in coefficients]
-        assert len(arrays) == 4
-        assert not any(a.flags.writeable for a in arrays + list(spec._eig))
+        assert not any(a.flags.writeable for a in spec._eig)
 
 
 class TestVelocityAffine:

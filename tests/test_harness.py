@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flowlab.errors import InvalidConfigError, NumericalError
 from flowlab.core import Condition
-from flowlab.gaussian import GaussianConditionalField, GaussianSpec
+from flowlab.gaussian import GaussianConditionalField, GaussianSpec, ot_map, sample_array
 from flowlab import harness
 from flowlab.harness import (
     ABLATION_CELLS,
@@ -29,9 +30,9 @@ from flowlab.harness import (
     write_manifest,
     write_per_seed_csv,
 )
-from flowlab.metrics import empirical_moments
+from flowlab.metrics import empirical_moments, smoothness, structure_distance
 from flowlab.rng import CounterRng, derive_seed
-from flowlab.samplers import EditConfig, omniedit_av
+from flowlab.samplers import EditConfig, flowedit, omniedit_av, omniedit_sync
 
 SRC = GaussianSpec.isotropic(0.0, 1.0, dim=2)
 TAR = GaussianSpec.isotropic(2.0, 1.0, dim=2)
@@ -99,6 +100,123 @@ class TestEditSweep:
             "fitted_w2", "bias_norm", "smoothness", "structure_distance",
         ]
         assert all(r.config["seed_count"] == 6 for r in reports)
+
+
+def _bits(values) -> np.ndarray:
+    return np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+
+
+@st.composite
+def spec_pairs(draw):
+    """A (source, target) pair of dimension 1-3, both diagonal or both full."""
+    dim, full = draw(st.integers(1, 3)), draw(st.booleans())
+
+    def spec():
+        mean = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=dim, max_size=dim)))
+        if not full:
+            return GaussianSpec(mean=mean, cov=np.array(
+                draw(st.lists(st.floats(0.05, 4.0), min_size=dim, max_size=dim))))
+        root = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=dim * dim,
+                                      max_size=dim * dim))).reshape(dim, dim)
+        return GaussianSpec(mean=mean, cov=root @ root.T + 0.1 * np.eye(dim))
+
+    return spec(), spec()
+
+
+def _looped_edit_sweep(src_spec, tar_spec, seeds, cfg, identity):
+    """The per-seed loop the batched sweep replaced: one editor call per
+    seed, on scalar generators. Rows of (output, structure_distance,
+    residual_norm, smoothness_source, trajectory)."""
+    field, c_src, c_tar = harness.pair_field(src_spec, tar_spec)
+    c_tar = c_src if identity else c_tar
+    a_map, b_map = ot_map(src_spec, tar_spec)
+    editor = flowedit if cfg.sequence_mode == "edit" else omniedit_sync
+    rows = []
+    for seed in seeds:
+        x_src = sample_array(src_spec, 1, CounterRng(derive_seed(seed, 1)))[0]
+        out, traj = editor(field, x_src, c_src, c_tar, cfg, rng=CounterRng(derive_seed(seed, 2)),
+                           record=True)
+        ideal = x_src if identity else x_src @ a_map.T + b_map
+        rows.append((out, structure_distance(x_src, out), float(np.linalg.norm(out - ideal)),
+                     smoothness(traj) if len(traj.t) >= 3 else 0.0, traj))
+    return rows
+
+
+_RECORD = ("t", "x_src", "x_main", "eps", "v_src", "v_tar")
+
+
+class TestBatchedEditSweep:
+    """run_edit_sweep makes one keyed editor call per cell; row r must be
+    the one-seed sweep of seeds[r]: bit for bit on a diagonal pair, and
+    within 1e-12 relative on a full pair, whose batched products sum in
+    another order than per-row ones."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(pair=spec_pairs(), cell=st.sampled_from(ABLATION_CELLS), T=st.integers(2, 8),
+           cfg_scale=st.one_of(st.just(1.0), st.floats(0.0, 3.0)), tall=st.booleans(),
+           identity=st.booleans(), data=st.data())
+    def test_rows_equal_the_per_seed_loop(self, pair, cell, T, cfg_scale, tall, identity, data):
+        src_spec, tar_spec = pair
+        dim = src_spec.dim
+        # a tall state has more rows than dim and takes the column path
+        count = data.draw(st.integers(dim + 1, dim + 6) if tall else st.integers(1, dim))
+        seeds = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=count, max_size=count))
+        cfg = EditConfig(T=T, n_max=data.draw(st.integers(1, T)), sequence_mode=cell[0],
+                         noise_mode=cell[1], cfg_scale=cfg_scale)
+        runs = run_edit_sweep(src_spec, tar_spec, seeds, cfg, identity=identity)
+        looped = _looped_edit_sweep(src_spec, tar_spec, seeds, cfg, identity)
+        assert [r.seed for r in runs] == seeds
+
+        if src_spec.is_diagonal:
+            def same(got, want, squared=False):
+                assert np.array_equal(_bits(got), _bits(want))
+        else:
+            scale = 1.0 + max(np.max(np.abs(a)) for out, *_, traj in looped
+                              for a in (out, *(getattr(traj, name) for name in _RECORD)))
+
+            def same(got, want, squared=False):
+                np.testing.assert_allclose(got, want, rtol=1e-12,
+                                           atol=1e-12 * scale ** (2 if squared else 1))
+
+        # every run's record is a set of row views of one stacked record
+        record = {name: getattr(runs[0].trajectory, name).base for name in _RECORD[1:]}
+        for name, stacked in record.items():
+            assert stacked.shape == (cfg.n_max, count, dim)
+        for run, (out, distance, residual, smooth, traj) in zip(runs, looped):
+            same(run.output, out)
+            same(run.structure_distance, distance)
+            same(run.residual_norm, residual)
+            same(run.smoothness_source, smooth, squared=True)
+            assert np.shares_memory(run.trajectory.t, runs[0].trajectory.t)
+            for name, stacked in record.items():
+                assert np.shares_memory(getattr(run.trajectory, name), stacked)
+            for name in _RECORD:
+                same(getattr(run.trajectory, name), getattr(traj, name))
+
+
+class TestEmptySeedList:
+    """An empty seed list is a configuration error, raised before any
+    generator is built."""
+
+    @pytest.fixture(autouse=True)
+    def no_generators(self, monkeypatch):
+        def built(seed):
+            raise AssertionError(f"a generator was built on {seed!r}")
+
+        monkeypatch.setattr(harness, "CounterRng", built)
+
+    def test_edit_sweep(self):
+        with pytest.raises(InvalidConfigError, match="seed"):
+            run_edit_sweep(SRC, TAR, [], EditConfig(T=4, n_max=2))
+
+    def test_ablation(self):
+        with pytest.raises(InvalidConfigError, match="seed"):
+            run_ablation(SRC, TAR, [], T=4, n_max=2)
+
+    def test_avedit_sweep(self):
+        params = default_av_params()
+        with pytest.raises(InvalidConfigError, match="seed"):
+            run_avedit_sweep(_analytic_av_field(params), params, [], EditConfig(T=4, n_max=2))
 
 
 class TestAblation:
