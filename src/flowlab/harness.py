@@ -32,9 +32,11 @@ from .gaussian import (
     w2_gaussian,
 )
 from .data import AvSynthParams, CoupledAvDataset, synth_av_dataset
-from .metrics import MetricReport, empirical_moments, smoothness, structure_distance, truncation_bias
+from .metrics import (
+    MetricReport, empirical_moments, row_smoothness, row_structure_distance, truncation_bias,
+)
 from .mlp import MlpVelocityField, TrainConfig, TrainReport, mlp_init, train
-from .rng import RNG_ALGORITHM, CounterRng, derive_seed
+from .rng import RNG_ALGORITHM, CounterRng, derive_seed, derive_seeds
 from .samplers import (
     EditConfig, Trajectory, flowedit, generate, omniedit_av, omniedit_sync,
 )
@@ -179,6 +181,7 @@ class EditRun:
 
 
 def _require_seeds(seeds) -> None:
+    """Reject an empty seed list, or the empty run list of one."""
     if len(seeds) == 0:
         raise InvalidConfigError("a sweep needs at least one seed")
 
@@ -196,38 +199,37 @@ def run_edit_sweep(
     Row r takes its source sample from the keyed stream
     ``derive_seed(seeds[r], 1)`` and its sampler noise from
     ``derive_seed(seeds[r], 2)``, so paired sweeps across modes stay
-    matched and row r is the edit a one-seed sweep gives. Its metrics are
-    computed from its own row, and its ``trajectory`` is its row's views of
-    the one record. The residual is measured against the Gaussian
-    optimal-transport map of the pair (the exact per-sample edit for
-    Gaussian endpoints)."""
+    matched and row r is the edit a one-seed sweep gives. Each metric is
+    computed for all rows at once, by kernels that give every row the bits
+    of a one-seed sweep's scalar call: ``row_structure_distance``,
+    ``row_smoothness`` and the residual norm below. Row r's ``trajectory``
+    is its row's views of the one record. The residual is measured against
+    the Gaussian optimal-transport map of the pair (the exact per-sample
+    edit for Gaussian endpoints)."""
     _require_seeds(seeds)
     field, c_src, c_tar = pair_field(src_spec, tar_spec)
     if identity:
         c_tar = c_src
     a_map, b_map = ot_map(src_spec, tar_spec)
-    data_rng = CounterRng([derive_seed(seed, 1) for seed in seeds])
-    x_src = sample_array(src_spec, len(seeds), data_rng)
+    x_src = sample_array(src_spec, len(seeds), CounterRng(derive_seeds(seeds, 1)))
     editor = flowedit if edit_cfg.sequence_mode == "edit" else omniedit_sync
     out, traj = editor(field, x_src, c_src, c_tar, edit_cfg,
-                       rng=CounterRng([derive_seed(seed, 2) for seed in seeds]), record=True)
-    runs = []
-    for r, seed in enumerate(seeds):
-        row = Trajectory(traj.t, *(a[:, r] for a in (traj.x_src, traj.x_main, traj.eps,
-                                                      traj.v_src, traj.v_tar)))
-        # row by row, with the scalar calls of a one-seed sweep
-        ideal = x_src[r] @ a_map.T + b_map if not identity else x_src[r]
-        runs.append(
-            EditRun(
-                seed=seed,
-                output=out[r],
-                structure_distance=structure_distance(x_src[r], out[r]),
-                residual_norm=float(np.linalg.norm(out[r] - ideal)),
-                smoothness_source=smoothness(row) if len(traj.t) >= 3 else 0.0,
-                trajectory=row,
-            )
-        )
-    return runs
+                       rng=CounterRng(derive_seeds(seeds, 2)), record=True)
+    # Stacked products multiply row by row, as one-row calls do; the stacked
+    # vector-vector product is np.linalg.norm's dot product.
+    ideal = x_src if identity else (x_src[:, None] @ a_map.T)[:, 0] + b_map
+    resid = (out - ideal)[:, None]
+    residual = np.sqrt(resid @ resid.swapaxes(1, 2))[:, 0, 0]
+    smooth = row_smoothness(traj.x_src) if len(traj.t) >= 3 else np.zeros(len(seeds))
+    rows = zip(*(a.swapaxes(0, 1) for a in (traj.x_src, traj.x_main, traj.eps, traj.v_src,
+                                            traj.v_tar)))
+    return [
+        EditRun(seed=seed, output=output, structure_distance=distance, residual_norm=norm,
+                smoothness_source=smooth_r, trajectory=Trajectory(traj.t, *row))
+        for seed, output, distance, norm, smooth_r, row in zip(
+            seeds, out, row_structure_distance(x_src, out).tolist(), residual.tolist(),
+            smooth.tolist(), rows)
+    ]
 
 
 def mean_stderr(values: np.ndarray) -> tuple[float, float]:
@@ -278,6 +280,7 @@ def sweep_reports(
     reported without a standard error. A sweep with no more seeds than
     state dimensions (one seed included) has no covariance to fit, so it
     reports no ``fitted_w2``."""
+    _require_seeds(runs)
     echo = _sweep_echo(experiment, cfg, len(runs))
     reports = []
     outputs = np.stack([r.output for r in runs])
@@ -383,6 +386,7 @@ def emit_report(
 
 def write_per_seed_csv(runs: list[EditRun], cfg: EditConfig, out_dir, experiment: str) -> str:
     """Write ``edits.csv``: one row per run, its metrics in PER_SEED_METRICS order."""
+    _require_seeds(runs)
     metrics = PER_SEED_COLUMNS[5:]
     header = [*PER_SEED_COLUMNS[:5], "seed", *(f"out_{j}" for j in range(runs[0].output.size)),
               *metrics]
@@ -426,6 +430,7 @@ def summarize_per_seed_csv(path) -> list[MetricReport]:
 
 def trajectory_plot(runs: list[EditRun], cfg: EditConfig) -> str:
     """Coordinate-0 source and target/edit streams of the first run."""
+    _require_seeds(runs)
     traj = runs[0].trajectory
     return line_plot(
         [
@@ -518,7 +523,7 @@ def run_avedit_sweep(
             raise InvalidConfigError(f"{name}={k} outside 0..{params.num_classes - 1}")
     _require_seeds(seeds)
     n = len(seeds)
-    data_rng = CounterRng([derive_seed(seed, 1) for seed in seeds])
+    data_rng = CounterRng(derive_seeds(seeds, 1))
     v = params.video_means[src_class] + params.video_scale * data_rng.normal_array(
         (n, params.video_dim)
     )
@@ -533,7 +538,7 @@ def run_avedit_sweep(
         Condition.one_hot(src_class, params.num_classes),
         Condition.one_hot(tar_class, params.num_classes),
         edit_cfg,
-        rng=CounterRng([derive_seed(seed, 2) for seed in seeds]),
+        rng=CounterRng(derive_seeds(seeds, 2)),
     )
     dist = np.linalg.norm(out.video - params.video_means[tar_class], axis=-1) / params.video_scale
     return [
@@ -545,6 +550,7 @@ def run_avedit_sweep(
 
 def write_avedit_csv(runs: list[AvEditRun], cfg: EditConfig, out_dir) -> str:
     """Write ``avedits.csv``: one row per run, outputs and ``target_sigmas``."""
+    _require_seeds(runs)
     header = ["T", "n_max", "seed", *(f"video_out_{j}" for j in range(runs[0].video_out.size)),
               *(f"audio_out_{j}" for j in range(runs[0].audio_out.size)), "target_sigmas"]
     return _write_csv(out_dir, "avedits.csv", header, (
@@ -558,6 +564,7 @@ def avedit_reports(runs: list[AvEditRun], cfg: EditConfig) -> list[MetricReport]
     """The share of class swaps that succeeded, i.e. ended within 3
     within-class standard deviations of the target mean (reported without a
     standard error), and the seed mean of ``target_sigmas``."""
+    _require_seeds(runs)
     echo = _sweep_echo("avedit", cfg, len(runs))
     sigmas = np.array([r.target_sigmas for r in runs])
     return [MetricReport("class_swap_success_rate", float(np.mean(sigmas <= 3.0)), config=echo),

@@ -30,15 +30,27 @@ class MetricReport:
             raise NumericalError(f"metric {self.name} has a non-finite stderr")
 
 
+def row_smoothness(stream: np.ndarray) -> np.ndarray:
+    """``smoothness`` of each of the k streams of a stacked source stream of
+    shape (steps, k, *state), such as a keyed sweep's ``Trajectory.x_src``.
+    Row r's squared second differences are summed as one contiguous run in
+    step-major order, as a record of stream r alone sums them, so each value
+    has the bits of that record's ``smoothness``."""
+    if stream.shape[0] < 3:
+        raise InvalidConfigError(f"need >= 3 recorded steps, got {stream.shape[0]}")
+    pts = stream.reshape(*stream.shape[:2], -1)
+    second = pts[2:] - 2.0 * pts[1:-1] + pts[:-2]
+    rows = np.ascontiguousarray(second.swapaxes(0, 1)).reshape(pts.shape[1], -1)
+    return np.add.reduce(rows**2, axis=1) / (second.shape[0] * pts.shape[2])
+
+
 def smoothness(traj: Trajectory) -> float:
     """Mean squared norm of second differences along the recorded source
-    stream, normalized by interior point count and dimension. Zero exactly
-    when the points are collinear in the step index."""
-    pts = traj.x_src.reshape(traj.x_src.shape[0], -1)
-    if pts.shape[0] < 3:
-        raise InvalidConfigError(f"need >= 3 recorded steps, got {pts.shape[0]}")
-    second = pts[2:] - 2.0 * pts[1:-1] + pts[:-2]
-    return float(np.sum(second**2)) / (second.shape[0] * pts.shape[1])
+    stream, normalized by interior point count and dimension: one value for
+    the whole record, however many rows its state has (``row_smoothness``
+    gives one per row). Zero exactly when the points are collinear in the
+    step index."""
+    return float(row_smoothness(traj.x_src[:, None])[0])
 
 
 # Entries one chunk of the truncation-bias scan holds per array: a chunk
@@ -124,11 +136,27 @@ def truncation_bias(
     return x_src.with_array(truncated - reference)
 
 
-def structure_distance(x_src: np.ndarray, x_out: np.ndarray) -> float:
-    """RMS per-coordinate deviation of the edit output from its source."""
+def _rms(d: np.ndarray) -> np.ndarray:
+    """Root mean square over the last axis."""
+    return np.sqrt(np.mean(d**2, axis=-1))
+
+
+def _deviation(x_src: np.ndarray, x_out: np.ndarray) -> np.ndarray:
     if x_src.shape != x_out.shape:
         raise ShapeMismatchError(f"shapes {x_src.shape} and {x_out.shape} differ")
-    return float(np.sqrt(np.mean((x_out - x_src) ** 2)))
+    return x_out - x_src
+
+
+def structure_distance(x_src: np.ndarray, x_out: np.ndarray) -> float:
+    """RMS per-coordinate deviation of the edit output from its source, over
+    every coordinate (``row_structure_distance`` gives one per row)."""
+    return float(_rms(_deviation(x_src, x_out).ravel(order="K")))
+
+
+def row_structure_distance(x_src: np.ndarray, x_out: np.ndarray) -> np.ndarray:
+    """``structure_distance`` of each row (last axis) of the output from the
+    same row of its source, with the bits of a call on that row alone."""
+    return _rms(_deviation(x_src, x_out))
 
 
 def empirical_moments(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -21,7 +21,7 @@ counter-based design of Salmon et al., "Parallel random numbers: as easy
 as 1, 2, 3", SC 2011). Every draw then has a leading axis of length k, and
 row r is bit for bit what a generator on ``seeds[r]`` alone would give for
 the same sequence of calls. This lets a whole seed sweep run as one batched
-sampler call.
+sampler call, on keys that ``derive_seeds`` derives in one array pass.
 
 ``CounterRng.normal_steps(steps, shape)`` makes ``steps`` successive
 ``normal_array(shape)`` draws in one call, stacked on a new leading axis:
@@ -74,6 +74,27 @@ def derive_seed(seed: int, tag: int) -> int:
     return z ^ (z >> 31)
 
 
+def _keys(seeds) -> np.ndarray:
+    """A seed sequence as a new uint64 array, each seed mod 2**64. Seeds
+    that numpy stores as 64-bit (or narrower) integers are cast, which wraps
+    mod 2**64; any other seed is masked as a Python int."""
+    keys = np.asarray(seeds)
+    if keys.dtype.kind in "biu":
+        return keys.astype(np.uint64)
+    return np.array([int(s) & _U64 for s in seeds], dtype=np.uint64)
+
+
+def derive_seeds(seeds, tag: int) -> np.ndarray:
+    """``derive_seed(s, tag)`` for every s of a 1-D seed sequence, as one
+    uint64 array made in one pass: numpy's uint64 arithmetic wraps mod
+    2**64, as the integer form does. ``CounterRng`` takes the array as
+    keyed seeds without converting each key in Python."""
+    z = _keys(seeds)
+    z *= _GOLDEN
+    z += np.uint64(((int(tag) & _U64) * _MIX2_INT + 1) & _U64)
+    return _mix64(z)
+
+
 def box_muller(u: np.ndarray) -> np.ndarray:
     """Normals from uniform pairs along the last axis, cosine branch only:
     ``z[..., j] = sqrt(-2 ln u[..., 2j]) * cos(2 pi u[..., 2j+1])``."""
@@ -99,18 +120,21 @@ def _count(n: int) -> int:
 class CounterRng:
     """Seeded counter-based generator; see module docstring for the stream.
 
-    ``seed`` is one integer, or a 1-D sequence of them for keyed streams.
+    ``seed`` is one integer, or a 1-D sequence of them for keyed streams
+    (an integer array, such as ``derive_seeds`` returns, is cast without a
+    Python loop).
     ``words_consumed`` and ``normal_draws`` count per stream."""
 
     def __init__(self, seed):
-        if np.ndim(seed) == 0:
+        ndim = np.ndim(seed)
+        if ndim == 0:
             self.seed = int(seed) & _U64
             self._key = np.uint64(self.seed)
-        elif np.ndim(seed) == 1:
-            self.seed = tuple(int(s) & _U64 for s in seed)
-            self._key = np.array(self.seed, dtype=np.uint64)[:, None]
+        elif ndim == 1:
+            self._key = _keys(seed)[:, None]
+            self.seed = tuple(self._key[:, 0].tolist())
         else:
-            raise ShapeMismatchError(f"seed must be an integer or 1-D, not {np.ndim(seed)}-D")
+            raise ShapeMismatchError(f"seed must be an integer or 1-D, not {ndim}-D")
         self._index = 0
         self.normal_draws = 0
 

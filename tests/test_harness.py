@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from flowlab.errors import InvalidConfigError, NumericalError
 from flowlab.core import Condition
@@ -27,6 +27,7 @@ from flowlab.harness import (
     sweep_reports,
     train_av_model,
     trajectory_plot,
+    write_avedit_csv,
     write_manifest,
     write_per_seed_csv,
 )
@@ -144,25 +145,42 @@ def _looped_edit_sweep(src_spec, tar_spec, seeds, cfg, identity):
 
 _RECORD = ("t", "x_src", "x_main", "eps", "v_src", "v_tar")
 
+_DIAGONAL_1D = (GaussianSpec(mean=np.array([0.5]), cov=np.array([1.5])),
+                GaussianSpec(mean=np.array([2.0]), cov=np.array([0.25])))
+_DIAGONAL_2D = (GaussianSpec(mean=np.array([0.0, -1.0]), cov=np.array([1.0, 0.5])),
+                GaussianSpec(mean=np.array([2.0, 1.0]), cov=np.array([0.25, 2.0])))
+
 
 class TestBatchedEditSweep:
-    """run_edit_sweep makes one keyed editor call per cell; row r must be
-    the one-seed sweep of seeds[r]: bit for bit on a diagonal pair, and
-    within 1e-12 relative on a full pair, whose batched products sum in
-    another order than per-row ones."""
+    """run_edit_sweep makes one keyed editor call per cell and computes each
+    metric for all rows at once; row r must be the one-seed sweep of
+    seeds[r]: bit for bit on a diagonal pair, and within 1e-12 relative on a
+    full pair, whose batched products sum in another order than per-row
+    ones."""
 
     @settings(max_examples=80, deadline=None)
     @given(pair=spec_pairs(), cell=st.sampled_from(ABLATION_CELLS), T=st.integers(2, 8),
-           cfg_scale=st.one_of(st.just(1.0), st.floats(0.0, 3.0)), tall=st.booleans(),
-           identity=st.booleans(), data=st.data())
-    def test_rows_equal_the_per_seed_loop(self, pair, cell, T, cfg_scale, tall, identity, data):
+           n_max=st.integers(1, 8), cfg_scale=st.one_of(st.just(1.0), st.floats(0.0, 3.0)),
+           identity=st.booleans(),
+           # more seeds than dim make a tall state, which takes the column path
+           seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=9))
+    # n_max 1 and 2 record too few steps for smoothness, which reads 0
+    @example(pair=_DIAGONAL_2D, cell=("edit", "random"), T=4, n_max=1, cfg_scale=1.0,
+             identity=False, seeds=[3, 7, 11])
+    @example(pair=_DIAGONAL_1D, cell=("target", "random"), T=5, n_max=2, cfg_scale=1.5,
+             identity=False, seeds=[0, 1])
+    @example(pair=_DIAGONAL_2D, cell=("target", "estimated"), T=6, n_max=3, cfg_scale=1.0,
+             identity=False, seeds=[5, 6, 7, 8])
+    @example(pair=_DIAGONAL_2D, cell=("edit", "estimated"), T=8, n_max=6, cfg_scale=1.0,
+             identity=True, seeds=[2**64 - 1])
+    # 78 second differences of 2 entries a row: past numpy's 128-entry pairwise-sum block
+    @example(pair=_DIAGONAL_2D, cell=("edit", "random"), T=80, n_max=80, cfg_scale=1.0,
+             identity=False, seeds=[9, 10, 11, 12, 13])
+    def test_rows_equal_the_per_seed_loop(self, pair, cell, T, n_max, cfg_scale, identity, seeds):
         src_spec, tar_spec = pair
-        dim = src_spec.dim
-        # a tall state has more rows than dim and takes the column path
-        count = data.draw(st.integers(dim + 1, dim + 6) if tall else st.integers(1, dim))
-        seeds = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=count, max_size=count))
-        cfg = EditConfig(T=T, n_max=data.draw(st.integers(1, T)), sequence_mode=cell[0],
-                         noise_mode=cell[1], cfg_scale=cfg_scale)
+        dim, count = src_spec.dim, len(seeds)
+        cfg = EditConfig(T=T, n_max=min(n_max, T), sequence_mode=cell[0], noise_mode=cell[1],
+                         cfg_scale=cfg_scale)
         runs = run_edit_sweep(src_spec, tar_spec, seeds, cfg, identity=identity)
         looped = _looped_edit_sweep(src_spec, tar_spec, seeds, cfg, identity)
         assert [r.seed for r in runs] == seeds
@@ -193,6 +211,27 @@ class TestBatchedEditSweep:
             for name in _RECORD:
                 same(getattr(run.trajectory, name), getattr(traj, name))
 
+    def test_scalar_helpers_are_not_called_per_row(self, monkeypatch):
+        # the sweep derives its keys and row metrics for all rows at once; a
+        # spy set under each name also catches a later import of it
+        calls = dict.fromkeys(("derive_seed", "structure_distance", "smoothness"), 0)
+
+        def spy(name, real):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return counted
+
+        for name, real in (("derive_seed", derive_seed), ("structure_distance", structure_distance),
+                           ("smoothness", smoothness)):
+            monkeypatch.setattr(harness, name, spy(name, real), raising=False)
+        seeds = list(range(50))
+        for cell in ABLATION_CELLS:
+            runs = run_edit_sweep(SRC, TAR, seeds, EditConfig(T=10, n_max=7, sequence_mode=cell[0],
+                                                              noise_mode=cell[1]))
+            assert len(runs) == len(seeds)
+        assert all(count < len(seeds) for count in calls.values()), calls
+
 
 class TestEmptySeedList:
     """An empty seed list is a configuration error, raised before any
@@ -217,6 +256,34 @@ class TestEmptySeedList:
         params = default_av_params()
         with pytest.raises(InvalidConfigError, match="seed"):
             run_avedit_sweep(_analytic_av_field(params), params, [], EditConfig(T=4, n_max=2))
+
+
+class TestEmptyRunList:
+    """An empty run list is a configuration error, raised before any work."""
+
+    CFG = EditConfig(T=4, n_max=2)
+
+    def test_per_seed_csv(self, tmp_path):
+        with pytest.raises(InvalidConfigError, match="seed"):
+            write_per_seed_csv([], self.CFG, tmp_path / "out", "edit")
+        assert not (tmp_path / "out").exists()
+
+    def test_avedit_csv(self, tmp_path):
+        with pytest.raises(InvalidConfigError, match="seed"):
+            write_avedit_csv([], self.CFG, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_trajectory_plot(self):
+        with pytest.raises(InvalidConfigError, match="seed"):
+            trajectory_plot([], self.CFG)
+
+    def test_sweep_reports(self):
+        with pytest.raises(InvalidConfigError, match="seed"):
+            sweep_reports([], TAR, self.CFG, "edit")
+
+    def test_avedit_reports(self):
+        with pytest.raises(InvalidConfigError, match="seed"):
+            avedit_reports([], self.CFG)
 
 
 class TestAblation:

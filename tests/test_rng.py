@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowlab.errors import InvalidConfigError, ShapeMismatchError
-from flowlab.rng import _NORMAL_BLOCK, RNG_ALGORITHM, CounterRng, derive_seed
+from flowlab.rng import _NORMAL_BLOCK, RNG_ALGORITHM, CounterRng, derive_seed, derive_seeds
 
 
 def test_same_seed_bit_identical():
@@ -294,6 +294,39 @@ def test_derive_seed_known_answers(args, value):
 @given(seed=st.integers(-2**70, 2**70), tag=st.integers(-2**70, 2**70))
 def test_derive_seed_matches_the_integer_reference(seed, tag):
     assert derive_seed(seed, tag) == _reference_derive_seed(seed, tag)
+
+
+# Seed lists that numpy stores as int64, as uint64, or only as Python objects.
+_seed_lists = st.one_of(*(st.lists(st.integers(lo, hi), min_size=1, max_size=8) for lo, hi in (
+    (-2**63, 2**63 - 1), (0, 2**64 - 1), (-2**70, 2**70))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seeds=_seed_lists, tag=st.integers(-2**70, 2**70), size=st.integers(0, 5))
+def test_keyed_derivation_equals_the_scalar_one(seeds, tag, size):
+    keys = derive_seeds(seeds, tag)
+    assert keys.dtype == np.uint64
+    assert keys.tolist() == [derive_seed(s, tag) for s in seeds]
+    from_array, from_list = CounterRng(keys), CounterRng([derive_seed(s, tag) for s in seeds])
+    assert from_array.seed == from_list.seed
+    assert all(type(s) is int for s in from_array.seed)
+    assert np.array_equal(from_array.uniform(size), from_list.uniform(size))
+    shape = (len(seeds), size, 2)
+    assert np.array_equal(from_array.normal_array(shape), from_list.normal_array(shape))
+    assert from_array.words_consumed == from_list.words_consumed
+    assert from_array.normal_draws == from_list.normal_draws
+    with pytest.raises(ShapeMismatchError):
+        CounterRng(keys[None])
+
+
+def test_keyed_derivation_leaves_its_input_alone():
+    seeds = np.array([3, 2**64 - 1], dtype=np.uint64)
+    keys = derive_seeds(seeds, 1)
+    assert seeds.tolist() == [3, 2**64 - 1]
+    rng = CounterRng(keys)
+    keys[:] = 0  # the generator holds its own copy
+    assert rng.seed == (derive_seed(3, 1), derive_seed(2**64 - 1, 1))
+    assert np.array_equal(rng.uniform(2), CounterRng(derive_seeds(seeds, 1)).uniform(2))
 
 
 def test_blocked_normals_match_the_reference_across_block_boundaries():
