@@ -60,20 +60,6 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def derive_seed(seed: int, tag: int) -> int:
-    """Derive an independent stream seed from (seed, tag).
-
-    Used wherever one experiment seed must feed several non-overlapping
-    streams (data draws vs. sampler noise, per-seed sweep entries). The
-    SplitMix64 finalizer of ``seed * golden + tag * mix2 + 1``, all mod
-    2**64, in Python integers.
-    """
-    z = ((int(seed) & _U64) * _GOLDEN_INT + (int(tag) & _U64) * _MIX2_INT + 1) & _U64
-    z = ((z ^ (z >> 30)) * _MIX1_INT) & _U64
-    z = ((z ^ (z >> 27)) * _MIX2_INT) & _U64
-    return z ^ (z >> 31)
-
-
 def _keys(seeds) -> np.ndarray:
     """A seed sequence as a new uint64 array, each seed mod 2**64. Seeds
     that numpy stores as 64-bit (or narrower) integers are cast, which wraps
@@ -87,12 +73,23 @@ def _keys(seeds) -> np.ndarray:
 def derive_seeds(seeds, tag: int) -> np.ndarray:
     """``derive_seed(s, tag)`` for every s of a 1-D seed sequence, as one
     uint64 array made in one pass: numpy's uint64 arithmetic wraps mod
-    2**64, as the integer form does. ``CounterRng`` takes the array as
+    2**64, as SplitMix64 is defined. ``CounterRng`` takes the array as
     keyed seeds without converting each key in Python."""
     z = _keys(seeds)
     z *= _GOLDEN
     z += np.uint64(((int(tag) & _U64) * _MIX2_INT + 1) & _U64)
     return _mix64(z)
+
+
+def derive_seed(seed: int, tag: int) -> int:
+    """Derive an independent stream seed from (seed, tag).
+
+    Used wherever one experiment seed must feed several non-overlapping
+    streams (data draws vs. sampler noise, per-seed sweep entries). The
+    SplitMix64 finalizer of ``seed * golden + tag * mix2 + 1``, all mod
+    2**64: ``derive_seeds`` on the one seed, as a Python int.
+    """
+    return int(derive_seeds([seed], tag)[0])
 
 
 def box_muller(u: np.ndarray) -> np.ndarray:

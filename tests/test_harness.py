@@ -126,8 +126,9 @@ def spec_pairs(draw):
 
 def _looped_edit_sweep(src_spec, tar_spec, seeds, cfg, identity):
     """The per-seed loop the batched sweep replaced: one editor call per
-    seed, on scalar generators. Rows of (output, structure_distance,
-    residual_norm, smoothness_source, trajectory)."""
+    seed, on scalar generators, with each metric written out in its scalar
+    arithmetic rather than through the batched kernels. Rows of (output,
+    structure_distance, residual_norm, smoothness_source, trajectory)."""
     field, c_src, c_tar = harness.pair_field(src_spec, tar_spec)
     c_tar = c_src if identity else c_tar
     a_map, b_map = ot_map(src_spec, tar_spec)
@@ -138,9 +139,19 @@ def _looped_edit_sweep(src_spec, tar_spec, seeds, cfg, identity):
         out, traj = editor(field, x_src, c_src, c_tar, cfg, rng=CounterRng(derive_seed(seed, 2)),
                            record=True)
         ideal = x_src if identity else x_src @ a_map.T + b_map
-        rows.append((out, structure_distance(x_src, out), float(np.linalg.norm(out - ideal)),
-                     smoothness(traj) if len(traj.t) >= 3 else 0.0, traj))
+        rows.append((out, float(np.sqrt(np.mean((out - x_src) ** 2))),
+                     float(np.linalg.norm(out - ideal)), _looped_smoothness(traj), traj))
     return rows
+
+
+def _looped_smoothness(traj):
+    """The scalar smoothness arithmetic the batched kernel must match: one
+    sum over the whole record's second differences; 0 under 3 steps."""
+    pts = traj.x_src.reshape(len(traj.t), -1)
+    if pts.shape[0] < 3:
+        return 0.0
+    second = pts[2:] - 2.0 * pts[1:-1] + pts[:-2]
+    return float(np.sum(second**2)) / (second.shape[0] * pts.shape[1])
 
 
 _RECORD = ("t", "x_src", "x_main", "eps", "v_src", "v_tar")

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flowlab.core import TensorState
 from flowlab.errors import InvalidConfigError, NumericalError, ShapeMismatchError
@@ -58,6 +59,20 @@ class TestSmoothness:
     def test_needs_three_steps(self):
         with pytest.raises(InvalidConfigError):
             smoothness(traj_from_points(np.zeros((2, 1))))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), steps=st.integers(3, 90),
+           state=st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    def test_bits_of_the_whole_record_sum(self, seed, steps, state):
+        # one pairwise sum over the record's second differences, which pass
+        # numpy's 128-entry block once steps * prod(state) is large enough
+        x = CounterRng(seed).normal_array((steps, *state))
+        pts = x.reshape(steps, -1)
+        second = pts[2:] - 2.0 * pts[1:-1] + pts[:-2]
+        want = float(np.sum(second**2)) / (second.shape[0] * pts.shape[1])
+        got = smoothness(Trajectory(t=np.linspace(1.0, 0.0, steps), x_src=x, x_main=x,
+                                    eps=None, v_src=None, v_tar=None))
+        assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
 
 
 class TestTruncationBias:
@@ -174,6 +189,18 @@ class TestStructureDistance:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             structure_distance(np.array([0.0]), np.array([0.0, 1.0]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1),
+           shape=st.lists(st.integers(1, 40), min_size=1, max_size=3), transpose=st.booleans())
+    def test_bits_of_the_whole_array_mean(self, seed, shape, transpose):
+        rng = CounterRng(seed)
+        x_src, x_out = rng.normal_array(tuple(shape)), 3.0 * rng.normal_array(tuple(shape))
+        if transpose:  # non-contiguous views
+            x_src, x_out = x_src.T, x_out.T
+        want = float(np.sqrt(np.mean((x_out - x_src) ** 2)))
+        got = structure_distance(x_src, x_out)
+        assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
 
 
 class TestEmpiricalMoments:
