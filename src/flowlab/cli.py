@@ -144,6 +144,11 @@ def _resolve_options(args: argparse.Namespace) -> dict:
             options[key] = tuple(flag_value) if isinstance(flag_value, list) else flag_value
     if options.get("seeds", 1) < 1:
         raise InvalidConfigError("seed list must be non-empty")
+    # Every integer option but the RNG seed is a count or an index, and none
+    # past sys.maxsize fits a Python sequence or a numpy axis.
+    for key, value in options.items():
+        if key != "seed" and type(value) is int and value > sys.maxsize:
+            raise InvalidConfigError(f"{key} = {value} is larger than {sys.maxsize}")
     return options
 
 
@@ -174,10 +179,10 @@ def _edit_config(options: dict, sequence_mode: str, noise_mode: str) -> EditConf
 def _cmd_edit(options: dict, out_dir: Path) -> tuple[list[str], int]:
     src, tar = (_parse_spec(text, options["dim"]) for text in options["analytic"])
     cfg = _edit_config(options, options["mode"], options["noise"])
-    runs = run_edit_sweep(src, tar, list(range(options["seeds"])), cfg)
-    files = [write_per_seed_csv(runs, cfg, out_dir, "edit")]
-    plots = [("trajectories.svg", trajectory_plot(runs, cfg))] if options["plot"] else None
-    files += emit_report(sweep_reports(runs, tar, cfg, "edit"), out_dir, options["plot"], plots)
+    sweep = run_edit_sweep(src, tar, list(range(options["seeds"])), cfg)
+    files = [write_per_seed_csv(sweep, cfg, out_dir, "edit")]
+    plots = [("trajectories.svg", trajectory_plot(sweep, cfg))] if options["plot"] else None
+    files += emit_report(sweep_reports(sweep, tar, cfg, "edit"), out_dir, options["plot"], plots)
     return files, 0
 
 
@@ -228,10 +233,10 @@ def _cmd_avedit(options: dict, out_dir: Path) -> tuple[list[str], int]:
     params = default_av_params()
     field = MlpVelocityField(load_model(options["model"]))
     cfg = _edit_config(options, "target", "estimated")
-    runs = run_avedit_sweep(field, params, list(range(options["seeds"])), cfg,
-                            src_class=options["src_class"], tar_class=options["tar_class"])
-    files = [write_avedit_csv(runs, cfg, out_dir)]
-    return files + emit_report(avedit_reports(runs, cfg), out_dir, False, None), 0
+    sweep = run_avedit_sweep(field, params, list(range(options["seeds"])), cfg,
+                             src_class=options["src_class"], tar_class=options["tar_class"])
+    files = [write_avedit_csv(sweep, cfg, out_dir)]
+    return files + emit_report(avedit_reports(sweep, cfg), out_dir, False, None), 0
 
 
 def _cmd_oracle_check(options: dict, out_dir: Path) -> tuple[list[str], int]:

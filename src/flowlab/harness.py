@@ -4,14 +4,17 @@ CSV/SVG emission and run manifests.
 Determinism contract: identical resolved configuration produces
 byte-identical CSV and SVG outputs, whatever the BLAS thread count;
 wall-clock timestamps live only in the manifest. A seed sweep runs every
-seed in one editor call on keyed streams, and row r derives its own
-data/sampler streams from ``seeds[r]``.
+seed in one editor call on keyed streams, row r derives its own
+data/sampler streams from ``seeds[r]``, and the sweep's result holds one
+array per per-seed CSV column.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import io
+import itertools
 import json
 import time
 from dataclasses import dataclass
@@ -50,8 +53,8 @@ SUMMARY_COLUMNS = (
 _ECHO_COLUMNS = SUMMARY_COLUMNS[:6]
 
 # Each per-seed metric of an edit sweep: (summary.csv metric, the edits.csv
-# column and EditRun field it averages), in edits.csv column order. Reports
-# list them in metric-name order.
+# column and EditSweep column it averages), in edits.csv column order.
+# Reports list them in metric-name order.
 PER_SEED_METRICS = (
     ("structure_distance", "structure_distance"),
     ("bias_norm", "residual_norm"),
@@ -90,19 +93,22 @@ def format_num(x: float) -> str:
     return format(float(x), _NUM_FORMAT)
 
 
+def _write_rows(fh, row: str, cells: np.ndarray) -> None:
+    """Write the rows of a 2-D array through the one-row %-template ``row``,
+    _CSV_BLOCK_ROWS rows at a time: each block is one repeated template, so
+    neither a string per row nor a list of all rows is ever built."""
+    for start in range(0, len(cells), _CSV_BLOCK_ROWS):
+        block = cells[start : start + _CSV_BLOCK_ROWS]
+        fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+
+
 def write_samples_csv(samples: np.ndarray, out_dir) -> str:
     """Write the rows of an (n, dim) array to ``samples.csv``, each number
-    as format_num writes it.
-
-    ``"%" + _NUM_FORMAT`` formats a float exactly as format_num does. Each
-    block of rows is one repeated row template, so neither a string per row
-    nor a list of all rows is ever built."""
-    row = ",".join(["%" + _NUM_FORMAT] * samples.shape[1]) + "\n"
+    as format_num writes it (``"%" + _NUM_FORMAT`` formats a float exactly
+    as format_num does)."""
     with open(Path(out_dir) / "samples.csv", "w") as f:
         f.write(",".join(f"x_{j}" for j in range(samples.shape[1])) + "\n")
-        for start in range(0, samples.shape[0], _CSV_BLOCK_ROWS):
-            block = samples[start : start + _CSV_BLOCK_ROWS]
-            f.write((row * len(block)) % tuple(block.ravel().tolist()))
+        _write_rows(f, ",".join(["%" + _NUM_FORMAT] * samples.shape[1]) + "\n", samples)
     return "samples.csv"
 
 
@@ -115,6 +121,27 @@ def _write_csv(out_dir, name: str, header, rows) -> str:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+    return name
+
+
+def _write_sweep_csv(out_dir, name: str, header, fixed, seeds, columns) -> str:
+    """Write a sweep's per-seed file, column by column: ``header``, then
+    row r as the fields ``fixed``, ``seeds[r]`` and row r of each array in
+    ``columns``, with the bytes _write_csv gives those rows when each
+    number is format_num'd. Returns ``name``.
+
+    ``fixed`` is encoded once by csv.writer, quoting included, with its
+    ``%`` signs escaped for the row template."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    line = io.StringIO()
+    csv.writer(line, lineterminator="\n").writerow(fixed)
+    cells = np.column_stack((np.array(seeds, dtype=object), *columns))
+    row = (line.getvalue()[:-1].replace("%", "%%") + ",%d"
+           + ("," + "%" + _NUM_FORMAT) * (cells.shape[1] - 1) + "\n")
+    with open(out_dir / name, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        _write_rows(fh, row, cells)
     return name
 
 
@@ -168,20 +195,26 @@ def pair_field(
     return field, c_src, c_tar
 
 
-@dataclass
-class EditRun:
-    """One seed of an edit sweep; metric fields are named by edits.csv column."""
+@dataclass(frozen=True)
+class EditSweep:
+    """An edit sweep as columns: row r of each array is the edit of
+    ``seeds[r]``. ``output`` is (n, dim) and C-contiguous; the metric
+    columns, each (n,), are named by edits.csv column; ``trajectory`` is
+    the editor's one stacked record, with row r at ``[:, r]``."""
 
-    seed: int
+    seeds: tuple
     output: np.ndarray
-    structure_distance: float
-    residual_norm: float
-    smoothness_source: float
+    structure_distance: np.ndarray
+    residual_norm: np.ndarray
+    smoothness_source: np.ndarray
     trajectory: Trajectory
+
+    def __len__(self) -> int:
+        return len(self.seeds)
 
 
 def _require_seeds(seeds) -> None:
-    """Reject an empty seed list, or the empty run list of one."""
+    """Reject an empty seed list, or the empty sweep of one."""
     if len(seeds) == 0:
         raise InvalidConfigError("a sweep needs at least one seed")
 
@@ -192,20 +225,19 @@ def run_edit_sweep(
     seeds: list[int],
     edit_cfg: EditConfig,
     identity: bool = False,
-) -> list[EditRun]:
+) -> EditSweep:
     """Run one editing configuration over a seed list on the analytic pair,
     every seed in one editor call, as ``run_avedit_sweep`` does.
 
     Row r takes its source sample from the keyed stream
     ``derive_seed(seeds[r], 1)`` and its sampler noise from
     ``derive_seed(seeds[r], 2)``, so paired sweeps across modes stay
-    matched and row r is the edit a one-seed sweep gives. Each metric is
-    computed for all rows at once, by kernels that give every row the bits
-    of a one-seed sweep's scalar call: ``row_structure_distance``,
-    ``row_smoothness`` and the residual norm below. Row r's ``trajectory``
-    is its row's views of the one record. The residual is measured against
-    the Gaussian optimal-transport map of the pair (the exact per-sample
-    edit for Gaussian endpoints)."""
+    matched and row r is the edit a one-seed sweep gives. Each metric
+    column is computed for all rows at once, by kernels that give every
+    row the bits of a one-seed sweep's scalar call: ``row_structure_distance``,
+    ``row_smoothness`` and the residual norm below. The residual is
+    measured against the Gaussian optimal-transport map of the pair (the
+    exact per-sample edit for Gaussian endpoints)."""
     _require_seeds(seeds)
     field, c_src, c_tar = pair_field(src_spec, tar_spec)
     if identity:
@@ -219,17 +251,14 @@ def run_edit_sweep(
     # vector-vector product is np.linalg.norm's dot product.
     ideal = x_src if identity else (x_src[:, None] @ a_map.T)[:, 0] + b_map
     resid = (out - ideal)[:, None]
-    residual = np.sqrt(resid @ resid.swapaxes(1, 2))[:, 0, 0]
-    smooth = row_smoothness(traj.x_src) if len(traj.t) >= 3 else np.zeros(len(seeds))
-    rows = zip(*(a.swapaxes(0, 1) for a in (traj.x_src, traj.x_main, traj.eps, traj.v_src,
-                                            traj.v_tar)))
-    return [
-        EditRun(seed=seed, output=output, structure_distance=distance, residual_norm=norm,
-                smoothness_source=smooth_r, trajectory=Trajectory(traj.t, *row))
-        for seed, output, distance, norm, smooth_r, row in zip(
-            seeds, out, row_structure_distance(x_src, out).tolist(), residual.tolist(),
-            smooth.tolist(), rows)
-    ]
+    return EditSweep(
+        seeds=tuple(seeds),
+        output=np.ascontiguousarray(out),
+        structure_distance=row_structure_distance(x_src, out),
+        residual_norm=np.sqrt(resid @ resid.swapaxes(1, 2))[:, 0, 0],
+        smoothness_source=row_smoothness(traj.x_src) if len(traj.t) >= 3 else np.zeros(len(seeds)),
+        trajectory=traj,
+    )
 
 
 def mean_stderr(values: np.ndarray) -> tuple[float, float]:
@@ -271,7 +300,7 @@ def _seed_reports(echo: dict, metrics) -> list[MetricReport]:
 
 
 def sweep_reports(
-    runs: list[EditRun], tar_spec: GaussianSpec, cfg: EditConfig, experiment: str
+    sweep: EditSweep, tar_spec: GaussianSpec, cfg: EditConfig, experiment: str
 ) -> list[MetricReport]:
     """Aggregate a sweep into the four benchmark metrics.
 
@@ -280,15 +309,15 @@ def sweep_reports(
     reported without a standard error. A sweep with no more seeds than
     state dimensions (one seed included) has no covariance to fit, so it
     reports no ``fitted_w2``."""
-    _require_seeds(runs)
-    echo = _sweep_echo(experiment, cfg, len(runs))
+    _require_seeds(sweep)
+    echo = _sweep_echo(experiment, cfg, len(sweep))
     reports = []
-    outputs = np.stack([r.output for r in runs])
+    outputs = sweep.output
     if outputs.shape[0] > outputs.shape[1]:
         w2 = _fitted_w2(*empirical_moments(outputs), outputs.shape[0], tar_spec)
         reports.append(MetricReport("fitted_w2", w2, config=echo))
     return reports + _seed_reports(echo, [
-        (metric, [getattr(r, column) for r in runs]) for metric, column in sorted(PER_SEED_METRICS)
+        (metric, getattr(sweep, column)) for metric, column in sorted(PER_SEED_METRICS)
     ])
 
 
@@ -306,8 +335,8 @@ def run_ablation(
         cfg = EditConfig(
             T=T, n_max=n_max, sequence_mode=seq_mode, noise_mode=noise_mode, cfg_scale=cfg_scale
         )
-        runs = run_edit_sweep(src_spec, tar_spec, seeds, cfg)
-        reports.extend(sweep_reports(runs, tar_spec, cfg, "ablation"))
+        sweep = run_edit_sweep(src_spec, tar_spec, seeds, cfg)
+        reports.extend(sweep_reports(sweep, tar_spec, cfg, "ablation"))
     return reports
 
 
@@ -384,60 +413,69 @@ def emit_report(
     return files
 
 
-def write_per_seed_csv(runs: list[EditRun], cfg: EditConfig, out_dir, experiment: str) -> str:
-    """Write ``edits.csv``: one row per run, its metrics in PER_SEED_METRICS order."""
-    _require_seeds(runs)
+def write_per_seed_csv(sweep: EditSweep, cfg: EditConfig, out_dir, experiment: str) -> str:
+    """Write ``edits.csv``: one row per seed, its metrics in PER_SEED_METRICS order."""
+    _require_seeds(sweep)
     metrics = PER_SEED_COLUMNS[5:]
-    header = [*PER_SEED_COLUMNS[:5], "seed", *(f"out_{j}" for j in range(runs[0].output.size)),
+    header = [*PER_SEED_COLUMNS[:5], "seed", *(f"out_{j}" for j in range(sweep.output.shape[1])),
               *metrics]
-    return _write_csv(out_dir, "edits.csv", header, (
-        [experiment, cfg.sequence_mode, cfg.noise_mode, cfg.T, cfg.n_max, r.seed,
-         *map(format_num, r.output), *(format_num(getattr(r, column)) for column in metrics)]
-        for r in runs
-    ))
+    return _write_sweep_csv(
+        out_dir, "edits.csv", header,
+        [experiment, cfg.sequence_mode, cfg.noise_mode, cfg.T, cfg.n_max], sweep.seeds,
+        [sweep.output, *(getattr(sweep, column) for column in metrics)],
+    )
 
 
 def summarize_per_seed_csv(path) -> list[MetricReport]:
-    """Rebuild summary metrics from a previously written edits.csv."""
+    """Rebuild summary metrics from a previously written edits.csv.
+
+    Read as csv.DictReader reads it: blank lines are skipped, a short row
+    reads ``""`` in its missing columns, and of two columns with one name
+    the last is read."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh, restval="")
-            rows = list(reader)
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            rows = [row for row in reader if row]
     except (UnicodeDecodeError, csv.Error) as exc:
         raise InvalidConfigError(f"{path} is not a UTF-8 CSV file: {exc}") from None
-    missing = [c for c in PER_SEED_COLUMNS if c not in (reader.fieldnames or ())]
+    index = {name: j for j, name in enumerate(header)}
+    missing = [c for c in PER_SEED_COLUMNS if c not in index]
     if missing:
         raise InvalidConfigError(f"{path} is not an edits.csv: no column {', '.join(missing)}")
     if not rows:
         raise InvalidConfigError(f"no rows in {path}")
-    groups: dict[tuple, list[dict]] = {}
-    for row in rows:
-        groups.setdefault(tuple(row[c] for c in PER_SEED_COLUMNS[:5]), []).append(row)
+    columns = list(itertools.zip_longest(*rows, fillvalue=""))
+    columns += [("",) * len(rows)] * (len(header) - len(columns))
+    groups: dict[tuple, list[int]] = {}
+    for r, key in enumerate(zip(*(columns[index[c]] for c in PER_SEED_COLUMNS[:5]))):
+        groups.setdefault(key, []).append(r)
     reports = []
-    for key, grp in sorted(groups.items()):
+    for key, members in sorted(groups.items()):
         metrics = []
         for metric, column in sorted(PER_SEED_METRICS):
+            cells = columns[index[column]]
             try:
-                values = np.array([float(r[column]) for r in grp])
+                values = np.array([float(cells[r]) for r in members])
             except ValueError:
                 raise InvalidConfigError(f"{path}: non-numeric {column} value") from None
             if not np.isfinite(values).all():
                 raise InvalidConfigError(f"{path}: non-finite {column} value")
             metrics.append((metric, values))
-        reports += _seed_reports(dict(zip(_ECHO_COLUMNS, (*key, len(grp)))), metrics)
+        reports += _seed_reports(dict(zip(_ECHO_COLUMNS, (*key, len(members)))), metrics)
     return reports
 
 
-def trajectory_plot(runs: list[EditRun], cfg: EditConfig) -> str:
-    """Coordinate-0 source and target/edit streams of the first run."""
-    _require_seeds(runs)
-    traj = runs[0].trajectory
+def trajectory_plot(sweep: EditSweep, cfg: EditConfig) -> str:
+    """Coordinate-0 source and target/edit streams of the sweep's first seed."""
+    _require_seeds(sweep)
+    traj = sweep.trajectory
     return line_plot(
         [
-            ("source stream", traj.t, traj.x_src[:, 0]),
-            ("target stream", traj.t, traj.x_main[:, 0]),
+            ("source stream", traj.t, traj.x_src[:, 0, 0]),
+            ("target stream", traj.t, traj.x_main[:, 0, 0]),
             ],
-        title=f"edit trajectories (seed {runs[0].seed}, {cfg.sequence_mode}/{cfg.noise_mode})",
+        title=f"edit trajectories (seed {sweep.seeds[0]}, {cfg.sequence_mode}/{cfg.noise_mode})",
         xlabel="t",
         ylabel="coordinate 0",
     )
@@ -493,12 +531,19 @@ def train_av_model(
     return MlpVelocityField(model), report, dataset
 
 
-@dataclass
-class AvEditRun:
-    seed: int
+@dataclass(frozen=True)
+class AvEditSweep:
+    """An AV edit sweep as columns: row r of each array is the edit of
+    ``seeds[r]``; ``video_out`` is (n, video_dim), ``audio_out`` (n,
+    audio_dim) and ``target_sigmas`` (n,)."""
+
+    seeds: tuple
     video_out: np.ndarray
     audio_out: np.ndarray
-    target_sigmas: float
+    target_sigmas: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.seeds)
 
 
 def run_avedit_sweep(
@@ -508,13 +553,13 @@ def run_avedit_sweep(
     edit_cfg: EditConfig,
     src_class: int = 0,
     tar_class: int = 1,
-) -> list[AvEditRun]:
+) -> AvEditSweep:
     """Class-swap edits on synthesized sources, every seed in one editor call.
 
     Row r takes its video and audio source from the keyed stream
     ``derive_seed(seeds[r], 1)`` and its sampler noise from
     ``derive_seed(seeds[r], 2)``, so it is the edit a one-seed sweep gives.
-    ``target_sigmas`` is the video output's distance to the target-class
+    ``target_sigmas`` is each video output's distance to the target-class
     mean in units of the within-class standard deviation. ``field`` is a
     velocity field on the joint state concat(video, audio) of ``params``.
     """
@@ -541,32 +586,27 @@ def run_avedit_sweep(
         rng=CounterRng(derive_seeds(seeds, 2)),
     )
     dist = np.linalg.norm(out.video - params.video_means[tar_class], axis=-1) / params.video_scale
-    return [
-        AvEditRun(seed=seed, video_out=out.video[r], audio_out=out.audio[r],
-                  target_sigmas=float(dist[r]))
-        for r, seed in enumerate(seeds)
-    ]
+    return AvEditSweep(seeds=tuple(seeds), video_out=out.video, audio_out=out.audio,
+                       target_sigmas=dist)
 
 
-def write_avedit_csv(runs: list[AvEditRun], cfg: EditConfig, out_dir) -> str:
-    """Write ``avedits.csv``: one row per run, outputs and ``target_sigmas``."""
-    _require_seeds(runs)
-    header = ["T", "n_max", "seed", *(f"video_out_{j}" for j in range(runs[0].video_out.size)),
-              *(f"audio_out_{j}" for j in range(runs[0].audio_out.size)), "target_sigmas"]
-    return _write_csv(out_dir, "avedits.csv", header, (
-        [cfg.T, cfg.n_max, r.seed, *map(format_num, r.video_out), *map(format_num, r.audio_out),
-         format_num(r.target_sigmas)]
-        for r in runs
-    ))
+def write_avedit_csv(sweep: AvEditSweep, cfg: EditConfig, out_dir) -> str:
+    """Write ``avedits.csv``: one row per seed, outputs and ``target_sigmas``."""
+    _require_seeds(sweep)
+    header = ["T", "n_max", "seed",
+              *(f"video_out_{j}" for j in range(sweep.video_out.shape[1])),
+              *(f"audio_out_{j}" for j in range(sweep.audio_out.shape[1])), "target_sigmas"]
+    return _write_sweep_csv(out_dir, "avedits.csv", header, [cfg.T, cfg.n_max], sweep.seeds,
+                            [sweep.video_out, sweep.audio_out, sweep.target_sigmas])
 
 
-def avedit_reports(runs: list[AvEditRun], cfg: EditConfig) -> list[MetricReport]:
+def avedit_reports(sweep: AvEditSweep, cfg: EditConfig) -> list[MetricReport]:
     """The share of class swaps that succeeded, i.e. ended within 3
     within-class standard deviations of the target mean (reported without a
     standard error), and the seed mean of ``target_sigmas``."""
-    _require_seeds(runs)
-    echo = _sweep_echo("avedit", cfg, len(runs))
-    sigmas = np.array([r.target_sigmas for r in runs])
+    _require_seeds(sweep)
+    echo = _sweep_echo("avedit", cfg, len(sweep))
+    sigmas = sweep.target_sigmas
     return [MetricReport("class_swap_success_rate", float(np.mean(sigmas <= 3.0)), config=echo),
             *_seed_reports(echo, [("target_sigmas", sigmas)])]
 

@@ -103,6 +103,29 @@ class TestArgumentHandling:
         assert "class" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["edit", "--seeds"], ["ablation", "--seeds"], ["edit", "--T"], ["ablation", "--T"],
+        ["generate", "--T"], ["generate", "--n"], ["train", "--n"],
+    ], ids=" ".join)
+    def test_oversized_count_exits_2_before_work(self, tmp_path, monkeypatch, argv, capsys):
+        # past sys.maxsize: no Python sequence or numpy axis is that long, so
+        # the run stops before any work, and before anything is allocated
+        def fail(*args, **kwargs):
+            raise AssertionError("work ran on an oversized count")
+
+        for name in WORK.values():
+            monkeypatch.setattr(cli, name, fail)
+        out = tmp_path / "o"
+        assert run_cli(*argv, "1000000000000000000000", "--out-dir", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("flowlab: config error: ") and err.count("\n") == 1
+        assert "1000000000000000000000 is larger than" in err
+        assert not out.exists()
+
+    def test_rng_seed_is_not_a_count(self, tmp_path):
+        assert run_cli("generate", "--n", "3", "--T", "2", "--seed", "1000000000000000000000",
+                       "--out-dir", str(tmp_path)) == 0
+
     def test_ablation_mode_key_is_unknown(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("[ablation]\nmode = edit\n")
@@ -578,6 +601,12 @@ class TestTrainAveditReport:
             writer.writerows(rows)
         assert run_cli("report", "--from", str(bad), "--out-dir", str(tmp_path / "o")) == 2
         assert "non-finite residual_norm value" in capsys.readouterr().err
+
+    def test_report_on_empty_file(self, tmp_path, capsys):
+        bad = tmp_path / "edits.csv"
+        bad.write_bytes(b"")
+        assert run_cli("report", "--from", str(bad), "--out-dir", str(tmp_path / "o")) == 2
+        assert "is not an edits.csv: no column experiment" in capsys.readouterr().err
 
     def test_report_on_non_utf8_file(self, tmp_path, capsys):
         bad = tmp_path / "edits.csv"

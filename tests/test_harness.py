@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -12,12 +13,14 @@ from flowlab import harness
 from flowlab.harness import (
     ABLATION_CELLS,
     ORACLE_MAX_Z,
-    AvEditRun,
+    AvEditSweep,
+    EditSweep,
     avedit_reports,
     bias_curve_plot,
     config_hash,
     default_av_params,
     emit_report,
+    format_num,
     run_ablation,
     run_avedit_sweep,
     run_edit_sweep,
@@ -85,18 +88,19 @@ class TestEditSweep:
         cfg = EditConfig(T=10, n_max=7, sequence_mode="target", noise_mode="estimated")
         a = run_edit_sweep(SRC, TAR, list(range(5)), cfg)
         b = run_edit_sweep(SRC, TAR, list(range(5)), cfg)
-        for ra, rb in zip(a, b):
-            assert np.array_equal(ra.output, rb.output)
+        assert a.output.shape == (5, 2)
+        assert np.array_equal(a.output, b.output)
 
     def test_identity_flag(self):
         cfg = EditConfig(T=10, n_max=7, sequence_mode="target", noise_mode="estimated")
-        runs = run_edit_sweep(SRC, TAR, list(range(4)), cfg, identity=True)
-        assert all(r.structure_distance < 1e-9 for r in runs)
+        sweep = run_edit_sweep(SRC, TAR, list(range(4)), cfg, identity=True)
+        assert sweep.structure_distance.shape == (4,)
+        assert np.all(sweep.structure_distance < 1e-9)
 
     def test_reports_cover_the_metric_set(self):
         cfg = EditConfig(T=10, n_max=7, sequence_mode="edit", noise_mode="random")
-        runs = run_edit_sweep(SRC, TAR, list(range(6)), cfg)
-        reports = sweep_reports(runs, TAR, cfg, "edit")
+        sweep = run_edit_sweep(SRC, TAR, list(range(6)), cfg)
+        reports = sweep_reports(sweep, TAR, cfg, "edit")
         assert [r.name for r in reports] == [
             "fitted_w2", "bias_norm", "smoothness", "structure_distance",
         ]
@@ -192,9 +196,10 @@ class TestBatchedEditSweep:
         dim, count = src_spec.dim, len(seeds)
         cfg = EditConfig(T=T, n_max=min(n_max, T), sequence_mode=cell[0], noise_mode=cell[1],
                          cfg_scale=cfg_scale)
-        runs = run_edit_sweep(src_spec, tar_spec, seeds, cfg, identity=identity)
+        sweep = run_edit_sweep(src_spec, tar_spec, seeds, cfg, identity=identity)
         looped = _looped_edit_sweep(src_spec, tar_spec, seeds, cfg, identity)
-        assert [r.seed for r in runs] == seeds
+        assert sweep.seeds == tuple(seeds)
+        assert len(sweep) == count
 
         if src_spec.is_diagonal:
             def same(got, want, squared=False):
@@ -207,20 +212,22 @@ class TestBatchedEditSweep:
                 np.testing.assert_allclose(got, want, rtol=1e-12,
                                            atol=1e-12 * scale ** (2 if squared else 1))
 
-        # every run's record is a set of row views of one stacked record
-        record = {name: getattr(runs[0].trajectory, name).base for name in _RECORD[1:]}
-        for name, stacked in record.items():
-            assert stacked.shape == (cfg.n_max, count, dim)
-        for run, (out, distance, residual, smooth, traj) in zip(runs, looped):
-            same(run.output, out)
-            same(run.structure_distance, distance)
-            same(run.residual_norm, residual)
-            same(run.smoothness_source, smooth, squared=True)
-            assert np.shares_memory(run.trajectory.t, runs[0].trajectory.t)
-            for name, stacked in record.items():
-                assert np.shares_memory(getattr(run.trajectory, name), stacked)
-            for name in _RECORD:
-                same(getattr(run.trajectory, name), getattr(traj, name))
+        # one column per metric and one stacked record, row r at [:, r]
+        assert sweep.output.shape == (count, dim) and sweep.output.flags.c_contiguous
+        for column in ("structure_distance", "residual_norm", "smoothness_source"):
+            assert getattr(sweep, column).shape == (count,)
+        record = sweep.trajectory
+        assert record.t.shape == (cfg.n_max,)
+        for name in _RECORD[1:]:
+            assert getattr(record, name).shape == (cfg.n_max, count, dim)
+        for r, (out, distance, residual, smooth, traj) in enumerate(looped):
+            same(sweep.output[r], out)
+            same(sweep.structure_distance[r], distance)
+            same(sweep.residual_norm[r], residual)
+            same(sweep.smoothness_source[r], smooth, squared=True)
+            same(record.t, traj.t)
+            for name in _RECORD[1:]:
+                same(getattr(record, name)[:, r], getattr(traj, name))
 
     def test_scalar_helpers_are_not_called_per_row(self, monkeypatch):
         # the sweep derives its keys and row metrics for all rows at once; a
@@ -238,9 +245,9 @@ class TestBatchedEditSweep:
             monkeypatch.setattr(harness, name, spy(name, real), raising=False)
         seeds = list(range(50))
         for cell in ABLATION_CELLS:
-            runs = run_edit_sweep(SRC, TAR, seeds, EditConfig(T=10, n_max=7, sequence_mode=cell[0],
-                                                              noise_mode=cell[1]))
-            assert len(runs) == len(seeds)
+            sweep = run_edit_sweep(SRC, TAR, seeds, EditConfig(T=10, n_max=7, sequence_mode=cell[0],
+                                                               noise_mode=cell[1]))
+            assert len(sweep) == len(seeds)
         assert all(count < len(seeds) for count in calls.values()), calls
 
 
@@ -334,10 +341,10 @@ class TestEmitReport:
 
     def test_plots_written_when_asked(self, tmp_path):
         cfg = EditConfig(T=10, n_max=7, sequence_mode="target", noise_mode="estimated")
-        runs = run_edit_sweep(SRC, TAR, list(range(3)), cfg)
-        svg = trajectory_plot(runs, cfg)
+        sweep = run_edit_sweep(SRC, TAR, list(range(3)), cfg)
+        svg = trajectory_plot(sweep, cfg)
         files = emit_report(
-            sweep_reports(runs, TAR, cfg, "edit"), tmp_path, plot=True,
+            sweep_reports(sweep, TAR, cfg, "edit"), tmp_path, plot=True,
             plots=[("trajectories.svg", svg)],
         )
         assert "trajectories.svg" in files
@@ -348,10 +355,10 @@ class TestEmitReport:
 class TestPerSeedCsv:
     def test_round_trip_summary(self, tmp_path):
         cfg = EditConfig(T=10, n_max=7, sequence_mode="target", noise_mode="estimated")
-        runs = run_edit_sweep(SRC, TAR, list(range(8)), cfg)
-        write_per_seed_csv(runs, cfg, tmp_path, "edit")
+        sweep = run_edit_sweep(SRC, TAR, list(range(8)), cfg)
+        write_per_seed_csv(sweep, cfg, tmp_path, "edit")
         rebuilt = summarize_per_seed_csv(tmp_path / "edits.csv")
-        direct = sweep_reports(runs, TAR, cfg, "edit")
+        direct = sweep_reports(sweep, TAR, cfg, "edit")
         by_name = {r.name: r.value for r in rebuilt}
         for rep in direct:
             if rep.name in by_name:
@@ -360,8 +367,8 @@ class TestPerSeedCsv:
 
     def test_one_seed_sweep_has_no_fitted_w2(self):
         cfg = EditConfig(T=10, n_max=7, sequence_mode="target", noise_mode="estimated")
-        runs = run_edit_sweep(SRC, TAR, [0], cfg)
-        names = [r.name for r in sweep_reports(runs, TAR, cfg, "edit")]
+        sweep = run_edit_sweep(SRC, TAR, [0], cfg)
+        names = [r.name for r in sweep_reports(sweep, TAR, cfg, "edit")]
         assert names == ["bias_norm", "smoothness", "structure_distance"]
 
     def test_no_more_seeds_than_dims_has_no_fitted_w2(self):
@@ -369,8 +376,8 @@ class TestPerSeedCsv:
         spec = GaussianSpec.isotropic(0.0, 1.0, dim=3)
         cfg = EditConfig(T=10, n_max=7, sequence_mode="target", noise_mode="estimated")
         for seeds, fitted in ((3, False), (4, True)):
-            runs = run_edit_sweep(spec, spec, list(range(seeds)), cfg)
-            names = [r.name for r in sweep_reports(runs, spec, cfg, "edit")]
+            sweep = run_edit_sweep(spec, spec, list(range(seeds)), cfg)
+            names = [r.name for r in sweep_reports(sweep, spec, cfg, "edit")]
             assert ("fitted_w2" in names) == fitted
 
     def test_failed_fit_is_a_numerical_error(self):
@@ -393,6 +400,90 @@ class TestPerSeedCsv:
         path.write_text(path.read_text() + "edit,target,estimated,10,7,2,0.1,0.2,x,y\n")
         with pytest.raises(InvalidConfigError):
             summarize_per_seed_csv(path)
+
+    def test_reads_as_dict_reader_does(self, tmp_path):
+        cfg = EditConfig(T=10, n_max=7, sequence_mode="target", noise_mode="estimated")
+        write_per_seed_csv(run_edit_sweep(SRC, TAR, [0, 1, 2], cfg), cfg, tmp_path, "edit")
+        path = tmp_path / "edits.csv"
+        header, *rows = path.read_text().splitlines()
+        want = summarize_per_seed_csv(path)
+
+        def summary(lines):
+            path.write_text("\n".join(lines) + "\n")
+            return summarize_per_seed_csv(path)
+
+        # blank lines are skipped
+        assert summary([header, "", rows[0], "", *rows[1:], ""]) == want
+        # of two columns with one name, the last is read
+        doubled = summary([header + ",residual_norm", *(row + ",0.5" for row in rows)])
+        assert [r.value for r in doubled if r.name == "bias_norm"] == [0.5]
+        # a short row reads "" in its missing columns
+        with pytest.raises(InvalidConfigError, match="non-numeric smoothness_source value"):
+            summary([header, *rows[:2], rows[2].rsplit(",", 1)[0]])
+
+
+def _row_written_csv(path, header, rows):
+    """The row-by-row writer the column writers must match byte for byte."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(row)
+    return path.read_bytes()
+
+
+# any float, the non-finite ones and signed zeros included
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+
+
+class TestSweepCsvBytes:
+    """edits.csv and avedits.csv, written from the sweep columns, hold the
+    bytes of csv.writer fed one row at a time with every number format_num'd."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(pair=spec_pairs(), cell=st.sampled_from(ABLATION_CELLS), T=st.integers(2, 6),
+           n_max=st.integers(1, 6),
+           seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=9),
+           # separators, quotes, line breaks and %-template characters
+           experiment=st.text(alphabet='ab ,"%d\r\n', max_size=6))
+    def test_edits_csv(self, tmp_path_factory, pair, cell, T, n_max, seeds, experiment):
+        out_dir = tmp_path_factory.mktemp("edits")
+        cfg = EditConfig(T=T, n_max=min(n_max, T), sequence_mode=cell[0], noise_mode=cell[1])
+        sweep = run_edit_sweep(*pair, seeds, cfg)
+        write_per_seed_csv(sweep, cfg, out_dir, experiment)
+        dim = pair[0].dim
+        header = ["experiment", "seq_mode", "noise_mode", "T", "n_max", "seed",
+                  *(f"out_{j}" for j in range(dim)),
+                  "structure_distance", "residual_norm", "smoothness_source"]
+        rows = ([experiment, *cell, cfg.T, cfg.n_max, seed, *map(format_num, sweep.output[r]),
+                 format_num(sweep.structure_distance[r]), format_num(sweep.residual_norm[r]),
+                 format_num(sweep.smoothness_source[r])] for r, seed in enumerate(seeds))
+        want = _row_written_csv(out_dir / "reference.csv", header, rows)
+        assert (out_dir / "edits.csv").read_bytes() == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), video_dim=st.integers(1, 3), audio_dim=st.integers(1, 3),
+           seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=9),
+           T=st.integers(2, 50), n_max=st.integers(1, 50))
+    def test_avedits_csv(self, tmp_path_factory, data, video_dim, audio_dim, seeds, T, n_max):
+        out_dir = tmp_path_factory.mktemp("avedits")
+        n = len(seeds)
+
+        def column(width):
+            values = data.draw(st.lists(_ANY_FLOAT, min_size=n * width, max_size=n * width))
+            return np.array(values, dtype=float).reshape(n, width)
+
+        sweep = AvEditSweep(seeds=tuple(seeds), video_out=column(video_dim),
+                            audio_out=column(audio_dim), target_sigmas=column(1)[:, 0])
+        cfg = EditConfig(T=T, n_max=min(n_max, T))
+        write_avedit_csv(sweep, cfg, out_dir)
+        header = ["T", "n_max", "seed", *(f"video_out_{j}" for j in range(video_dim)),
+                  *(f"audio_out_{j}" for j in range(audio_dim)), "target_sigmas"]
+        rows = ([cfg.T, cfg.n_max, seed, *map(format_num, sweep.video_out[r]),
+                 *map(format_num, sweep.audio_out[r]), format_num(sweep.target_sigmas[r])]
+                for r, seed in enumerate(seeds))
+        want = _row_written_csv(out_dir / "reference.csv", header, rows)
+        assert (out_dir / "avedits.csv").read_bytes() == want
 
 
 class TestOracleCheckRunner:
@@ -473,11 +564,12 @@ class TestAvHarness:
             learning_rate=3e-3, seed=0,
         )
         assert report.final_loss < report.initial_loss
-        runs = run_avedit_sweep(
+        sweep = run_avedit_sweep(
             field, params, [0, 1], EditConfig(T=10, n_max=10), src_class=0, tar_class=1
         )
-        assert len(runs) == 2
-        assert all(np.all(np.isfinite(r.video_out)) for r in runs)
+        assert len(sweep) == 2
+        assert sweep.video_out.shape == (2, params.video_dim)
+        assert np.all(np.isfinite(sweep.video_out))
 
 
 def _analytic_av_field(params):
@@ -519,14 +611,17 @@ class TestAvEditSweep:
         field = _analytic_av_field(params)
         seeds = [0, 5, 2, 2**40, 17]
         cfg = EditConfig(T=12, n_max=8)
-        runs = run_avedit_sweep(field, params, seeds, cfg, src_class, tar_class)
-        assert [r.seed for r in runs] == seeds
-        for run, (video, audio, dist) in zip(
-            runs, _looped_avedit(field, params, seeds, cfg, src_class, tar_class)
+        sweep = run_avedit_sweep(field, params, seeds, cfg, src_class, tar_class)
+        assert sweep.seeds == tuple(seeds)
+        assert sweep.video_out.shape == (len(seeds), params.video_dim)
+        assert sweep.audio_out.shape == (len(seeds), params.audio_dim)
+        assert sweep.target_sigmas.shape == (len(seeds),)
+        for r, (video, audio, dist) in enumerate(
+            _looped_avedit(field, params, seeds, cfg, src_class, tar_class)
         ):
-            assert np.array_equal(run.video_out, video)
-            assert np.array_equal(run.audio_out, audio)
-            assert run.target_sigmas == dist
+            assert np.array_equal(sweep.video_out[r], video)
+            assert np.array_equal(sweep.audio_out[r], audio)
+            assert sweep.target_sigmas[r] == dist
 
     @pytest.mark.parametrize("classes", [(5, 1), (0, -1), (2, 0)])
     def test_classes_outside_the_synthetic_set_rejected(self, classes):
@@ -539,10 +634,10 @@ class TestAvEditSweep:
 class TestAveditReports:
     def test_success_rate_and_sigma_stderr(self):
         sigmas = [1.0, 3.0, 3.5, 5.0]
-        runs = [AvEditRun(seed=k, video_out=np.zeros(2), audio_out=np.zeros(1), target_sigmas=s)
-                for k, s in enumerate(sigmas)]
+        sweep = AvEditSweep(seeds=(0, 1, 2, 3), video_out=np.zeros((4, 2)),
+                            audio_out=np.zeros((4, 1)), target_sigmas=np.array(sigmas))
         cfg = EditConfig(T=40, n_max=28)
-        rate, sig = avedit_reports(runs, cfg)
+        rate, sig = avedit_reports(sweep, cfg)
         # exactly 3.0 counts as a success: 1.0 and 3.0 of the four
         assert (rate.name, rate.value, rate.aux) == ("class_swap_success_rate", 0.5, {})
         assert sig.name == "target_sigmas"
