@@ -195,7 +195,9 @@ def pair_field(
     return field, c_src, c_tar
 
 
-@dataclass(frozen=True)
+# The sweep results compare by identity (eq=False): a generated __eq__ would
+# compare array fields, which have no single truth value, and only raise.
+@dataclass(frozen=True, eq=False)
 class EditSweep:
     """An edit sweep as columns: row r of each array is the edit of
     ``seeds[r]``. ``output`` is (n, dim) and C-contiguous; the metric
@@ -531,7 +533,7 @@ def train_av_model(
     return MlpVelocityField(model), report, dataset
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AvEditSweep:
     """An AV edit sweep as columns: row r of each array is the edit of
     ``seeds[r]``; ``video_out`` is (n, video_dim), ``audio_out`` (n,
