@@ -14,7 +14,6 @@ from flowlab.harness import (
     ABLATION_CELLS,
     ORACLE_MAX_Z,
     AvEditSweep,
-    EditSweep,
     avedit_reports,
     bias_curve_plot,
     config_hash,
