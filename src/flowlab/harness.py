@@ -202,7 +202,8 @@ class EditSweep:
     """An edit sweep as columns: row r of each array is the edit of
     ``seeds[r]``. ``output`` is (n, dim) and C-contiguous; the metric
     columns, each (n,), are named by edits.csv column; ``trajectory`` is
-    the editor's one stacked record, with row r at ``[:, r]``."""
+    the editor's one stacked record of its step times and two state
+    streams, with row r at ``[:, r]``."""
 
     seeds: tuple
     output: np.ndarray

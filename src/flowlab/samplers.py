@@ -36,8 +36,9 @@ after its audio draw. The rows and the words consumed are those of one
 draw per step, but a call that raises partway has consumed them all.
 
 With ``record=True``, ``flowedit`` and ``omniedit_sync`` also return a
-``Trajectory``: six arrays allocated before the loop, one row per step,
-filled by slice assignment with the values the loop computes.
+``Trajectory`` of the step times and the two state streams: two arrays
+allocated before the loop, one row per step, filled with the states the
+loop evaluates. Step k's noise is (x_src[k] - (1 - t_k) src) / t_k.
 
 States go in and come out as plain float64 arrays of shape
 (..., state_dim), leading axes acting as batch axes; ``omniedit_av``
@@ -115,18 +116,14 @@ class EditConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """An edit's record as six stacked arrays, row k for step n_max - k:
-    ``t`` of shape (n_max,), and ``x_src``, ``x_main``, ``eps``, ``v_src``
-    and ``v_tar`` of shape (n_max, *state.shape) -- the noised source and
-    the evaluated target state at t, the noise after the step's re-estimate,
-    and the two checked velocities."""
+    """An edit's record as three stacked arrays, row k for step n_max - k:
+    ``t`` of shape (n_max,), and ``x_src`` and ``x_main`` of shape (n_max,
+    *state.shape) -- the noised source and the evaluated target state at
+    t."""
 
     t: np.ndarray
     x_src: np.ndarray
     x_main: np.ndarray
-    eps: np.ndarray
-    v_src: np.ndarray
-    v_tar: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -204,7 +201,7 @@ def _edit(field: VelocityField, src: np.ndarray, src_cond: Condition, target_vel
         eps = rng.normal_steps(1, src.shape)[0]
     x = interp(src, eps, float(times[cfg.n_max])) if target else src
     if record:
-        traj = Trajectory(times[cfg.n_max:0:-1], *(np.empty((cfg.n_max, *src.shape)) for _ in range(5)))
+        traj = Trajectory(times[cfg.n_max:0:-1], *(np.empty((cfg.n_max, *src.shape)) for _ in range(2)))
     for i in range(cfg.n_max, 0, -1):
         t_i, t_prev = float(times[i]), float(times[i - 1])
         if noise is not None:
@@ -216,9 +213,7 @@ def _edit(field: VelocityField, src: np.ndarray, src_cond: Condition, target_vel
         if cfg.noise_mode == "estimated":
             eps = estimate_noise(x_src_t, v_src, t_i)
         if record:
-            k = cfg.n_max - i
-            traj.x_src[k], traj.x_main[k], traj.eps[k] = x_src_t, x_tar_t, eps
-            traj.v_src[k], traj.v_tar[k] = v_src, v_tar
+            traj.x_src[cfg.n_max - i], traj.x_main[cfg.n_max - i] = x_src_t, x_tar_t
         if target:
             x = step_target(x, x_src_t, interp(src, eps, t_prev), v_tar, v_src, t_i, t_prev)
         else:

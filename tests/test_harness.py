@@ -157,7 +157,7 @@ def _looped_smoothness(traj):
     return float(np.sum(second**2)) / (second.shape[0] * pts.shape[1])
 
 
-_RECORD = ("t", "x_src", "x_main", "eps", "v_src", "v_tar")
+_RECORD = ("t", "x_src", "x_main")
 
 _DIAGONAL_1D = (GaussianSpec(mean=np.array([0.5]), cov=np.array([1.5])),
                 GaussianSpec(mean=np.array([2.0]), cov=np.array([0.25])))

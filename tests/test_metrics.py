@@ -25,10 +25,7 @@ def state(values):
 
 def traj_from_points(points):
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    return Trajectory(
-        t=1.0 - np.arange(len(points)) * 0.01, x_src=points, x_main=points,
-        eps=None, v_src=None, v_tar=None,
-    )
+    return Trajectory(t=1.0 - np.arange(len(points)) * 0.01, x_src=points, x_main=points)
 
 
 class TestSmoothness:
@@ -70,8 +67,7 @@ class TestSmoothness:
         pts = x.reshape(steps, -1)
         second = pts[2:] - 2.0 * pts[1:-1] + pts[:-2]
         want = float(np.sum(second**2)) / (second.shape[0] * pts.shape[1])
-        got = smoothness(Trajectory(t=np.linspace(1.0, 0.0, steps), x_src=x, x_main=x,
-                                    eps=None, v_src=None, v_tar=None))
+        got = smoothness(Trajectory(t=np.linspace(1.0, 0.0, steps), x_src=x, x_main=x))
         assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
 
 

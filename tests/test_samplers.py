@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowlab.cli import _defaults, _edit_config
-from flowlab.core import Condition, TensorState, estimate_noise, euler, step_target
+from flowlab.core import Condition, TensorState, estimate_noise, euler, interp, step_target
 from flowlab.errors import InvalidConfigError, NumericalError, ShapeMismatchError
 from flowlab.gaussian import GaussianConditionalField, GaussianSpec, sample_array
 from flowlab.harness import default_av_params, pair_field
@@ -16,6 +16,7 @@ from flowlab.rng import CounterRng, derive_seed
 from flowlab.samplers import (
     DualState,
     EditConfig,
+    Trajectory,
     flowedit,
     generate,
     omniedit_av,
@@ -405,12 +406,14 @@ class TestOmniEditSync:
         field, src, _, c_src, c_tar = shift_pair_1d
         x = sample_array(src, 1, CounterRng(3))[0]
         cfg = EditConfig(T=20, n_max=14, sequence_mode="target", noise_mode="estimated", seed=8)
-        out, traj = omniedit_sync(field, x, c_src, c_tar, cfg, record=True)
-        times = traj.t
+        spy = _SpyField(field)
+        out, traj = omniedit_sync(spy, x, c_src, c_tar, cfg, record=True)
+        times, steps = traj.t, spy.calls[1:]  # after the t=0 estimate, (source, target) per step
         for k in range(len(traj.t) - 1):
             edit_k = traj.x_main[k] - traj.x_src[k] + x
             edit_next = traj.x_main[k + 1] - traj.x_src[k + 1] + x
-            expected = edit_k + (times[k + 1] - times[k]) * (traj.v_tar[k] - traj.v_src[k])
+            v_src, v_tar = steps[2 * k][2], steps[2 * k + 1][2]
+            expected = edit_k + (times[k + 1] - times[k]) * (v_tar - v_src)
             assert np.max(np.abs(edit_next - expected)) < 1e-12
 
     def test_cfg_scale_one_never_evaluates_null(self, counting_field):
@@ -862,7 +865,7 @@ class _SpyField:
 
 class TestStackedRecord:
     """The record is the loop's own values: row k holds step n_max - k's
-    evaluated states and velocities, and recording leaves the output alone."""
+    evaluated states, and recording leaves the output alone."""
 
     @settings(max_examples=80, deadline=None)
     @given(editor=st.sampled_from([flowedit, omniedit_sync]),
@@ -882,16 +885,40 @@ class TestStackedRecord:
         assert np.array_equal(out, editor(field, x, c_src, c_tar, cfg))
         n = cfg.n_max
         assert np.array_equal(traj.t, cfg.times[n:0:-1])
-        for array in (traj.x_src, traj.x_main, traj.eps, traj.v_src, traj.v_tar):
+        for array in (traj.x_src, traj.x_main):
             assert array.shape == (n, *x.shape)
         steps = spy.calls[-2 * n:]  # omniedit_sync's t=0 estimate comes first
         for k in range(n):
-            (x_src, t_src, v_src), (x_main, t_tar, v_tar) = steps[2 * k], steps[2 * k + 1]
+            (x_src, t_src, v_src), (x_main, t_tar, _) = steps[2 * k], steps[2 * k + 1]
             assert t_src == t_tar == traj.t[k]
-            assert np.array_equal(traj.x_src[k], x_src) and np.array_equal(traj.v_src[k], v_src)
-            assert np.array_equal(traj.x_main[k], x_main) and np.array_equal(traj.v_tar[k], v_tar)
-            if noise == "estimated":
-                assert np.array_equal(traj.eps[k], estimate_noise(x_src, v_src, t_src))
+            assert np.array_equal(traj.x_src[k], x_src)
+            assert np.array_equal(traj.x_main[k], x_main)
+            if noise == "estimated" and k + 1 < n:
+                # the step's re-estimate noises the next step's source
+                eps = estimate_noise(x_src, v_src, t_src)
+                assert np.array_equal(traj.x_src[k + 1], interp(x, eps, traj.t[k + 1]))
+
+
+class TestRecordSize:
+    """The record keeps the step times and the two state streams, and
+    nothing else: (2 n_max x.size + n_max) float64 values."""
+
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(Trajectory)] == ["t", "x_src", "x_main"]
+
+    @pytest.mark.parametrize("editor", [flowedit, omniedit_sync])
+    @pytest.mark.parametrize("noise", ["random", "estimated"])
+    @pytest.mark.parametrize("keyed", [False, True], ids=["1-D", "keyed"])
+    def test_bytes(self, editor, noise, keyed):
+        field, c_src, c_tar = _diagonal_pair()
+        cfg = EditConfig(T=9, n_max=7, sequence_mode="edit" if editor is flowedit else "target",
+                         noise_mode=noise)
+        seeds = [3, 5, 8]
+        x = CounterRng(1).normal_array((len(seeds), 2) if keyed else 2)
+        rng = CounterRng(seeds if keyed else 3)
+        _, traj = editor(field, x, c_src, c_tar, cfg, rng=rng, record=True)
+        held = sum(getattr(traj, f.name).nbytes for f in dataclasses.fields(traj))
+        assert held == (2 * cfg.n_max * x.size + cfg.n_max) * 8
 
 
 def _diagonal_pair():
@@ -918,8 +945,8 @@ class TestOneDrawPerCall:
         x, cfg = np.array([[0.3, -0.8], [1.1, 0.2]]), EditConfig(T=12, n_max=8, seed=4)
         _, traj = _random_arm(editor, field, x, c_src, c_tar, cfg, record=True)
         rng = CounterRng(4)
-        for eps in traj.eps:
-            assert np.array_equal(eps, rng.normal_array(x.shape))
+        for t, x_src in zip(traj.t, traj.x_src):
+            assert np.array_equal(x_src, interp(x, rng.normal_array(x.shape), t))
 
     @settings(max_examples=60, deadline=None)
     @given(editor=st.sampled_from([flowedit, omniedit_sync]), T=st.integers(2, 16),
