@@ -179,7 +179,7 @@ def _edit_config(options: dict, sequence_mode: str, noise_mode: str) -> EditConf
 def _cmd_edit(options: dict, out_dir: Path) -> tuple[list[str], int]:
     src, tar = (_parse_spec(text, options["dim"]) for text in options["analytic"])
     cfg = _edit_config(options, options["mode"], options["noise"])
-    sweep = run_edit_sweep(src, tar, list(range(options["seeds"])), cfg)
+    sweep = run_edit_sweep(src, tar, range(options["seeds"]), cfg)
     files = [write_per_seed_csv(sweep, cfg, out_dir, "edit")]
     plots = [("trajectories.svg", trajectory_plot(sweep, cfg))] if options["plot"] else None
     files += emit_report(sweep_reports(sweep, tar, cfg, "edit"), out_dir, options["plot"], plots)
@@ -189,8 +189,7 @@ def _cmd_edit(options: dict, out_dir: Path) -> tuple[list[str], int]:
 def _cmd_ablation(options: dict, out_dir: Path) -> tuple[list[str], int]:
     src, tar = (_parse_spec(text, options["dim"]) for text in options["analytic"])
     base = _edit_config(options, "target", "estimated")
-    seeds = list(range(options["seeds"]))
-    reports = run_ablation(src, tar, seeds, base.T, base.n_max, base.cfg_scale)
+    reports = run_ablation(src, tar, range(options["seeds"]), base.T, base.n_max, base.cfg_scale)
     plots = [("bias_vs_tmax.svg", bias_curve_plot(src, tar))] if options["plot"] else None
     return emit_report(reports, out_dir, options["plot"], plots), 0
 
@@ -233,7 +232,7 @@ def _cmd_avedit(options: dict, out_dir: Path) -> tuple[list[str], int]:
     params = default_av_params()
     field = MlpVelocityField(load_model(options["model"]))
     cfg = _edit_config(options, "target", "estimated")
-    sweep = run_avedit_sweep(field, params, list(range(options["seeds"])), cfg,
+    sweep = run_avedit_sweep(field, params, range(options["seeds"]), cfg,
                              src_class=options["src_class"], tar_class=options["tar_class"])
     files = [write_avedit_csv(sweep, cfg, out_dir)]
     return files + emit_report(avedit_reports(sweep, cfg), out_dir, False, None), 0

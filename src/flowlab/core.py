@@ -97,8 +97,11 @@ class Condition:
 
     @classmethod
     def one_hot(cls, index: int, dim: int) -> "Condition":
-        vec = np.zeros(int(dim))
-        vec[int(index)] = 1.0
+        index, dim = int(index), int(dim)
+        if not 0 <= index < dim:
+            raise InvalidConfigError(f"one-hot index {index} outside 0..{dim - 1}")
+        vec = np.zeros(dim)
+        vec[index] = 1.0
         return cls(vector=vec)
 
     @property

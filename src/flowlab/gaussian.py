@@ -156,8 +156,8 @@ def marginal_velocity(spec: GaussianSpec, x: np.ndarray, t: float) -> np.ndarray
     if not 0.0 <= t <= 1.0:
         raise InvalidConfigError(f"t={t} outside [0, 1]")
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != spec.dim:
-        raise ShapeMismatchError(f"x last axis {x.shape[-1]} != spec dim {spec.dim}")
+    if x.shape[-1:] != (spec.dim,):
+        raise ShapeMismatchError(f"x shape {x.shape} does not end in spec dim {spec.dim}")
     if spec.is_diagonal:
         # at t = 1 the gain is exactly 1 and (1 - t) mu exactly zero, so both
         # paths give x - mu bit for bit there

@@ -17,6 +17,7 @@ import io
 import itertools
 import json
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -225,7 +226,7 @@ def _require_seeds(seeds) -> None:
 def run_edit_sweep(
     src_spec: GaussianSpec,
     tar_spec: GaussianSpec,
-    seeds: list[int],
+    seeds: Sequence[int],
     edit_cfg: EditConfig,
     identity: bool = False,
 ) -> EditSweep:
@@ -240,8 +241,10 @@ def run_edit_sweep(
     row the bits of a one-seed sweep's scalar call: ``row_structure_distance``,
     ``row_smoothness`` and the residual norm below. The residual is
     measured against the Gaussian optimal-transport map of the pair (the
-    exact per-sample edit for Gaussian endpoints)."""
+    exact per-sample edit for Gaussian endpoints). A record past
+    ``rng.MAX_ENTRIES`` values is rejected before any seed is read."""
     _require_seeds(seeds)
+    edit_cfg.check_record(len(seeds) * src_spec.dim)
     field, c_src, c_tar = pair_field(src_spec, tar_spec)
     if identity:
         c_tar = c_src
@@ -327,7 +330,7 @@ def sweep_reports(
 def run_ablation(
     src_spec: GaussianSpec,
     tar_spec: GaussianSpec,
-    seeds: list[int],
+    seeds: Sequence[int],
     T: int,
     n_max: int,
     cfg_scale: float = 1.0,
@@ -552,7 +555,7 @@ class AvEditSweep:
 def run_avedit_sweep(
     field: VelocityField,
     params: "AvSynthParams",
-    seeds: list[int],
+    seeds: Sequence[int],
     edit_cfg: EditConfig,
     src_class: int = 0,
     tar_class: int = 1,

@@ -48,7 +48,7 @@ from .errors import (
     ShapeMismatchError,
     TrainingDivergedError,
 )
-from .rng import CounterRng, box_muller, derive_seed
+from .rng import CounterRng, box_muller, derive_seed, integer
 
 _MAGIC = b"OMED"
 _FORMAT_VERSION = 1
@@ -268,6 +268,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        integer(self.epochs, "epochs")
+        integer(self.batch_size, "batch_size")
         if self.epochs < 1 or self.batch_size < 1:
             raise InvalidConfigError("epochs and batch_size must be positive")
         if not 0.0 <= self.learning_rate < np.inf:

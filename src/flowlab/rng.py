@@ -28,8 +28,9 @@ sampler call, on keys that ``derive_seeds`` derives in one array pass.
 an editor draws every step's noise up front with it, and row s is bit for
 bit the s-th of ``steps`` separate calls, on one stream or keyed.
 
-A negative or non-integral draw count raises ``InvalidConfigError`` before
-any counter moves; a count of 0 draws nothing.
+A negative or non-integral draw count, or a draw of more than
+``MAX_ENTRIES`` values over all streams, raises ``InvalidConfigError``
+before any counter moves; a count of 0 draws nothing.
 """
 
 from __future__ import annotations
@@ -48,6 +49,11 @@ _GOLDEN_INT, _MIX1_INT, _MIX2_INT = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94
 _GOLDEN, _MIX1, _MIX2 = np.uint64(_GOLDEN_INT), np.uint64(_MIX1_INT), np.uint64(_MIX2_INT)
 _NORMAL_BLOCK = 1 << 15  # normals standard_normal draws at a time, to bound its temporaries
 
+# The most float64 values (2 GiB) that one array of the lab may hold: the
+# T + 1 time grid, a draw of n x dim samples, an edit record. A count whose
+# array would be larger is rejected before anything is allocated.
+MAX_ENTRIES = 1 << 28
+
 
 def _mix64(z: np.ndarray) -> np.ndarray:
     # SplitMix64 finalizer, in place on a uint64 array; the multiplies wrap
@@ -63,7 +69,9 @@ def _mix64(z: np.ndarray) -> np.ndarray:
 def _keys(seeds) -> np.ndarray:
     """A seed sequence as a new uint64 array, each seed mod 2**64. Seeds
     that numpy stores as 64-bit (or narrower) integers are cast, which wraps
-    mod 2**64; any other seed is masked as a Python int."""
+    mod 2**64; any other seed is masked as a Python int. A sequence of more
+    than MAX_ENTRIES seeds is rejected before it is read."""
+    check_entries(len(seeds), "a seed list")
     keys = np.asarray(seeds)
     if keys.dtype.kind in "biu":
         return keys.astype(np.uint64)
@@ -104,14 +112,28 @@ def box_muller(u: np.ndarray) -> np.ndarray:
     return z
 
 
+def integer(value, name: str) -> int:
+    """``value`` as a Python int by the ``operator.index`` rule, which takes
+    Python and numpy integers and no float; otherwise InvalidConfigError."""
+    try:
+        return operator.index(value)
+    except TypeError:  # not an integer
+        raise InvalidConfigError(f"{name} must be an integer, got {value!r}") from None
+
+
+def check_entries(count: int, what: str) -> None:
+    """Reject ``what``, an array or record of ``count`` values, past MAX_ENTRIES."""
+    if count > MAX_ENTRIES:
+        raise InvalidConfigError(
+            f"{what} would hold {count} values, more than the limit of {MAX_ENTRIES}")
+
+
 def _count(n: int) -> int:
     """A draw count as a Python int, checked before any counter moves."""
-    try:
-        if operator.index(n) >= 0:
-            return operator.index(n)
-    except TypeError:  # not an integer
-        pass
-    raise InvalidConfigError(f"draw count must be an integer >= 0, got {n!r}")
+    count = integer(n, "draw count")
+    if count < 0:
+        raise InvalidConfigError(f"draw count must be an integer >= 0, got {n!r}")
+    return count
 
 
 class CounterRng:
@@ -144,6 +166,13 @@ class CounterRng:
         z = z + self._key
         return _mix64(z)
 
+    def _drawn(self, n: int) -> int:
+        """A draw count per stream, checked against MAX_ENTRIES over all
+        streams before any counter moves."""
+        n = _count(n)
+        check_entries(n * self._key.size, "a draw")
+        return n
+
     def _uniforms(self, n: int) -> np.ndarray:
         u = self._words(n)
         u >>= np.uint64(11)
@@ -158,7 +187,7 @@ class CounterRng:
         """Uniform draws in (0, 1], shape (n,), keyed (k, n). With n None,
         one word per stream: a float, keyed shape (k,) (row r is the float
         a generator on ``seeds[r]`` alone gives)."""
-        u = self._uniforms(1 if n is None else _count(n))
+        u = self._uniforms(1 if n is None else self._drawn(n))
         if n is not None:
             return u
         return float(u[0]) if u.ndim == 1 else u[:, 0]
@@ -166,7 +195,7 @@ class CounterRng:
     def standard_normal(self, n: int) -> np.ndarray:
         """n standard normal draws (two words each, Box-Muller cosine branch);
         keyed: shape (k, n); filled ``_NORMAL_BLOCK`` normals at a time."""
-        n = _count(n)
+        n = self._drawn(n)
         self.normal_draws += n
         if n <= _NORMAL_BLOCK:
             return box_muller(self._uniforms(2 * n))

@@ -73,7 +73,7 @@ from .core import (
     step_target,
 )
 from .errors import InvalidConfigError, NumericalError, ShapeMismatchError
-from .rng import CounterRng
+from .rng import CounterRng, check_entries, integer
 
 SEQUENCE_MODES = ("edit", "target")
 NOISE_MODES = ("random", "estimated")
@@ -85,7 +85,8 @@ class EditConfig:
 
     ``n_max`` is the index into ``times`` the edit starts from
     (t_max = n_max/T). ``sequence_mode`` and ``noise_mode`` are the two
-    ablation switches.
+    ablation switches. ``T`` and ``n_max`` are integers, and the T + 1 grid
+    holds at most ``rng.MAX_ENTRIES`` times.
     """
 
     T: int = 20
@@ -96,6 +97,8 @@ class EditConfig:
     seed: int = 0
 
     def __post_init__(self):
+        integer(self.T, "T")
+        integer(self.n_max, "n_max")
         if self.T < 2:
             raise InvalidConfigError(f"T must be >= 2, got {self.T}")
         if not 1 <= self.n_max <= self.T:
@@ -106,12 +109,18 @@ class EditConfig:
             raise InvalidConfigError(f"unknown noise_mode {self.noise_mode!r}")
         if not 0.0 <= self.cfg_scale < np.inf:
             raise InvalidConfigError(f"cfg_scale must be finite and >= 0, got {self.cfg_scale}")
+        check_entries(self.T + 1, "the T + 1 time grid")
 
     @property
     def times(self) -> np.ndarray:
         """The uniform grid times[i] = i/T, i = 0..T, traversed in
         decreasing t by the samplers."""
         return np.arange(self.T + 1) / self.T
+
+    def check_record(self, state_size: int) -> None:
+        """Reject an edit record of ``state_size``-value states past
+        ``MAX_ENTRIES``: its two state arrays hold 2 n_max state_size values."""
+        check_entries(2 * self.n_max * state_size, "the edit record")
 
 
 @dataclass(frozen=True)
@@ -242,6 +251,8 @@ def flowedit(
     if cfg.sequence_mode != "edit":
         raise InvalidConfigError("flowedit requires sequence_mode='edit'")
     src = _state(field, x_src)
+    if record:
+        cfg.check_record(src.size)
     return _edit(field, src, c_src, _guided(cfg, field, c_tar), cfg, _resolve_rng(cfg, rng),
                  None, record)
 
@@ -276,6 +287,8 @@ def omniedit_sync(
 
     src_cond = combined(c_src if c_src is not None else Condition.null(c_tar.dim))
     src = _state(field, x_src)
+    if record:
+        cfg.check_record(src.size)
     if c_src is None:
         eps = rng.normal_array(src.shape)
     else:

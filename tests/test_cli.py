@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from flowlab.cli import _build_parser, _defaults, _resolve_options, cli_main
 from flowlab.gaussian import GaussianSpec
 from flowlab.harness import config_hash, format_num, run_generate_sweep, write_samples_csv
 from flowlab.mlp import mlp_init, save_model
+from flowlab.rng import MAX_ENTRIES
 
 
 def run_cli(*args):
@@ -120,6 +122,28 @@ class TestArgumentHandling:
         err = capsys.readouterr().err
         assert err.startswith("flowlab: config error: ") and err.count("\n") == 1
         assert "1000000000000000000000 is larger than" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--n", "3", "--T"], ["edit", "--T"], ["ablation", "--T"],
+        ["generate", "--n"], ["train", "--n"], ["oracle-check", "--n"],
+        ["edit", "--seeds"], ["ablation", "--seeds"],
+    ], ids=" ".join)
+    def test_unallocatable_count_exits_2_before_allocating(self, tmp_path, argv, capsys):
+        # below sys.maxsize, but its time grid, draw or edit record would hold
+        # more than MAX_ENTRIES values: the run stops before that array is made
+        out = tmp_path / "o"
+        tracemalloc.start()
+        try:
+            code = run_cli(*argv, "2000000000000000000", "--out-dir", str(out))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("flowlab: config error: ") and err.count("\n") == 1
+        assert f"more than the limit of {MAX_ENTRIES}" in err
+        assert peak < 2**20
         assert not out.exists()
 
     def test_rng_seed_is_not_a_count(self, tmp_path):

@@ -50,6 +50,12 @@ class TestCondition:
         assert not c.is_null
         assert Condition.null(1).concat(Condition.null(2)).is_null
 
+    @pytest.mark.parametrize("index", [2, 3, -1])
+    def test_one_hot_index_outside_the_classes_raises(self, index):
+        # a negative index would otherwise select a class from the end
+        with pytest.raises(InvalidConfigError, match="outside 0..1"):
+            Condition.one_hot(index, 2)
+
     def test_equality_is_by_value(self):
         assert Condition.one_hot(0, 2) == Condition.one_hot(0, 2)
         assert Condition(vector=[0.5, -1.0]) == Condition(vector=np.array([0.5, -1.0]))

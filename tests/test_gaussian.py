@@ -117,6 +117,15 @@ class TestGaussianSpec:
 
 
 class TestMarginalVelocity:
+    @pytest.mark.parametrize("x", [0.5, np.float64(0.5), np.zeros((2, 0))])
+    def test_state_not_ending_in_dim_raises(self, x):
+        field = GaussianConditionalField(condition_dim=1, state_dim=1)
+        field.register(Condition.null(1), GaussianSpec.isotropic(0.0, 1.0))
+        with pytest.raises(ShapeMismatchError):
+            marginal_velocity(GaussianSpec.isotropic(0.0, 1.0), x, 0.5)
+        with pytest.raises(ShapeMismatchError):
+            field.velocity(x, Condition.null(1), 0.5)
+
     def test_vanishes_by_symmetry_at_half(self):
         spec = GaussianSpec.isotropic(0.0, 1.0)
         for x in (-2.0, 0.0, 1.3):

@@ -34,7 +34,7 @@ from flowlab.harness import (
     write_per_seed_csv,
 )
 from flowlab.metrics import empirical_moments, smoothness, structure_distance
-from flowlab.rng import CounterRng, derive_seed
+from flowlab.rng import MAX_ENTRIES, CounterRng, derive_seed
 from flowlab.samplers import EditConfig, flowedit, omniedit_av, omniedit_sync
 
 SRC = GaussianSpec.isotropic(0.0, 1.0, dim=2)
@@ -251,8 +251,9 @@ class TestBatchedEditSweep:
 
 
 class TestEmptySeedList:
-    """An empty seed list is a configuration error, raised before any
-    generator is built."""
+    """An empty seed list, or one whose arrays would pass rng.MAX_ENTRIES
+    values, is a configuration error, raised before any generator is
+    built."""
 
     @pytest.fixture(autouse=True)
     def no_generators(self, monkeypatch):
@@ -273,6 +274,20 @@ class TestEmptySeedList:
         params = default_av_params()
         with pytest.raises(InvalidConfigError, match="seed"):
             run_avedit_sweep(_analytic_av_field(params), params, [], EditConfig(T=4, n_max=2))
+
+    # ranges, whose length is read without making the list
+    def test_edit_sweep_record_past_the_limit(self):
+        seeds = range(MAX_ENTRIES // (2 * 2 * SRC.dim) + 1)  # 2 n_max dim values a seed
+        with pytest.raises(InvalidConfigError, match="edit record"):
+            run_edit_sweep(SRC, TAR, seeds, EditConfig(T=4, n_max=2))
+        with pytest.raises(InvalidConfigError, match="edit record"):
+            run_ablation(SRC, TAR, seeds, T=4, n_max=2)
+
+    def test_avedit_seed_list_past_the_limit(self):
+        params = default_av_params()
+        with pytest.raises(InvalidConfigError, match="seed list"):
+            run_avedit_sweep(_analytic_av_field(params), params, range(MAX_ENTRIES + 1),
+                             EditConfig(T=4, n_max=2))
 
 
 class TestEmptyRunList:

@@ -190,6 +190,16 @@ class TestTrain:
         with pytest.raises(InvalidConfigError):
             train(mlp_init([4, 1], 0, seed=0), [], TrainConfig())
 
+    @pytest.mark.parametrize("kwargs", [dict(epochs=1.5), dict(epochs=np.float64(2.0)),
+                                        dict(batch_size=2.5), dict(batch_size="8")])
+    def test_non_integral_counts_raise(self, kwargs):
+        with pytest.raises(InvalidConfigError, match="must be an integer"):
+            TrainConfig(**kwargs)
+
+    def test_numpy_integer_counts_are_counts(self):
+        cfg = TrainConfig(epochs=np.int64(2), batch_size=np.int32(8))
+        assert (cfg.epochs, cfg.batch_size) == (2, 8)
+
 
 def _reference_train(weights, biases, x0, cond, epochs, batch, lr, seed):
     """The per-batch training loop as it stood before the flat parameter

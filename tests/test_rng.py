@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from flowlab import rng as rng_module
 from flowlab.errors import InvalidConfigError, ShapeMismatchError
-from flowlab.rng import _NORMAL_BLOCK, RNG_ALGORITHM, CounterRng, derive_seed, derive_seeds
+from flowlab.rng import (
+    _NORMAL_BLOCK, MAX_ENTRIES, RNG_ALGORITHM, CounterRng, derive_seed, derive_seeds,
+)
 
 
 def test_same_seed_bit_identical():
@@ -185,6 +188,40 @@ def test_non_integral_counts_raise_before_any_counter_moves(key, draw):
     with pytest.raises(InvalidConfigError, match="integer"):
         draw(rng, [2] if isinstance(key, list) else [])
     assert (rng.words_consumed, rng.normal_draws) == (6, 3)
+
+
+@pytest.mark.parametrize("key", [4, [4, 5]], ids=["one", "keyed"])
+@pytest.mark.parametrize("draw", [
+    lambda rng, k, n: rng.standard_normal(n),
+    lambda rng, k, n: rng.uniform(n),
+    lambda rng, k, n: rng.normal_array((*k, n)),
+    lambda rng, k, n: rng.normal_array((*k, 2**40, 2**40)),
+    lambda rng, k, n: rng.normal_steps(n, (*k, 1)),
+    lambda rng, k, n: rng.normal_steps(2, (*k, n // 2 + 1)),
+], ids=["standard_normal", "uniform", "normal_array", "normal_array-2d", "normal_steps-steps",
+        "normal_steps-shape"])
+def test_draws_past_the_limit_raise_before_any_counter_moves(key, draw):
+    # the limit counts the values of every stream: keyed, half as many per stream
+    rng = CounterRng(key)
+    rng.standard_normal(3)
+    streams = [2] if isinstance(key, list) else []
+    with pytest.raises(InvalidConfigError, match="limit of 268435456"):
+        draw(rng, streams, MAX_ENTRIES // (1 + len(streams)) + 1)
+    assert (rng.words_consumed, rng.normal_draws) == (6, 3)
+
+
+def test_a_draw_at_the_limit_is_not_rejected(monkeypatch):
+    # the bound is inclusive; checked at a small limit, so that nothing large is drawn
+    monkeypatch.setattr(rng_module, "MAX_ENTRIES", 6)
+    assert CounterRng([1, 2]).normal_array((2, 3)).shape == (2, 3)
+    with pytest.raises(InvalidConfigError, match="limit of 6"):
+        CounterRng([1, 2]).normal_array((2, 4))
+
+
+def test_seed_lists_past_the_limit_raise_before_they_are_read():
+    # the range's length is checked before numpy would read it into an array
+    with pytest.raises(InvalidConfigError, match="seed list"):
+        derive_seeds(range(MAX_ENTRIES + 1), 1)
 
 
 def test_keyed_draws_lead_with_the_streams():

@@ -12,7 +12,7 @@ from flowlab.gaussian import GaussianConditionalField, GaussianSpec, sample_arra
 from flowlab.harness import default_av_params, pair_field
 from flowlab.metrics import truncation_bias
 from flowlab.mlp import MlpVelocityField, mlp_init
-from flowlab.rng import CounterRng, derive_seed
+from flowlab.rng import MAX_ENTRIES, CounterRng, derive_seed
 from flowlab.samplers import (
     DualState,
     EditConfig,
@@ -80,6 +80,29 @@ class TestEditConfig:
             EditConfig(T=10, n_max=0)
         with pytest.raises(InvalidConfigError):
             EditConfig(T=10, n_max=11)
+
+    @pytest.mark.parametrize("kwargs", [dict(T=4, n_max=1.5), dict(T=2.5, n_max=2),
+                                        dict(T=np.float64(4.0), n_max=2), dict(T="4", n_max=2)])
+    def test_non_integral_counts_raise(self, kwargs):
+        # n_max = 1.5 would otherwise end in a numpy IndexError inside the sampler
+        with pytest.raises(InvalidConfigError, match="must be an integer"):
+            EditConfig(**kwargs)
+
+    def test_numpy_integer_counts_are_counts(self):
+        assert EditConfig(T=np.int64(4), n_max=np.int32(2)).times.tolist() == [
+            0.0, 0.25, 0.5, 0.75, 1.0]
+
+    def test_generate_rejects_a_non_integral_step_count(self):
+        field, c_src, _ = _diagonal_pair()
+        with pytest.raises(InvalidConfigError, match="T must be an integer"):
+            generate(field, np.zeros(2), c_src, T=2.5)
+
+    def test_time_grid_past_the_limit_raises_before_it_is_made(self):
+        # constructing a config allocates nothing, so the limit itself is checked
+        assert EditConfig(T=MAX_ENTRIES - 1, n_max=1).T == MAX_ENTRIES - 1
+        for T in (MAX_ENTRIES, 2 * 10**18):
+            with pytest.raises(InvalidConfigError, match="T \\+ 1 time grid"):
+                EditConfig(T=T, n_max=1)
 
     def test_times_are_the_uniform_grid(self):
         assert EditConfig(T=4, n_max=2).times.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
@@ -919,6 +942,22 @@ class TestRecordSize:
         _, traj = editor(field, x, c_src, c_tar, cfg, rng=rng, record=True)
         held = sum(getattr(traj, f.name).nbytes for f in dataclasses.fields(traj))
         assert held == (2 * cfg.n_max * x.size + cfg.n_max) * 8
+
+    @pytest.mark.parametrize("editor, c_src", [(flowedit, True), (omniedit_sync, True),
+                                               (omniedit_sync, False)])
+    @pytest.mark.parametrize("noise", ["random", "estimated"])
+    def test_record_past_the_limit_raises_before_any_draw(self, editor, c_src, noise):
+        # 2 n_max x.size = MAX_ENTRIES + 8: rejected before the grid, the
+        # record or any noise is made; without c_src omniedit_sync would draw first
+        field, c0, c1 = _diagonal_pair()
+        n = MAX_ENTRIES // 8 + 1
+        cfg = EditConfig(T=n, n_max=n, sequence_mode="edit" if editor is flowedit else "target",
+                         noise_mode=noise)
+        rng = CounterRng([3, 5])
+        with pytest.raises(InvalidConfigError, match="edit record"):
+            editor(field, np.zeros((2, 1)) + [0.5, -0.5], c0 if c_src else None, c1, cfg,
+                   rng=rng, record=True)
+        assert rng.words_consumed == 0
 
 
 def _diagonal_pair():
