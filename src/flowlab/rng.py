@@ -132,7 +132,7 @@ def _count(n: int) -> int:
     """A draw count as a Python int, checked before any counter moves."""
     count = integer(n, "draw count")
     if count < 0:
-        raise InvalidConfigError(f"draw count must be an integer >= 0, got {n!r}")
+        raise InvalidConfigError(f"draw count must be >= 0, got {n!r}")
     return count
 
 

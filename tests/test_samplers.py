@@ -12,6 +12,7 @@ from flowlab.gaussian import GaussianConditionalField, GaussianSpec, sample_arra
 from flowlab.harness import default_av_params, pair_field
 from flowlab.metrics import truncation_bias
 from flowlab.mlp import MlpVelocityField, mlp_init
+from flowlab import rng as rng_module
 from flowlab.rng import MAX_ENTRIES, CounterRng, derive_seed
 from flowlab.samplers import (
     DualState,
@@ -946,12 +947,14 @@ class TestRecordSize:
     @pytest.mark.parametrize("editor, c_src", [(flowedit, True), (omniedit_sync, True),
                                                (omniedit_sync, False)])
     @pytest.mark.parametrize("noise", ["random", "estimated"])
-    def test_record_past_the_limit_raises_before_any_draw(self, editor, c_src, noise):
-        # 2 n_max x.size = MAX_ENTRIES + 8: rejected before the grid, the
-        # record or any noise is made; without c_src omniedit_sync would draw first
+    def test_record_past_the_limit_raises_before_any_draw(self, editor, c_src, noise,
+                                                          monkeypatch):
+        # at a limit of 64 the 10-time grid and every draw pass, but not the
+        # 2 n_max x.size = 72-value record; rejected before any noise is made,
+        # which omniedit_sync without c_src would draw first
+        monkeypatch.setattr(rng_module, "MAX_ENTRIES", 64)
         field, c0, c1 = _diagonal_pair()
-        n = MAX_ENTRIES // 8 + 1
-        cfg = EditConfig(T=n, n_max=n, sequence_mode="edit" if editor is flowedit else "target",
+        cfg = EditConfig(T=9, n_max=9, sequence_mode="edit" if editor is flowedit else "target",
                          noise_mode=noise)
         rng = CounterRng([3, 5])
         with pytest.raises(InvalidConfigError, match="edit record"):
