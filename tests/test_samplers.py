@@ -958,7 +958,7 @@ class TestRecordSize:
                          noise_mode=noise)
         rng = CounterRng([3, 5])
         with pytest.raises(InvalidConfigError, match="edit record"):
-            editor(field, np.zeros((2, 1)) + [0.5, -0.5], c0 if c_src else None, c1, cfg,
+            editor(field, np.full((2, 2), 0.5), c0 if c_src else None, c1, cfg,
                    rng=rng, record=True)
         assert rng.words_consumed == 0
 
