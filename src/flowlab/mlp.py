@@ -22,14 +22,27 @@ b words for its times. Word k is the same however the draws are batched, so
 this stream equals one normal and one uniform draw per batch.
 
 Each epoch's inputs are assembled at once, and a step does only the step's
-work: the forward and backward pass on a slice of those rows, the Adam
-update and the forward pass on the eval batch, whose inputs ``train``
-assembles once per call. Both passes call the private kernels directly
-(``_forward_cached``, and ``_backward``, the backprop that
-``batch_loss_and_grads`` also runs), so no step checks shapes or assembles
-inputs. The eval and batch passes stay two products: numpy sends a 1-row
-product to gemv, not gemm, so one stacked pass would change the bits of a
-1-row eval or batch.
+work: the forward and backward pass on a slice of those rows and the Adam
+update. Both passes call the private kernels directly (``_forward_cached``,
+and ``_backward``, the backprop that ``batch_loss_and_grads`` also runs), so
+no step checks shapes or assembles inputs.
+
+The loss on the eval batch after each step is computed off the training
+thread. Each step copies ``params`` into one of two buffers of
+``_EVAL_GROUP`` snapshots; one worker thread evaluates each full buffer as
+one stack (``_EvalBatch.losses``) while training fills the other. A group
+is collected before the next is handed over, so training never writes the
+buffer being read, and the caller evaluates the partial last group.
+
+No bit depends on this scheduling. The losses are appended in step order,
+and each snapshot gets the BLAS calls of its own forward pass, except that
+a product big enough for OpenBLAS's thread pool runs as row blocks of
+whole 64-row tiles (``_row_edges``), so that the worker keeps to one core.
+The blocks give each row its bits from the whole product on one thread,
+which at the lab's shapes are also its bits on the pool. The eval and
+batch passes stay separate products: numpy sends a 1-row product to gemv,
+not gemm, so one stacked pass would change the bits of a 1-row eval or
+batch.
 """
 
 from __future__ import annotations
@@ -56,15 +69,32 @@ _FORMAT_VERSION = 1
 _TANH_CODE = 0
 # Adam's decay rates and denominator guard.
 _BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
+# OpenBLAS runs a product of at least this many multiply-adds on its thread
+# pool (4 * 65536 per thread); the eval worker splits such a product into
+# row blocks below it, so that it keeps to one core.
+_BLAS_POOL_MACS = 1 << 19
+# Row blocks are whole tiles of this many rows, so that each row keeps its
+# place in BLAS's tiles, and so its bits.
+_EVAL_ROWS = 64
+# OpenBLAS's SkylakeX kernels send a product of at most this many outputs
+# (rows * fan_out) to a small-matrix kernel with other bits; no block is that small.
+_BLAS_SMALL_OUTPUTS = 1200
+# Steps per group handed to the eval worker, evaluated as one stack. Each
+# numpy call of the worker can stall training on the GIL, so larger stacks
+# pay: with 8 snapshots a train_av_model call took 0.76 s on 2 vCPUs, with
+# 16 0.71 s. The buffers grow with the group, not with n or the batch size.
+_EVAL_GROUP = 16
 
 
 def _layer_views(flat: np.ndarray, chain: Sequence[int]) -> list[np.ndarray]:
-    """[W0, b0, W1, b1, ...] as reshaped views of a flat parameter-layout vector."""
-    views, off = [], 0
+    """[W0, b0, W1, b1, ...] as reshaped views of a flat parameter-layout
+    vector, or of a (k, P) stack of them: (k, fan_out, fan_in) weights and
+    (k, fan_out) biases."""
+    views, off, lead = [], 0, flat.shape[:-1]
     for fan_in, fan_out in zip(chain[:-1], chain[1:]):
-        views.append(flat[off : off + fan_out * fan_in].reshape(fan_out, fan_in))
+        views.append(flat[..., off : off + fan_out * fan_in].reshape(*lead, fan_out, fan_in))
         off += fan_out * fan_in
-        views.append(flat[off : off + fan_out])
+        views.append(flat[..., off : off + fan_out])
         off += fan_out
     return views
 
@@ -298,10 +328,16 @@ def train(model: MlpModel, dataset, config: TrainConfig) -> TrainReport:
     zero. Raises if the loss goes non-finite.
 
     A step does only the step's work: the forward and backward pass on its
-    batch, a slice of the epoch's inputs, the Adam update and the forward
-    pass on the eval batch. The eval inputs and the gradient views are made
-    once per call, the epoch's inputs once per epoch.
+    batch, a slice of the epoch's inputs, the Adam update and a copy of the
+    parameters into the snapshot buffer. One worker thread computes the eval
+    losses of each full group of snapshots while the next steps run (see
+    the module docstring); it is joined before ``train`` returns or raises,
+    and an error in it is raised here. The eval inputs and all buffers are
+    made once per call, the epoch's inputs once per epoch.
     """
+    # imported here, as concurrent.futures loads logging, which only train needs
+    from concurrent.futures import ThreadPoolExecutor
+
     if len(dataset) == 0:
         raise InvalidConfigError("empty dataset")
     x0, cond = _as_training_arrays(dataset, model)
@@ -315,55 +351,118 @@ def train(model: MlpModel, dataset, config: TrainConfig) -> TrainReport:
     eval_t = eval_rng.uniform(n_eval)
     eval_inputs = _assemble_inputs(model, interp(eval_x0, eval_x1, eval_t[:, None]), eval_cond,
                                    eval_t)
-    eval_tgt = eval_x1 - eval_x0
-
-    def eval_loss() -> float:
-        err = _forward_cached(model, eval_inputs)[-1]
-        err -= eval_tgt
-        return float(np.add.reduce(np.square(err), axis=None)) / n_eval
+    evaluate = _EvalBatch(eval_inputs, eval_x1 - eval_x0, model.layer_chain)
 
     rng = CounterRng(config.seed)
     report = TrainReport()
-    report.initial_loss = eval_loss()
-
     params, batch = model.params, config.batch_size
+    report.initial_loss = evaluate.losses(params[None])[0]
     grad, m, v = np.empty_like(params), np.zeros_like(params), np.zeros_like(params)
     upd, buf = np.empty_like(params), np.empty_like(params)
     grads = _layer_views(grad, model.layer_chain)
-    step = 0
-    for _ in range(config.epochs):
-        perm = np.argsort(rng.uniform(n), kind="stable")
-        x1, t = _epoch_draws(rng.uniform(n * (2 * d + 1)), n, d, batch)
-        ex0 = x0[perm]
-        inputs = _assemble_inputs(model, interp(ex0, x1, t[:, None]), cond[perm], t)
-        target = x1 - ex0
-        for lo in range(0, n, batch):
-            loss = _backward(model, _forward_cached(model, inputs[lo : lo + batch]),
-                             target[lo : lo + batch], grads)
-            if not math.isfinite(loss):
-                raise TrainingDivergedError(f"non-finite training loss at step {step}")
-            step += 1
-            # Adam in the per-array expressions' operation order, so every
-            # bit is theirs: (1-b2)*g*g and lr*mhat/(sqrt(vhat)+eps)
-            m *= _BETA1
-            np.multiply(1.0 - _BETA1, grad, out=buf)
-            m += buf
-            v *= _BETA2
-            np.multiply(1.0 - _BETA2, grad, out=buf)
-            buf *= grad
-            v += buf
-            np.divide(m, 1.0 - _BETA1**step, out=upd)
-            upd *= config.learning_rate
-            np.divide(v, 1.0 - _BETA2**step, out=buf)
-            np.sqrt(buf, out=buf)
-            buf += _ADAM_EPS
-            upd /= buf
-            params -= upd
-            report.losses.append(eval_loss())
+    snaps = np.empty((2, _EVAL_GROUP, params.size))
+    slot = fill = step = 0
+    pending = None
+    # numpy's error state is per thread: the worker runs under the caller's
+    caller_err = np.geterr()
+
+    def worker_losses(group: np.ndarray) -> list[float]:
+        with np.errstate(**caller_err):
+            return evaluate.losses(group)
+
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        for _ in range(config.epochs):
+            perm = np.argsort(rng.uniform(n), kind="stable")
+            x1, t = _epoch_draws(rng.uniform(n * (2 * d + 1)), n, d, batch)
+            ex0 = x0[perm]
+            inputs = _assemble_inputs(model, interp(ex0, x1, t[:, None]), cond[perm], t)
+            target = x1 - ex0
+            for lo in range(0, n, batch):
+                loss = _backward(model, _forward_cached(model, inputs[lo : lo + batch]),
+                                 target[lo : lo + batch], grads)
+                if not math.isfinite(loss):
+                    raise TrainingDivergedError(f"non-finite training loss at step {step}")
+                step += 1
+                # Adam in the per-array expressions' operation order, so every
+                # bit is theirs: (1-b2)*g*g and lr*mhat/(sqrt(vhat)+eps)
+                m *= _BETA1
+                np.multiply(1.0 - _BETA1, grad, out=buf)
+                m += buf
+                v *= _BETA2
+                np.multiply(1.0 - _BETA2, grad, out=buf)
+                buf *= grad
+                v += buf
+                np.divide(m, 1.0 - _BETA1**step, out=upd)
+                upd *= config.learning_rate
+                np.divide(v, 1.0 - _BETA2**step, out=buf)
+                np.sqrt(buf, out=buf)
+                buf += _ADAM_EPS
+                upd /= buf
+                params -= upd
+                snaps[slot, fill] = params
+                fill += 1
+                if fill == _EVAL_GROUP:
+                    # the group in flight is collected before the next goes,
+                    # so its buffer is free when filling comes back to it
+                    if pending is not None:
+                        report.losses += pending.result()
+                    pending = worker.submit(worker_losses, snaps[slot])
+                    slot, fill = 1 - slot, 0
+        if pending is not None:
+            report.losses += pending.result()
+    report.losses += evaluate.losses(snaps[slot, :fill])
     report.final_loss = report.losses[-1]
     if not np.isfinite(report.final_loss):
         raise TrainingDivergedError("non-finite final loss")
     return report
+
+
+class _EvalBatch:
+    """``train``'s frozen eval batch and its loss kernel, whose buffers are
+    made once, so that the worker thread allocates nothing large."""
+
+    def __init__(self, inputs: np.ndarray, target: np.ndarray, chain: Sequence[int]):
+        self.inputs, self.target, self.chain = inputs, target, chain
+        n = inputs.shape[0]
+        self.edges = [_row_edges(n, fan_in, fan_out)
+                      for fan_in, fan_out in zip(chain[:-1], chain[1:])]
+        self.outs = [np.empty((_EVAL_GROUP, n, w)) for w in chain[1:]]
+
+    def losses(self, stack: np.ndarray) -> list[float]:
+        """The eval loss of each parameter vector of ``stack`` (k, P), k at
+        most _EVAL_GROUP, in order. Each loss is the pairwise sum over the
+        snapshot's flattened (n, d) errors, as np.add.reduce(axis=None)
+        sums them."""
+        k, n = stack.shape[0], self.inputs.shape[0]
+        views = _layer_views(stack, self.chain)
+        h = self.inputs
+        for l, (edges, z) in enumerate(zip(self.edges, self.outs)):
+            z, w = z[:k], views[2 * l].swapaxes(1, 2)
+            for lo, hi in zip(edges[:-1], edges[1:]):
+                np.matmul(h[..., lo:hi, :], w, out=z[:, lo:hi])
+            z += views[2 * l + 1][:, None]
+            if l < len(self.outs) - 1:
+                np.tanh(z, out=z)
+            h = z
+        h -= self.target
+        np.square(h, out=h)
+        sums = np.add.reduce(h.reshape(k, n * self.chain[-1]), axis=1)
+        return [s / n for s in sums.tolist()]
+
+
+def _row_edges(n: int, fan_in: int, fan_out: int) -> list[int]:
+    """Row block edges of an n-row eval product: if the whole product would
+    run on OpenBLAS's pool, the fewest balanced blocks of whole tiles that
+    stay below it, where there are such blocks and none is a small-matrix
+    product; all n rows at once otherwise."""
+    tiles, macs = n // _EVAL_ROWS, fan_in * fan_out
+    per_block = (_BLAS_POOL_MACS - 1) // (macs * _EVAL_ROWS)
+    if n % _EVAL_ROWS or n * macs < _BLAS_POOL_MACS or per_block == 0:
+        return [0, n]
+    blocks = -(-tiles // per_block)
+    if tiles // blocks * _EVAL_ROWS * fan_out <= _BLAS_SMALL_OUTPUTS:
+        return [0, n]
+    return [tiles * i // blocks * _EVAL_ROWS for i in range(blocks + 1)]
 
 
 def _epoch_draws(u: np.ndarray, n: int, d: int, batch: int) -> tuple[np.ndarray, np.ndarray]:

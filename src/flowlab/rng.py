@@ -145,6 +145,9 @@ class CounterRng:
     ``words_consumed`` and ``normal_draws`` count per stream."""
 
     def __init__(self, seed):
+        if hasattr(seed, "__len__") and not isinstance(seed, np.ndarray):
+            # np.ndim reads a whole sequence into an array: check its length first
+            check_entries(len(seed), "a seed list")
         ndim = np.ndim(seed)
         if ndim == 0:
             self.seed = int(seed) & _U64

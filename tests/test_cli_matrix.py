@@ -37,7 +37,8 @@ def test_cli_matrix_outputs_are_unchanged(tmp_path):
 
 def test_mlp_outputs_do_not_depend_on_blas_threads(tmp_path):
     # the test above runs at the default thread count; the 256-row eval
-    # batch of train crosses OpenBLAS's threading threshold
+    # product of train would cross OpenBLAS's threading threshold, and runs
+    # in row blocks below it that must give the whole product's bits
     path = os.pathsep.join([str(TESTS.parent / "src"), str(TESTS),
                             os.environ.get("PYTHONPATH", "")])
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "PYTHONPATH": path}

@@ -1,4 +1,6 @@
 import hashlib
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from flowlab.errors import (
     TrainingDivergedError,
 )
 from flowlab.gaussian import GaussianSpec, sample_array
+from flowlab import mlp as mlp_module
 from flowlab.mlp import (
     MlpModel,
     MlpVelocityField,
@@ -25,6 +28,16 @@ from flowlab.mlp import (
     mlp_init,
     save_model,
     train,
+)
+from flowlab.mlp import (  # the eval worker's kernel and its constants
+    _BLAS_POOL_MACS,
+    _BLAS_SMALL_OUTPUTS,
+    _EVAL_GROUP,
+    _EVAL_ROWS,
+    _EvalBatch,
+    _forward_cached,
+    _layer_views,
+    _row_edges,
 )
 from flowlab.rng import CounterRng, derive_seed
 from flowlab.samplers import generate
@@ -282,6 +295,10 @@ class TestTrainMatchesPerBatchLoop:
     @example(d=1, cond_dim=2, n=17, batch=8, epochs=2, lr=3e-2, hidden=[5], seed=5)  # 1-row tail
     # the benchmark's shape class: n_eval = 256 < n, width 48, a ragged last batch
     @example(d=3, cond_dim=2, n=300, batch=96, epochs=2, lr=3e-3, hidden=[48], seed=6)
+    # 76 steps: several eval groups and a partial last one; the 48x48 product is row-blocked
+    @example(d=3, cond_dim=2, n=300, batch=8, epochs=2, lr=3e-3, hidden=[48, 48], seed=7)
+    # an eval batch of 100 rows, not a whole number of row tiles
+    @example(d=2, cond_dim=1, n=100, batch=4, epochs=1, lr=1e-2, hidden=[48], seed=8)
     def test_bit_identical(self, d, cond_dim, n, batch, epochs, lr, hidden, seed):
         data = CounterRng(derive_seed(seed, 1)).normal_array((n, d + cond_dim))
         x0, cond = data[:, :d], data[:, d:]
@@ -316,6 +333,139 @@ class TestTrainMatchesPerBatchLoop:
             assert np.shares_memory(a, model.params)
             assert a.tobytes() == new.tobytes()
             assert not np.array_equal(a, old)
+
+
+def _one_snapshot_loss(flat, chain, cond_dim, inputs, target):
+    """The eval loss of one parameter vector as the one-snapshot forward pass computes it."""
+    views = _layer_views(flat, chain)
+    err = _forward_cached(MlpModel(views[0::2], views[1::2], cond_dim), inputs)[-1]
+    err -= target
+    return float(np.add.reduce(np.square(err), axis=None)) / inputs.shape[0]
+
+
+class TestEvalKernel:
+    """The stacked eval kernel that ``train``'s worker runs, against the
+    one-snapshot forward pass, bit for bit."""
+
+    @pytest.mark.parametrize("k", [1, 5, _EVAL_GROUP])
+    @pytest.mark.parametrize("n_eval", [1, 63, 64, 65, 256])
+    # the lab's widths, and a narrow output after a wide layer: 64-row
+    # blocks of its 256 x 256 x 16 product would be small-matrix products
+    @pytest.mark.parametrize("widths", [[48, 48, 3], [256, 16]], ids=["48-48-3", "256-16"])
+    def test_stack_equals_per_snapshot_losses(self, widths, n_eval, k):
+        model = mlp_init(widths, condition_dim=2, seed=n_eval)
+        chain, d = model.layer_chain, widths[-1]
+        rng = CounterRng(derive_seed(n_eval, k))
+        stack = model.params + 0.3 * rng.normal_array((k, model.params.size))
+        inputs, target = rng.normal_array((n_eval, chain[0])), rng.normal_array((n_eval, d))
+        evaluate = _EvalBatch(inputs, target, chain)
+        if n_eval == 256:  # a pool-sized product runs in row blocks
+            assert any(len(edges) > 2 for edges in evaluate.edges)
+        want = [_one_snapshot_loss(flat, chain, 2, inputs, target) for flat in stack]
+        assert evaluate.losses(stack) == want
+        assert evaluate.losses(stack[:0]) == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 256), fan_in=st.integers(1, 600), fan_out=st.integers(1, 600))
+    @example(n=256, fan_in=48, fan_out=48)
+    @example(n=256, fan_in=256, fan_out=16)
+    def test_row_blocks(self, n, fan_in, fan_out):
+        edges = _row_edges(n, fan_in, fan_out)
+        assert edges[0] == 0 and edges[-1] == n
+        if len(edges) > 2:  # split only a pool-sized product, into aligned pool-free blocks
+            assert n * fan_in * fan_out >= _BLAS_POOL_MACS
+            for lo, hi in zip(edges[:-1], edges[1:]):
+                assert lo % _EVAL_ROWS == 0 and hi - lo >= _EVAL_ROWS
+                assert (hi - lo) * fan_in * fan_out < _BLAS_POOL_MACS
+                assert (hi - lo) * fan_out > _BLAS_SMALL_OUTPUTS
+
+
+def _steps_until(monkeypatch, failing_step, outcome):
+    """Make ``train``'s batch pass at ``failing_step`` return or raise ``outcome``."""
+    real, calls = mlp_module._backward, []
+
+    def backward(*args):
+        calls.append(None)
+        if len(calls) == failing_step + 1:
+            if isinstance(outcome, BaseException):
+                raise outcome
+            return outcome
+        return real(*args)
+
+    monkeypatch.setattr(mlp_module, "_backward", backward)
+
+
+class TestEvalWorker:
+    """``train`` hands groups of parameter snapshots to one worker thread;
+    the thread ends on every exit path and its errors reach the caller."""
+
+    pairs = _gaussian_pairs(1.0, 1.0, 64, seed=12)
+    # 4 steps an epoch: 3 full groups
+    cfg = TrainConfig(epochs=3 * _EVAL_GROUP // 4, batch_size=16, learning_rate=1e-2, seed=3)
+
+    def test_no_thread_outlives_a_returning_call(self):
+        before = threading.active_count()
+        report = train(mlp_init([8, 1], 0, seed=1), self.pairs, self.cfg)
+        assert len(report.losses) == 3 * _EVAL_GROUP
+        assert threading.active_count() == before
+
+    def test_divergence_mid_group_names_its_step_and_ends_the_thread(self, monkeypatch):
+        step = 2 * _EVAL_GROUP + 3
+        _steps_until(monkeypatch, step, float("nan"))
+        before = threading.active_count()
+        with pytest.raises(TrainingDivergedError, match=f"at step {step}$"):
+            train(mlp_init([8, 1], 0, seed=1), self.pairs, self.cfg)
+        assert threading.active_count() == before
+
+    def test_interrupt_ends_the_thread(self, monkeypatch):
+        _steps_until(monkeypatch, _EVAL_GROUP + 5, KeyboardInterrupt())
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            train(mlp_init([8, 1], 0, seed=1), self.pairs, self.cfg)
+        assert threading.active_count() == before
+
+    def test_a_worker_error_reaches_the_caller(self, monkeypatch):
+        real = _EvalBatch.losses
+
+        def losses(self, stack):
+            if threading.current_thread() is not threading.main_thread():
+                raise ArithmeticError("eval failed on the worker")
+            return real(self, stack)
+
+        monkeypatch.setattr(_EvalBatch, "losses", losses)
+        before = threading.active_count()
+        with pytest.raises(ArithmeticError, match="on the worker"):
+            train(mlp_init([8, 1], 0, seed=1), self.pairs, self.cfg)
+        assert threading.active_count() == before
+
+    def test_the_worker_keeps_the_callers_error_state(self, monkeypatch):
+        real, seen = _EvalBatch.losses, []
+
+        def losses(self, stack):
+            seen.append((threading.current_thread() is threading.main_thread(), np.geterr()))
+            return real(self, stack)
+
+        monkeypatch.setattr(_EvalBatch, "losses", losses)
+        with np.errstate(over="ignore", invalid="raise"):
+            want = np.geterr()
+            train(mlp_init([8, 1], 0, seed=1), self.pairs, self.cfg)
+        assert not all(on_main for on_main, _ in seen)
+        assert all(err == want for _, err in seen)
+
+    def test_snapshot_memory_does_not_grow_with_the_steps(self):
+        # 512 steps against 8: with every snapshot kept, the first would
+        # hold 512 parameter vectors (10.6 MB) more
+        pairs = _gaussian_pairs(1.0, 1.0, 512, seed=13)
+        peaks = []
+        for batch in (1, 64):
+            model = mlp_init([48, 48, 1], 0, seed=2)
+            tracemalloc.start()
+            try:
+                train(model, pairs, TrainConfig(epochs=1, batch_size=batch, seed=4))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] - peaks[1] < 0.1 * 2**20
 
 
 class TestSerialization:

@@ -224,6 +224,20 @@ def test_seed_lists_past_the_limit_raise_before_they_are_read():
         derive_seeds(range(MAX_ENTRIES + 1), 1)
 
 
+def test_generator_seed_lists_past_the_limit_raise_before_they_are_read():
+    class LongSeeds:
+        """A sequence that claims more than MAX_ENTRIES seeds and must not be read."""
+
+        def __len__(self):
+            return MAX_ENTRIES + 1
+
+        def __getitem__(self, index):
+            raise AssertionError(f"seed {index} was read")
+
+    with pytest.raises(InvalidConfigError, match="seed list"):
+        CounterRng(LongSeeds())
+
+
 def test_keyed_draws_lead_with_the_streams():
     keyed = CounterRng([1, 2, 3])
     with pytest.raises(ShapeMismatchError):
