@@ -33,7 +33,7 @@ from .errors import (
     InvalidConfigError,
     ShapeMismatchError,
 )
-from .rng import CounterRng
+from .rng import CounterRng, _halves
 
 
 @dataclass(frozen=True)
@@ -219,10 +219,18 @@ def mc_conditional_velocity(
     N(x1; 0, I); the Jacobian of that map is constant and cancels. The
     self-normalised weighted mean of x1 - x0 is the exact conditional
     expectation as n grows, with no kernel and no bandwidth; it comes with a
-    per-coordinate standard error. Both weighted sums are numpy pairwise sums
-    over the draws, one coordinate at a time, so the result does not depend
-    on the BLAS thread count. Every query and n are checked before the draw;
-    an empty ``queries`` draws nothing.
+    per-coordinate standard error. Every query and n are checked before the
+    draw; an empty ``queries`` draws nothing.
+
+    Each weighted sum is numpy's pairwise sum over the draws, one coordinate
+    at a time, so no bit depends on the BLAS thread count. The draws are
+    split where that sum splits them: numpy sums n > 128 values as the sum
+    of the first ``_pairwise_half(n)`` plus the sum of the rest. The caller
+    evaluates the first part and one worker thread, started once per call,
+    the second (``rng._halves``), in three phases per query: the endpoints
+    and log-weights; after the global maximum, the weights and their sums;
+    after the mean, the squared residuals' sums. Each total is that one
+    addition of the two part sums, so every bit is the one-thread result.
     """
     if n < 10_000:
         raise InvalidConfigError(f"need n >= 1e4 Monte Carlo samples, got {n}")
@@ -238,34 +246,67 @@ def mc_conditional_velocity(
     # one row per coordinate: the elementwise work and the sums run along
     # the n draws
     x0 = sample_array(spec, n, rng).T.copy()
-    return [_weighted_estimate(x0, x, t, n) for x, t in queries]
+    # made here, once: both threads write into their halves of these
+    bufs = (np.empty_like(x0), np.empty(n), np.empty(n), np.empty(n))
+    split = _pairwise_half(n)
+    parts = (slice(0, split), slice(split, n))
+    with _halves() as both:
+        return [McVelocityEstimate(*_weighted_estimate(both, parts, x0, bufs, x, t), n=n)
+                for x, t in queries]
 
 
-def _weighted_estimate(x0: np.ndarray, x: np.ndarray, t: float, n: int) -> McVelocityEstimate:
-    """One query's estimate from the (dim, n) draw ``x0``, which it only reads."""
-    x1 = x0 * (1.0 - t)
-    np.subtract(x[:, None], x1, out=x1)
-    x1 /= t
-    log_w = x1[0] * x1[0]
-    for row in x1[1:]:
-        log_w += row * row
-    log_w *= -0.5
-    log_w -= np.max(log_w)
-    w = np.exp(log_w, out=log_w)  # max-shifted: the largest weight is 1
-    w_sq = w * w
-    wsum = float(np.sum(w))
-    ess = wsum**2 / float(np.sum(w_sq))
+def _pairwise_half(n: int) -> int:
+    """Where numpy's pairwise sum of n > 128 values splits them."""
+    return n // 2 - (n // 2) % 8
+
+
+def _weighted_estimate(both, parts, x0, bufs, x, t) -> tuple[np.ndarray, np.ndarray, float]:
+    """One query's value, stderr and effective sample size from the (dim, n)
+    draw ``x0``, which it only reads, each phase run on the two ``parts`` of
+    the draws by ``both``. ``bufs`` holds the (dim, n) endpoints (then
+    residuals) and the n-long log-weights (then weights), squared weights
+    and products."""
+    x1, log_w, w_sq, prod = bufs
+
+    def endpoints(part):
+        # x1 = (x - (1-t) x0) / t and log_w = -|x1|^2 / 2; returns max(log_w)
+        p1, lw, pr = x1[:, part], log_w[part], prod[part]
+        np.multiply(x0[:, part], 1.0 - t, out=p1)
+        np.subtract(x[:, None], p1, out=p1)
+        p1 /= t
+        np.multiply(p1[0], p1[0], out=lw)
+        for row in p1[1:]:
+            lw += np.multiply(row, row, out=pr)
+        lw *= -0.5
+        return np.max(lw)
+
+    def weights(part):
+        # w = exp(log_w - max); returns the sums of w, w^2 and w * (x1 - x0)_j
+        w, ws, pr = log_w[part], w_sq[part], prod[part]
+        w -= top
+        np.exp(w, out=w)  # max-shifted: the largest weight is 1
+        np.multiply(w, w, out=ws)
+        y = np.subtract(x1[:, part], x0[:, part], out=x1[:, part])
+        return [np.sum(w), np.sum(ws)] + [np.sum(np.multiply(w, row, out=pr)) for row in y]
+
+    def residuals(part):
+        # returns the sums of w^2 (y_j - value_j)^2
+        r = np.subtract(x1[:, part], value[:, None], out=x1[:, part])
+        r *= r
+        r *= w_sq[part]
+        return [np.sum(row) for row in r]
+
+    top = np.maximum(*both(endpoints, *parts))
+    sums = [a + b for a, b in zip(*both(weights, *parts))]
+    wsum = float(sums[0])
+    ess = wsum**2 / float(sums[1])
     if ess < 30.0:
         raise InsufficientSamplesError(
             f"effective sample size {ess:.1f} < 30 at x={x}, t={t}; increase n"
         )
-    y = np.subtract(x1, x0, out=x1)
-    value = np.array([np.sum(w * row) for row in y]) / wsum
-    resid = np.subtract(y, value[:, None], out=y)
-    resid *= resid
-    resid *= w_sq
-    stderr = np.sqrt([np.sum(row) for row in resid]) / wsum
-    return McVelocityEstimate(value=value, stderr=stderr, effective_samples=ess, n=n)
+    value = np.array(sums[2:]) / wsum
+    stderr = np.sqrt([a + b for a, b in zip(*both(residuals, *parts))]) / wsum
+    return value, stderr, ess
 
 
 def sample_array(spec: GaussianSpec, n: int, rng: CounterRng) -> np.ndarray:

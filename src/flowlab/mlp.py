@@ -4,10 +4,17 @@ The network maps concat(state, condition, (t, 1-t)) through tanh hidden
 layers to a velocity of the state's dimension, and is trained with Adam on
 the straight-path regression objective: batch mean of
 ``||model(x_t, c, t) - (x1 - x0)||^2`` with x1 drawn standard normal and t
-uniform. Everything is float64 numpy and deterministic: the matrix products
-may run on BLAS threads, and no output bit depends on how many
-(``tests/test_cli_matrix.py`` runs the CLI's training and editing at one
-thread beside the default).
+uniform. Everything is float64 numpy and deterministic, and the matrix
+products may run on BLAS threads. At the shapes tested, the CLI's 48-wide
+layers, no output bit depends on how many: ``tests/test_cli_matrix.py``
+runs the CLI's training and editing at one thread beside the default. That
+does not hold at every shape. OpenBLAS's two-thread product has other bits
+than its one-thread product at (256, 12)·(12, 300), (256, 24)·(24, 300) and
+(128, 24)·(24, 300). So with a 300-wide first layer, a product big enough
+for OpenBLAS's pool (``_BLAS_POOL_MACS``), such as a large training batch
+or an editing step over many rows, may give bits that depend on the thread
+count; ``train``'s eval products run in row blocks below that size (see
+below).
 
 Parameters live in one float64 vector, ``MlpModel.params``, laid out as the
 model file stores them: W0 (row-major, fan_out x fan_in), b0, W1, b1, ...

@@ -23,6 +23,15 @@ row r is bit for bit what a generator on ``seeds[r]`` alone would give for
 the same sequence of calls. This lets a whole seed sweep run as one batched
 sampler call, on keys that ``derive_seeds`` derives in one array pass.
 
+A draw of more than ``_NORMAL_BLOCK`` normals per stream is filled on two
+threads: its blocks of ``_NORMAL_BLOCK // 2`` normals get their word
+offsets before either thread starts, the caller fills the first half of
+them and one worker thread the second (``_halves``). Each normal is a
+function of its word offset alone, so the output and the counters are
+those of one thread filling the blocks in order. The caller makes every
+buffer, two of ``_NORMAL_BLOCK`` words per thread, so the worker allocates
+nothing and the temporaries stay about those of one such thread.
+
 ``CounterRng.normal_steps(steps, shape)`` makes ``steps`` successive
 ``normal_array(shape)`` draws in one call, stacked on a new leading axis:
 an editor draws every step's noise up front with it, and row s is bit for
@@ -37,6 +46,7 @@ from __future__ import annotations
 
 import math
 import operator
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -55,14 +65,15 @@ _NORMAL_BLOCK = 1 << 15  # normals standard_normal draws at a time, to bound its
 MAX_ENTRIES = 1 << 28
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
+def _mix64(z: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
     # SplitMix64 finalizer, in place on a uint64 array; the multiplies wrap
-    # mod 2**64 by design.
-    z ^= z >> np.uint64(30)
+    # mod 2**64 by design. The shifts go to ``tmp``, an array of z's shape,
+    # when given, and to new arrays otherwise.
+    z ^= np.right_shift(z, np.uint64(30), out=tmp)
     z *= _MIX1
-    z ^= z >> np.uint64(27)
+    z ^= np.right_shift(z, np.uint64(27), out=tmp)
     z *= _MIX2
-    z ^= z >> np.uint64(31)
+    z ^= np.right_shift(z, np.uint64(31), out=tmp)
     return z
 
 
@@ -100,13 +111,15 @@ def derive_seed(seed: int, tag: int) -> int:
     return int(derive_seeds([seed], tag)[0])
 
 
-def box_muller(u: np.ndarray) -> np.ndarray:
+def box_muller(u: np.ndarray, out: np.ndarray | None = None,
+               angle: np.ndarray | None = None) -> np.ndarray:
     """Normals from uniform pairs along the last axis, cosine branch only:
-    ``z[..., j] = sqrt(-2 ln u[..., 2j]) * cos(2 pi u[..., 2j+1])``."""
-    z = np.log(u[..., 0::2])
+    ``z[..., j] = sqrt(-2 ln u[..., 2j]) * cos(2 pi u[..., 2j+1])``. ``out``
+    and ``angle``, arrays of the result's shape, take the work when given."""
+    z = np.log(u[..., 0::2], out=out)
     z *= -2.0
     np.sqrt(z, out=z)
-    angle = u[..., 1::2] * (2.0 * np.pi)
+    angle = np.multiply(u[..., 1::2], 2.0 * np.pi, out=angle)
     np.cos(angle, out=angle)
     z *= angle
     return z
@@ -136,6 +149,37 @@ def _count(n: int) -> int:
     return count
 
 
+@contextmanager
+def _halves():
+    """One worker thread beside the caller, for the lifetime of the block.
+
+    Yields ``both(half, first, second)``, which runs ``half(second)`` on the
+    worker while the caller runs ``half(first)``, and returns the pair of
+    results once both are done. The worker runs under the caller's
+    ``np.geterr()`` (numpy's error state is per thread), and an error raised
+    in its half is raised again in the caller. The thread is joined on every
+    exit from the block, so none outlives it. ``half`` may call numpy and the
+    lab's private kernels only: ``benchmarks/tracing.py`` wraps the public
+    functions and is not thread-safe."""
+    # imported here, as concurrent.futures loads logging, which a bare
+    # import of the lab does not need
+    from concurrent.futures import ThreadPoolExecutor
+
+    caller_err = np.geterr()
+
+    def on_worker(half, part):
+        with np.errstate(**caller_err):
+            return half(part)
+
+    def both(half, first, second):
+        pending = worker.submit(on_worker, half, second)
+        mine = half(first)
+        return mine, pending.result()
+
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        yield both
+
+
 class CounterRng:
     """Seeded counter-based generator; see module docstring for the stream.
 
@@ -160,14 +204,28 @@ class CounterRng:
         self._index = 0
         self.normal_draws = 0
 
-    def _words(self, n: int) -> np.ndarray:
-        z = np.arange(self._index + 1, self._index + n + 1, dtype=np.uint64)
-        self._index += n
+    def _words(self, n: int, first: int | None = None, out: np.ndarray | None = None,
+               tmp: np.ndarray | None = None) -> np.ndarray:
+        """n words per stream from offset ``first``, which moves no counter;
+        by default from the counter, which moves past them. Given ``out`` and
+        ``tmp``, uint64 arrays of the result's shape, the words are made in
+        ``out`` and no array is allocated; ``tmp`` is overwritten."""
+        if first is None:
+            first = self._index
+            self._index += n
+        if out is None:
+            z = np.arange(first + 1, first + n + 1, dtype=np.uint64)
+        else:
+            # arange has no out: the counters as a running sum of ones
+            ones = out.reshape(-1, n)[0]
+            ones.fill(1)
+            z = np.cumsum(ones, out=tmp.reshape(-1, n)[0])
+            z += np.uint64(first)
         z *= _GOLDEN
-        # a new array, as a keyed key broadcasts to (k, n); rebinding z frees
-        # the counter array before the mix rather than holding both
-        z = z + self._key
-        return _mix64(z)
+        # without out a new array, as a keyed key broadcasts to (k, n);
+        # rebinding z frees the counter array before the mix
+        z = np.add(z, self._key, out=out)
+        return _mix64(z, tmp)
 
     def _drawn(self, n: int) -> int:
         """A draw count per stream, checked against MAX_ENTRIES over all
@@ -176,11 +234,14 @@ class CounterRng:
         check_entries(n * self._key.size, "a draw")
         return n
 
-    def _uniforms(self, n: int) -> np.ndarray:
-        u = self._words(n)
+    def _uniforms(self, n: int, first: int | None = None, out: np.ndarray | None = None,
+                  tmp: np.ndarray | None = None) -> np.ndarray:
+        """Uniforms of the words ``_words`` makes; given its buffers, they
+        are made in ``tmp``, viewed as float64."""
+        u = self._words(n, first, out, tmp)
         u >>= np.uint64(11)
         u += np.uint64(1)
-        return u * 2.0**-53
+        return np.multiply(u, 2.0**-53, out=None if tmp is None else tmp.view(np.float64))
 
     @property
     def words_consumed(self) -> int:
@@ -197,14 +258,36 @@ class CounterRng:
 
     def standard_normal(self, n: int) -> np.ndarray:
         """n standard normal draws (two words each, Box-Muller cosine branch);
-        keyed: shape (k, n); filled ``_NORMAL_BLOCK`` normals at a time."""
+        keyed: shape (k, n). A draw of more than ``_NORMAL_BLOCK`` is filled
+        ``_NORMAL_BLOCK // 2`` normals at a time on two threads (see the
+        module docstring)."""
         n = self._drawn(n)
         self.normal_draws += n
         if n <= _NORMAL_BLOCK:
             return box_muller(self._uniforms(2 * n))
-        out = np.empty((*self._key.shape[:1], n))
-        for block in np.split(out, range(_NORMAL_BLOCK, n, _NORMAL_BLOCK), axis=-1):
-            block[...] = box_muller(self._uniforms(2 * block.shape[-1]))
+        streams = self._key.shape[:1]
+        out = np.empty((*streams, n))
+        first = self._index
+        self._index += 2 * n
+        size = _NORMAL_BLOCK // 2
+        starts = range(0, n, size)
+
+        def fill(part) -> None:
+            # one thread's blocks, each made in its two word buffers: the
+            # words, then the angles, in ``z``; the mix and the uniforms in ``tmp``
+            blocks, z, tmp = part
+            for lo in blocks:
+                hi = min(lo + size, n)
+                u = self._uniforms(2 * (hi - lo), first + 2 * lo, z[..., : 2 * (hi - lo)],
+                                   tmp[..., : 2 * (hi - lo)])
+                box_muller(u, out[..., lo:hi], z.view(np.float64)[..., : hi - lo])
+
+        # every buffer is made here, so that the worker allocates nothing
+        halves = [(blocks, np.empty((*streams, 2 * size), dtype=np.uint64),
+                   np.empty((*streams, 2 * size), dtype=np.uint64))
+                  for blocks in (starts[: len(starts) // 2], starts[len(starts) // 2 :])]
+        with _halves() as both:
+            both(fill, *halves)
         return out
 
     def _shape(self, shape: tuple[int, ...] | int) -> tuple[int, ...]:

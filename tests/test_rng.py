@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from flowlab import rng as rng_module
 from flowlab.errors import InvalidConfigError, ShapeMismatchError
 from flowlab.rng import (
-    _NORMAL_BLOCK, MAX_ENTRIES, RNG_ALGORITHM, CounterRng, derive_seed, derive_seeds,
+    _GOLDEN, _MIX1, _MIX2, _NORMAL_BLOCK, MAX_ENTRIES, RNG_ALGORITHM, CounterRng, derive_seed,
+    derive_seeds,
 )
 
 
@@ -412,3 +413,56 @@ def test_a_large_draw_holds_only_block_sized_temporaries():
         tracemalloc.stop()
     assert out.nbytes == 3_200_000
     assert peak - before < 1.5 * out.nbytes
+
+
+def test_a_keyed_large_draw_holds_only_block_sized_temporaries():
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        out = CounterRng([1, 2**64 - 1, 5]).normal_array((3, 200_000, 2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.nbytes == 9_600_000
+    assert peak - before < 1.5 * out.nbytes
+
+
+def _blockwise_normals(seeds, first: int, n: int) -> np.ndarray:
+    """Normals ``first/2 .. first/2 + n`` of each seed's stream, one thread
+    filling ``_NORMAL_BLOCK`` at a time from numpy counters, as the
+    generator did before it split large draws over two threads."""
+    key = np.array(seeds, dtype=np.uint64)[..., None]
+    out = np.empty((*key.shape[:-1], n))
+    for lo in range(0, n, _NORMAL_BLOCK):
+        hi = min(lo + _NORMAL_BLOCK, n)
+        z = np.arange(first + 2 * lo + 1, first + 2 * hi + 1, dtype=np.uint64) * _GOLDEN + key
+        for shift, mult in ((30, _MIX1), (27, _MIX2), (31, None)):
+            z ^= z >> np.uint64(shift)
+            if mult is not None:
+                z *= mult
+        u = ((z >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
+        out[..., lo:hi] = np.sqrt(-2.0 * np.log(u[..., 0::2])) * np.cos(2.0 * np.pi * u[..., 1::2])
+    return out
+
+
+@pytest.mark.parametrize("seeds", [21, [21, 2**64 - 2, 0]], ids=["one", "keyed"])
+@pytest.mark.parametrize("n", [_NORMAL_BLOCK + 1, 2 * _NORMAL_BLOCK, 2 * _NORMAL_BLOCK + 7,
+                               3 * _NORMAL_BLOCK, 3 * _NORMAL_BLOCK + 5, 7 * _NORMAL_BLOCK,
+                               7 * _NORMAL_BLOCK + 1001])
+def test_two_thread_draws_equal_the_blockwise_reference(seeds, n):
+    # 1, 2, 3 and 7 whole blocks, each with and without a remainder, after
+    # 5 uniforms, so that no block starts at word 0
+    reference = _blockwise_normals(seeds, 5, n + 8)
+    for draw in ("standard_normal", "normal_array"):
+        rng = CounterRng(seeds)
+        rng.uniform(5)
+        if draw == "standard_normal":
+            got = rng.standard_normal(n)
+        else:
+            got = rng.normal_array((*np.shape(seeds), n // 2, 2)).reshape(*np.shape(seeds), -1)
+        assert np.array_equal(got, reference[..., : got.shape[-1]])
+        assert rng.words_consumed == 5 + 2 * got.shape[-1]
+        assert rng.normal_draws == got.shape[-1]
+        # the stream continues where the reference's words go on
+        assert np.array_equal(rng.standard_normal(8), reference[..., got.shape[-1]:][..., :8])
