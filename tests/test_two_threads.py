@@ -227,7 +227,7 @@ class TestWorkerLifecycle:
     def test_the_worker_keeps_the_callers_error_state(self, monkeypatch, site):
         seen = []
         _hook_halves(monkeypatch, lambda on_worker: seen.append((on_worker, np.geterr())))
-        with np.errstate(over="ignore", under="warn", invalid="raise"):
+        with np.errstate(over="ignore", divide="ignore", invalid="raise"):
             want = np.geterr()
             _SITES[site]()
         assert any(on_worker for on_worker, _ in seen)
