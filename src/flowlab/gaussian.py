@@ -33,7 +33,7 @@ from .errors import (
     InvalidConfigError,
     ShapeMismatchError,
 )
-from .rng import CounterRng, _halves
+from .rng import CounterRng, _both, _worker
 
 
 @dataclass(frozen=True)
@@ -227,10 +227,11 @@ def mc_conditional_velocity(
     split where that sum splits them: numpy sums n > 128 values as the sum
     of the first ``_pairwise_half(n)`` plus the sum of the rest. The caller
     evaluates the first part and one worker thread, started once per call,
-    the second (``rng._halves``), in three phases per query: the endpoints
-    and log-weights; after the global maximum, the weights and their sums;
-    after the mean, the squared residuals' sums. Each total is that one
-    addition of the two part sums, so every bit is the one-thread result.
+    the second (``rng._worker`` states its contract), in three phases per
+    query: the endpoints and log-weights; after the global maximum, the
+    weights and their sums; after the mean, the squared residuals' sums.
+    Each total is that one addition of the two part sums, so every bit is
+    the one-thread result.
     """
     if n < 10_000:
         raise InvalidConfigError(f"need n >= 1e4 Monte Carlo samples, got {n}")
@@ -250,8 +251,8 @@ def mc_conditional_velocity(
     bufs = (np.empty_like(x0), np.empty(n), np.empty(n), np.empty(n))
     split = _pairwise_half(n)
     parts = (slice(0, split), slice(split, n))
-    with _halves() as both:
-        return [McVelocityEstimate(*_weighted_estimate(both, parts, x0, bufs, x, t), n=n)
+    with _worker() as submit:
+        return [McVelocityEstimate(*_weighted_estimate(submit, parts, x0, bufs, x, t), n=n)
                 for x, t in queries]
 
 
@@ -260,12 +261,13 @@ def _pairwise_half(n: int) -> int:
     return n // 2 - (n // 2) % 8
 
 
-def _weighted_estimate(both, parts, x0, bufs, x, t) -> tuple[np.ndarray, np.ndarray, float]:
+def _weighted_estimate(submit, parts, x0, bufs, x, t) -> tuple[np.ndarray, np.ndarray, float]:
     """One query's value, stderr and effective sample size from the (dim, n)
     draw ``x0``, which it only reads, each phase run on the two ``parts`` of
-    the draws by ``both``. ``bufs`` holds the (dim, n) endpoints (then
-    residuals) and the n-long log-weights (then weights), squared weights
-    and products."""
+    the draws by ``_both`` on ``submit``'s worker. ``bufs`` holds the (dim, n)
+    endpoints (then residuals) and the n-long log-weights (then weights),
+    squared weights and products. An ESS that is not a number, as when
+    ``|x1|^2`` overflows at a tiny t, raises as a low one does."""
     x1, log_w, w_sq, prod = bufs
 
     def endpoints(part):
@@ -296,16 +298,16 @@ def _weighted_estimate(both, parts, x0, bufs, x, t) -> tuple[np.ndarray, np.ndar
         r *= w_sq[part]
         return [np.sum(row) for row in r]
 
-    top = np.maximum(*both(endpoints, *parts))
-    sums = [a + b for a, b in zip(*both(weights, *parts))]
+    top = np.maximum(*_both(submit, endpoints, *parts))
+    sums = [a + b for a, b in zip(*_both(submit, weights, *parts))]
     wsum = float(sums[0])
     ess = wsum**2 / float(sums[1])
-    if ess < 30.0:
+    if not ess >= 30.0:  # NaN too
         raise InsufficientSamplesError(
             f"effective sample size {ess:.1f} < 30 at x={x}, t={t}; increase n"
         )
     value = np.array(sums[2:]) / wsum
-    stderr = np.sqrt([a + b for a, b in zip(*both(residuals, *parts))]) / wsum
+    stderr = np.sqrt([a + b for a, b in zip(*_both(submit, residuals, *parts))]) / wsum
     return value, stderr, ess
 
 

@@ -36,10 +36,11 @@ no step checks shapes or assembles inputs.
 
 The loss on the eval batch after each step is computed off the training
 thread. Each step copies ``params`` into one of two buffers of
-``_EVAL_GROUP`` snapshots; one worker thread evaluates each full buffer as
-one stack (``_EvalBatch.losses``) while training fills the other. A group
-is collected before the next is handed over, so training never writes the
-buffer being read, and the caller evaluates the partial last group.
+``_EVAL_GROUP`` snapshots; one worker thread (``rng._worker`` states its
+contract) evaluates each full buffer as one stack (``_EvalBatch.losses``)
+while training fills the other. A group is collected before the next is
+handed over, so training never writes the buffer being read, and the
+caller evaluates the partial last group.
 
 No bit depends on this scheduling. The losses are appended in step order,
 and each snapshot gets the BLAS calls of its own forward pass, except that
@@ -68,7 +69,7 @@ from .errors import (
     ShapeMismatchError,
     TrainingDivergedError,
 )
-from .rng import CounterRng, box_muller, derive_seed, integer
+from .rng import CounterRng, _worker, box_muller, derive_seed, integer
 
 _MAGIC = b"OMED"
 _FORMAT_VERSION = 1
@@ -336,15 +337,11 @@ def train(model: MlpModel, dataset, config: TrainConfig) -> TrainReport:
 
     A step does only the step's work: the forward and backward pass on its
     batch, a slice of the epoch's inputs, the Adam update and a copy of the
-    parameters into the snapshot buffer. One worker thread computes the eval
-    losses of each full group of snapshots while the next steps run (see
-    the module docstring); it is joined before ``train`` returns or raises,
-    and an error in it is raised here. The eval inputs and all buffers are
-    made once per call, the epoch's inputs once per epoch.
+    parameters into the snapshot buffer. One worker thread (``rng._worker``)
+    computes the eval losses of each full group of snapshots while the next
+    steps run (see the module docstring). The eval inputs and all buffers
+    are made once per call, the epoch's inputs once per epoch.
     """
-    # imported here, as concurrent.futures loads logging, which only train needs
-    from concurrent.futures import ThreadPoolExecutor
-
     if len(dataset) == 0:
         raise InvalidConfigError("empty dataset")
     x0, cond = _as_training_arrays(dataset, model)
@@ -370,14 +367,7 @@ def train(model: MlpModel, dataset, config: TrainConfig) -> TrainReport:
     snaps = np.empty((2, _EVAL_GROUP, params.size))
     slot = fill = step = 0
     pending = None
-    # numpy's error state is per thread: the worker runs under the caller's
-    caller_err = np.geterr()
-
-    def worker_losses(group: np.ndarray) -> list[float]:
-        with np.errstate(**caller_err):
-            return evaluate.losses(group)
-
-    with ThreadPoolExecutor(max_workers=1) as worker:
+    with _worker() as submit:
         for _ in range(config.epochs):
             perm = np.argsort(rng.uniform(n), kind="stable")
             x1, t = _epoch_draws(rng.uniform(n * (2 * d + 1)), n, d, batch)
@@ -413,7 +403,7 @@ def train(model: MlpModel, dataset, config: TrainConfig) -> TrainReport:
                     # so its buffer is free when filling comes back to it
                     if pending is not None:
                         report.losses += pending.result()
-                    pending = worker.submit(worker_losses, snaps[slot])
+                    pending = submit(evaluate.losses, snaps[slot])
                     slot, fill = 1 - slot, 0
         if pending is not None:
             report.losses += pending.result()

@@ -26,11 +26,11 @@ sampler call, on keys that ``derive_seeds`` derives in one array pass.
 A draw of more than ``_NORMAL_BLOCK`` normals per stream is filled on two
 threads: its blocks of ``_NORMAL_BLOCK // 2`` normals get their word
 offsets before either thread starts, the caller fills the first half of
-them and one worker thread the second (``_halves``). Each normal is a
-function of its word offset alone, so the output and the counters are
-those of one thread filling the blocks in order. The caller makes every
-buffer, two of ``_NORMAL_BLOCK`` words per thread, so the worker allocates
-nothing and the temporaries stay about those of one such thread.
+them and one worker thread the second (``_worker``, whose docstring holds
+the contract every worker keeps). Each normal is a function of its word
+offset alone, so the output and the counters are those of one thread
+filling the blocks in order. Every buffer is two of ``_NORMAL_BLOCK``
+words per thread, so the temporaries stay about those of one such thread.
 
 ``CounterRng.normal_steps(steps, shape)`` makes ``steps`` successive
 ``normal_array(shape)`` draws in one call, stacked on a new leading axis:
@@ -150,34 +150,37 @@ def _count(n: int) -> int:
 
 
 @contextmanager
-def _halves():
+def _worker():
     """One worker thread beside the caller, for the lifetime of the block.
 
-    Yields ``both(half, first, second)``, which runs ``half(second)`` on the
-    worker while the caller runs ``half(first)``, and returns the pair of
-    results once both are done. The worker runs under the caller's
-    ``np.geterr()`` (numpy's error state is per thread), and an error raised
-    in its half is raised again in the caller. The thread is joined on every
-    exit from the block, so none outlives it. ``half`` may call numpy and the
-    lab's private kernels only: ``benchmarks/tracing.py`` wraps the public
-    functions and is not thread-safe."""
-    # imported here, as concurrent.futures loads logging, which a bare
-    # import of the lab does not need
+    Yields ``submit(fn, *args)``, which starts ``fn(*args)`` on the worker
+    and returns its future. Every use keeps this contract: ``fn`` runs under
+    the caller's ``np.geterr()`` (numpy's error state is per thread); an
+    error in ``fn`` is raised again in the caller by ``result()``; the
+    thread is joined on every exit from the block, an interrupt included, so
+    none outlives it; ``fn`` calls numpy and the lab's private kernels only,
+    as ``benchmarks/tracing.py`` wraps the public names and is not
+    thread-safe; and the caller makes every buffer ``fn`` writes, so the
+    worker allocates nothing large. ``concurrent.futures`` is imported here,
+    as it loads ``logging``, which ``import flowlab`` does not need."""
     from concurrent.futures import ThreadPoolExecutor
 
     caller_err = np.geterr()
 
-    def on_worker(half, part):
+    def under_caller_err(fn, *args):
         with np.errstate(**caller_err):
-            return half(part)
+            return fn(*args)
 
-    def both(half, first, second):
-        pending = worker.submit(on_worker, half, second)
-        mine = half(first)
-        return mine, pending.result()
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        yield lambda fn, *args: pool.submit(under_caller_err, fn, *args)
 
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        yield both
+
+def _both(submit, half, first, second):
+    """``half(second)`` on the worker of ``submit`` while the caller runs
+    ``half(first)``: the pair of results, once both are done."""
+    pending = submit(half, second)
+    mine = half(first)
+    return mine, pending.result()
 
 
 class CounterRng:
@@ -282,12 +285,11 @@ class CounterRng:
                                    tmp[..., : 2 * (hi - lo)])
                 box_muller(u, out[..., lo:hi], z.view(np.float64)[..., : hi - lo])
 
-        # every buffer is made here, so that the worker allocates nothing
         halves = [(blocks, np.empty((*streams, 2 * size), dtype=np.uint64),
                    np.empty((*streams, 2 * size), dtype=np.uint64))
                   for blocks in (starts[: len(starts) // 2], starts[len(starts) // 2 :])]
-        with _halves() as both:
-            both(fill, *halves)
+        with _worker() as submit:
+            _both(submit, fill, *halves)
         return out
 
     def _shape(self, shape: tuple[int, ...] | int) -> tuple[int, ...]:

@@ -1,18 +1,23 @@
 """The two-thread evaluation of large normal draws and of the Monte Carlo
-oracle (``rng._halves``): bit for bit the one-thread results, whichever
-thread finishes first; one worker thread per call, which ends with it; and
-nothing that ``benchmarks/tracing.py`` wraps runs on the worker."""
+oracle (``rng._both`` on the worker of ``rng._worker``): bit for bit the
+one-thread results, whichever thread finishes first; one worker thread per
+call, which ends with it; and nothing that ``benchmarks/tracing.py`` wraps
+runs on the worker, there or in ``train``. ``import flowlab`` alone starts
+no worker machinery."""
 
+import os
+import subprocess
 import sys
 import threading
 import time
-from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from flowlab import gaussian, harness, rng as rng_module
+from flowlab import gaussian, harness, mlp, rng as rng_module
+from flowlab.core import Condition
 from flowlab.errors import InsufficientSamplesError
 from flowlab.gaussian import (
     GaussianSpec,
@@ -117,22 +122,19 @@ class TestSameBitsAsOneThread:
 
 def _hook_halves(monkeypatch, on_half):
     """Make both two-thread sites call ``on_half(on_worker)`` at the start of
-    each half they run, on the thread that runs it."""
-    real = rng_module._halves
+    each half that ``rng._both`` runs, on the thread that runs it."""
+    real = rng_module._both
 
-    @contextmanager
-    def halves():
+    def both(submit, half, first, second):
         caller = threading.get_ident()
-        with real() as both:
-            def hooked(half, first, second):
-                def run(part):
-                    on_half(threading.get_ident() != caller)
-                    return half(part)
-                return both(run, first, second)
-            yield hooked
 
-    monkeypatch.setattr(rng_module, "_halves", halves)
-    monkeypatch.setattr(gaussian, "_halves", halves)
+        def run(part):
+            on_half(threading.get_ident() != caller)
+            return half(part)
+        return real(submit, run, first, second)
+
+    monkeypatch.setattr(rng_module, "_both", both)
+    monkeypatch.setattr(gaussian, "_both", both)
 
 
 def _delay(on_worker_side: bool):
@@ -199,6 +201,17 @@ class TestWorkerLifecycle:
                                     [([0.3], 0.5), ([40.0], 0.5)], 20_000, CounterRng(0))
         assert threading.active_count() == before
 
+    @pytest.mark.parametrize("t", [1e-160, 1e-310, 5e-324])
+    def test_a_tiny_t_raises_insufficient_samples(self, t):
+        # |x1|^2 overflows, every log-weight is -inf and the ESS is NaN; the
+        # error state is the CLI's
+        before = threading.active_count()
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(InsufficientSamplesError, match=r"^effective sample size nan < 30 "):
+            mc_conditional_velocity(GaussianSpec.isotropic(0.5, 1.0, dim=2),
+                                    [([0.3, -0.4], t)], 20_000, CounterRng(0))
+        assert threading.active_count() == before
+
     @pytest.mark.parametrize("site", sorted(_SITES))
     def test_a_worker_error_reaches_the_caller(self, monkeypatch, site):
         def on_half(on_worker):
@@ -235,17 +248,19 @@ class TestWorkerLifecycle:
 
 
 # The names that benchmarks/tracing.py wraps (its FUNCTIONS and METHODS) in
-# the layers an oracle check reaches; the tracer keeps one current span and
-# is not thread-safe, so each must run on the calling thread only.
+# the layers an oracle check or a train reaches; the tracer keeps one current
+# span and is not thread-safe, so each must run on the calling thread only.
 _TRACED_FUNCTIONS = {
     rng_module: ("derive_seed",),
     gaussian: ("marginal_velocity", "mc_conditional_velocity", "sample_array", "ot_map",
                "w2_gaussian"),
+    mlp: ("train", "mlp_init", "batch_loss_and_grads", "forward_array"),
     harness: ("run_oracle_check",),
 }
 _TRACED_METHODS = (
     (rng_module.CounterRng, "standard_normal"), (rng_module.CounterRng, "uniform"),
     (gaussian.GaussianConditionalField, "velocity"), (gaussian.AnalyticDualField, "velocities"),
+    (mlp.MlpVelocityField, "velocity"), (mlp.MlpDualField, "velocities"),
 )
 
 
@@ -293,6 +308,25 @@ class TestTracedNamesStayOnTheCallingThread:
         assert {ident for _, ident in calls} == {threading.get_ident()}
         assert True in halves
 
+    def test_a_train_calls_them_on_the_calling_thread(self, monkeypatch):
+        calls = self._record(monkeypatch)
+        real, evaluated = mlp._EvalBatch.losses, []
+
+        def losses(self, stack):
+            evaluated.append(threading.get_ident())
+            return real(self, stack)
+
+        monkeypatch.setattr(mlp._EvalBatch, "losses", losses)
+        pairs = [(row, Condition.null(0)) for row in CounterRng(4).normal_array((64, 1))]
+        # 4 steps an epoch: two full eval groups on the worker, then 4 steps
+        cfg = mlp.TrainConfig(epochs=2 * mlp._EVAL_GROUP // 4 + 1, batch_size=16, seed=3)
+        report = mlp.train(mlp.mlp_init([8, 1], 0, seed=1), pairs, cfg)
+        assert len(report.losses) == 2 * mlp._EVAL_GROUP + 4
+        assert {"train", "mlp_init", "derive_seed", "CounterRng.uniform",
+                "CounterRng.standard_normal"} <= {name for name, _ in calls}
+        assert {ident for _, ident in calls} == {threading.get_ident()}
+        assert set(evaluated) - {threading.get_ident()}  # the worker did run
+
 
 @settings(max_examples=100, deadline=None)
 @given(n=st.integers(129, 250_001), seed=st.integers(0, 2**32 - 1))
@@ -332,3 +366,13 @@ def test_concurrent_callers_each_get_their_one_thread_bits():
         sys.setswitchinterval(interval)
     assert not any(caller.is_alive() for caller in callers)
     assert got == want
+
+
+def test_import_flowlab_loads_no_thread_pool():
+    # rng._worker imports concurrent.futures, which loads logging, on first use
+    src = str(Path(mlp.__file__).resolve().parents[1])
+    code = "import sys, flowlab; print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+    run = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
