@@ -56,6 +56,12 @@ class TensorState:
         if not np.all(np.isfinite(self.data)):
             raise InvalidConfigError("state entries must be finite")
 
+    def __eq__(self, other):
+        # by value: the generated __eq__ would compare the arrays' truth value
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.shape == other.shape and np.array_equal(self.data, other.data)
+
     @classmethod
     def from_array(cls, arr) -> "TensorState":
         arr = np.asarray(arr, dtype=np.float64)

@@ -488,7 +488,10 @@ def trajectory_plot(sweep: EditSweep, cfg: EditConfig) -> str:
 
 
 def bias_curve_plot(src_spec: GaussianSpec, tar_spec: GaussianSpec, grid_steps: int = 20_000) -> str:
-    """Dense-oracle truncation-bias norm as a function of t_max."""
+    """Dense-oracle truncation-bias norm as a function of t_max, at 10 values.
+    The 10 ``truncation_bias`` calls pass the same four input objects, so
+    the full-horizon reference is integrated once: 5.5 x grid_steps Euler
+    steps in all, where a reference per call would make 14.5 x."""
     x_src = TensorState.from_array(np.zeros(src_spec.dim))
     eps = TensorState.from_array(np.zeros(src_spec.dim))
     t_values = np.linspace(0.1, 1.0, 10)

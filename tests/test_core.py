@@ -38,6 +38,13 @@ class TestTensorState:
         s = TensorState(data=np.arange(6.0), shape=(3, 2))
         assert s.array.shape == (3, 2)
 
+    def test_equality_is_by_value(self):
+        # the generated __eq__ raised ValueError on the arrays' truth value
+        assert state([1.0, 2.0]) == state([1.0, 2.0])
+        assert state([1.0, 2.0]) != state([1.0, 3.0])
+        assert state([[1.0, 2.0]]) != state([1.0, 2.0])  # same data, other shape
+        assert state([1.0]) != [1.0] and state([1.0]) != 1.0
+
 
 class TestCondition:
     def test_null_must_be_zero(self):

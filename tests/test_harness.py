@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from flowlab.errors import InvalidConfigError, NumericalError
 from flowlab.core import Condition
 from flowlab.gaussian import GaussianConditionalField, GaussianSpec, ot_map, sample_array
-from flowlab import harness
+from flowlab import harness, metrics
 from flowlab.harness import (
     ABLATION_CELLS,
     ORACLE_MAX_Z,
@@ -669,3 +669,25 @@ def test_bias_curve_plot_is_svg():
         GaussianSpec.isotropic(0.0, 1.0), GaussianSpec.isotropic(2.0, 1.0), grid_steps=2_000
     )
     assert svg.startswith("<svg") and "polyline" in svg
+
+
+def test_bias_curve_plot_integrates_the_reference_once(monkeypatch):
+    # one _compose call per scan chunk, of that chunk's grid steps
+    steps = []
+    compose = metrics._compose
+    monkeypatch.setattr(metrics, "_compose", lambda c, b: steps.append(len(c)) or compose(c, b))
+    monkeypatch.setattr(metrics, "_reference_memo", ())
+    src, tar = GaussianSpec.isotropic(0.0, 1.0, dim=2), GaussianSpec.isotropic(2.0, 0.25, dim=2)
+    svg = bias_curve_plot(src, tar, grid_steps=2_000)
+    assert sum(steps) == 2_000 + 9_000  # the reference, then the runs to 0.1, ..., 0.9
+
+    bias = harness.truncation_bias
+
+    def cold(*args):
+        metrics._reference_memo = ()
+        return bias(*args)
+
+    monkeypatch.setattr(harness, "truncation_bias", cold)
+    steps.clear()
+    assert bias_curve_plot(src, tar, grid_steps=2_000) == svg
+    assert sum(steps) == 10 * 2_000 + 9_000

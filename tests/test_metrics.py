@@ -1,9 +1,12 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from flowlab import metrics
 from flowlab.core import TensorState
 from flowlab.errors import InvalidConfigError, NumericalError, ShapeMismatchError
 from flowlab.gaussian import GaussianSpec, marginal_velocity, sample_array
@@ -15,7 +18,7 @@ from flowlab.metrics import (
     structure_distance,
     truncation_bias,
 )
-from flowlab.rng import CounterRng
+from flowlab.rng import MAX_ENTRIES, CounterRng
 from flowlab.samplers import Trajectory
 
 
@@ -172,6 +175,154 @@ class TestTruncationBiasScan:
             peaks[grid] = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
         assert peaks[100_000] - peaks[20_000] < 2 * 2**20
+
+
+class TestTruncationBiasGrid:
+    @pytest.mark.parametrize(
+        "grid", [0, -5, 2.5, np.float64(3.7), float("nan"), float("inf"), "100"], ids=repr)
+    def test_bad_grid_steps_raise_before_the_memo_is_read(self, grid, monkeypatch):
+        # 0, -5 and 2.5 ran one step, 3.7 ran 4, and the rest raised a bare
+        # ValueError, OverflowError or TypeError
+        monkeypatch.setattr(metrics, "_reference_memo", ())
+        spec = GaussianSpec.isotropic(0.0, 1.0)
+        with pytest.raises(InvalidConfigError, match="grid_steps"):
+            truncation_bias(spec, spec, state([0.0]), 0.5, state([0.0]), grid_steps=grid)
+        assert metrics._reference_memo == ()
+
+    def test_grid_past_the_entry_limit_raises_before_any_array(self):
+        spec = GaussianSpec.isotropic(0.0, 1.0)
+        x = state([0.0])
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidConfigError, match="truncation-bias time grid"):
+                truncation_bias(spec, spec, x, 0.5, x, grid_steps=MAX_ENTRIES)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_numpy_integer_grid_runs_like_an_int(self):
+        src, tar = _PAIRS["1d"]
+        x, e = state([0.3]), state([-0.8])
+        want = truncation_bias(src, tar, x, 0.6, e, grid_steps=50)
+        assert truncation_bias(src, tar, x, 0.6, e, grid_steps=np.int64(50)) == want
+
+
+def cold_bias(*args, **kwargs) -> TensorState:
+    """A ``truncation_bias`` call that finds no reference kept."""
+    metrics._reference_memo = ()
+    return truncation_bias(*args, **kwargs)
+
+
+def bits(s: TensorState) -> tuple:
+    return s.shape, s.data.tobytes()
+
+
+@pytest.fixture
+def scan_steps(monkeypatch):
+    """Grid steps composed by the truncation-bias scan: one ``_compose`` call
+    per chunk, of that chunk's steps. The memo starts empty."""
+    steps = []
+    inner = metrics._compose
+    monkeypatch.setattr(metrics, "_compose", lambda c, b: steps.append(len(c)) or inner(c, b))
+    monkeypatch.setattr(metrics, "_reference_memo", ())
+    return steps
+
+
+@st.composite
+def bias_inputs(draw):
+    """Two specs of one dim (1-3), diagonal or full, and a (rows, dim) state
+    and noise (1-3 rows)."""
+    dim = draw(st.integers(1, 3))
+    rows = draw(st.integers(1, 3))
+    entry = st.floats(-2.0, 2.0)
+
+    def vector(n, elements=entry):
+        return np.array(draw(st.lists(elements, min_size=n, max_size=n)))
+
+    def spec():
+        if draw(st.booleans()):
+            return GaussianSpec(mean=vector(dim), cov=vector(dim, st.floats(0.1, 3.0)))
+        low = np.tril(vector(dim * dim).reshape(dim, dim))
+        cov = low @ low.T + 0.2 * np.eye(dim)
+        return GaussianSpec(mean=vector(dim), cov=np.tril(cov) + np.tril(cov, -1).T)
+
+    return spec(), spec(), state(vector(rows * dim).reshape(rows, dim)), state(
+        vector(rows * dim).reshape(rows, dim))
+
+
+class TestReferenceMemo:
+    @settings(max_examples=40, deadline=None)
+    @given(a=bias_inputs(), grid=st.integers(1, 300),
+           change=st.sampled_from(["src", "tar", "x_src", "eps", "grid", "copies"]),
+           t_values=st.lists(st.one_of(st.just(1.0), st.floats(0.05, 1.0)), min_size=4,
+                             max_size=4))
+    def test_every_call_has_the_bits_of_a_cold_call(self, a, grid, change, t_values):
+        # call B differs from A in one input; "copies" replaces all four by
+        # equal but distinct objects. A, A (a hit), B, A (misses).
+        src, tar, x, e = a
+        b = {"src": (tar, tar, x, e, grid), "tar": (src, src, x, e, grid),
+             "x_src": (src, tar, e, e, grid), "eps": (src, tar, x, x, grid),
+             "grid": (src, tar, x, e, grid + 1),
+             "copies": (GaussianSpec(src.mean, src.cov), GaussianSpec(tar.mean, tar.cov),
+                        state(x.array), state(e.array), grid)}[change]
+        calls = [(src, tar, x, e, grid), (src, tar, x, e, grid), b, (src, tar, x, e, grid)]
+        metrics._reference_memo = ()
+        warm = [bits(truncation_bias(s, r, xs, t, ep, grid_steps=g))
+                for (s, r, xs, ep, g), t in zip(calls, t_values)]
+        want = [bits(cold_bias(s, r, xs, t, ep, grid_steps=g))
+                for (s, r, xs, ep, g), t in zip(calls, t_values)]
+        assert warm == want
+
+    def test_full_horizon_bias_is_exactly_zero_on_a_hit_and_a_miss(self, scan_steps):
+        src, tar = _PAIRS["2d-full"]
+        x, e = state([[0.3, -0.2], [1.1, 0.4]]), state([[-0.8, 0.1], [0.5, -1.3]])
+        miss = truncation_bias(src, tar, x, 1.0, e, grid_steps=500)
+        assert sum(scan_steps) == 500
+        truncation_bias(src, tar, x, 0.3, e, grid_steps=500)
+        hit = truncation_bias(src, tar, x, 1.0, e, grid_steps=500)
+        assert sum(scan_steps) == 650  # the reference once and the 150-step run
+        for out in (miss, hit):
+            assert np.all(out.data == 0.0) and not np.any(np.signbit(out.data))
+
+    def test_the_memo_holds_its_inputs(self, scan_steps):
+        # a kept input cannot be freed, so its id cannot return as a false hit
+        src, tar = _PAIRS["1d"]
+        truncation_bias(src, tar, state([0.3]), 0.5, state([-0.8]), grid_steps=100)
+        x, e = metrics._reference_memo[2:4]
+        assert (x.array.tolist(), e.array.tolist()) == ([0.3], [-0.8])
+
+    def test_threads_each_get_their_cold_bits(self):
+        # distinct specs per thread, so the callers keep replacing one another's
+        # reference while a short switch interval interleaves them; a memo
+        # whose key and offset were stored apart fails here
+        t_values = (0.2, 1.0, 0.7, 1.0, 0.45)
+        inputs = [(GaussianSpec.isotropic(0.1 * k, 1.0 + k, dim=2),
+                   GaussianSpec.isotropic(2.0 - k, 0.25, dim=2),
+                   state([[0.3, -0.2], [k, 0.4]]), state([[-0.8, 0.1], [0.5, -k]]))
+                  for k in range(4)]
+        want = [[bits(cold_bias(*inp[:3], t, inp[3], grid_steps=20)) for t in t_values]
+                for inp in inputs]
+        got = [[] for _ in inputs]
+
+        def work(k):
+            src, tar, x, e = inputs[k]
+            for _ in range(100):
+                got[k].append([bits(truncation_bias(src, tar, x, t, e, grid_steps=20))
+                               for t in t_values])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(len(inputs))]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert got == [[w] * 100 for w in want]
 
 
 class TestStructureDistance:
