@@ -285,7 +285,7 @@ class TestReferenceMemo:
         for out in (miss, hit):
             assert np.all(out.data == 0.0) and not np.any(np.signbit(out.data))
 
-    def test_the_memo_holds_its_inputs(self, scan_steps):
+    def test_the_memo_holds_its_inputs(self):
         # a kept input cannot be freed, so its id cannot return as a false hit
         src, tar = _PAIRS["1d"]
         truncation_bias(src, tar, state([0.3]), 0.5, state([-0.8]), grid_steps=100)
